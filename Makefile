@@ -22,7 +22,7 @@ COVER_FLOOR ?= 75.0
 # -timings prints load + per-analyzer wall time to stderr).
 VIALINT_FLAGS ?=
 
-.PHONY: verify build vet lint lint-fast test race short fuzz chaos chaos-ha chaos-repair soak loss-sweep bench bench-json bench-choose bench-smoke choose-smoke cover
+.PHONY: verify build vet lint lint-fast test race short fuzz chaos chaos-ha chaos-repair soak loss-sweep bench bench-json bench-choose bench-smoke choose-smoke bench-vet cover
 
 verify: build vet lint test race
 
@@ -149,3 +149,9 @@ bench-smoke:
 choose-smoke:
 	$(GO) run ./cmd/viabench -choose-ops 400000 \
 		-benchout choose-ci-current.json -baseline BENCH_2.json -tolerance 0.25 choose
+
+# The call-path benchmark (bench/, BENCHMARK.json) is a module of its own,
+# so `make verify` neither builds nor tests it: run this after any change
+# to an API it uses (internal/wal, controller, ring, relay, client).
+bench-vet:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...

@@ -174,6 +174,7 @@ type Server struct {
 	mPanics           *obs.Counter
 	mSnapshotBytes    *obs.Gauge
 	mLeaseTransitions *obs.Counter
+	mStreamLag        *obs.Gauge
 
 	mux *http.ServeMux
 }
@@ -288,6 +289,7 @@ func newServer(cfg Config) *Server {
 	s.mPanics = m.Counter("via_controller_panics_total")
 	s.mSnapshotBytes = m.Gauge("via_controller_snapshot_bytes")
 	s.mLeaseTransitions = m.Counter("via_controller_lease_transitions_total")
+	s.mStreamLag = m.Gauge("via_controller_wal_stream_lag_records")
 	m.GaugeFunc("via_controller_inflight_requests", func() float64 {
 		return float64(s.inflight.Load())
 	})

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
 // HA endpoints: the lease view, the WAL replication stream a standby
@@ -58,10 +57,12 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		}
 		from = v
 	}
-	if from < s.wlog.FirstLSN() {
+	tail, err := s.wlog.Tail(from)
+	if err != nil {
 		http.Error(w, "requested LSN truncated away; bootstrap from /v1/wal/snapshot", http.StatusGone)
 		return
 	}
+	defer tail.Close()
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -71,30 +72,37 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	cursor := from
+	// The tail is a cursor: a wake-up reads only the records that became
+	// durable since the last one and forwards their frames verbatim — the
+	// CRC the standby checks is the one the log wrote.
+	sent := from - 1
 	var hdr [8]byte
-	var scratch []byte
+	emit := func(lsn uint64, frame []byte) error {
+		binary.BigEndian.PutUint64(hdr[:], lsn)
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
+		if _, err := w.Write(frame); err != nil {
+			return err
+		}
+		sent = lsn
+		return nil
+	}
 	for {
 		// Snapshot the notify channel BEFORE reading durable: records that
 		// land between the read and the wait then still close this channel.
 		notify := s.wlog.DurableNotify()
-		if cursor <= s.wlog.DurableLSN() {
-			err := s.wlog.Replay(cursor, func(lsn uint64, rec wal.Record) error {
-				binary.BigEndian.PutUint64(hdr[:], lsn)
-				if _, err := w.Write(hdr[:]); err != nil {
-					return err
-				}
-				scratch = wal.EncodeFrame(scratch[:0], rec)
-				if _, err := w.Write(scratch); err != nil {
-					return err
-				}
-				cursor = lsn + 1
-				return nil
-			})
-			if err != nil {
-				return // subscriber hung up (or the log is closing)
+		if durable := s.wlog.DurableLSN(); durable > sent {
+			s.mStreamLag.Set(float64(durable - sent))
+			if err := tail.Next(emit); err != nil {
+				// Subscriber hung up, or the tail lost its place (log reset
+				// or truncated under it): the standby reconnects and, past
+				// the retained range, bootstraps from a snapshot.
+				return
 			}
 			fl.Flush()
+		} else {
+			s.mStreamLag.Set(0)
 		}
 		hb := time.NewTimer(s.cfg.HeartbeatInterval)
 		select {

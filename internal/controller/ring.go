@@ -105,7 +105,8 @@ func RecordPair(rec wal.Record) (src, dst int32, ok bool) {
 }
 
 // ExportRecords streams, in LSN order, every pair-scoped WAL record whose
-// pair matches pred — the moved-pairs half of a ring rebalance. It holds
+// pair matches pred — the moved-pairs half of a ring rebalance. Emitted
+// records are copies the caller may retain. It holds
 // walMu for the duration, pausing this shard's applies; that is the
 // rebalance quiesce, and it is safe because the new ring map is installed
 // before the export, so traffic for the moved pairs is already being
@@ -124,7 +125,9 @@ func (s *Server) ExportRecords(pred func(src, dst int32) bool, emit func(wal.Rec
 	}
 	return s.wlog.Replay(1, func(_ uint64, rec wal.Record) error {
 		if src, dst, ok := RecordPair(rec); ok && pred(src, dst) {
-			return emit(rec)
+			// Replay lends rec.Data for the call only; emitted records are
+			// the caller's to keep.
+			return emit(wal.Record{Type: rec.Type, Data: bytes.Clone(rec.Data)})
 		}
 		return nil
 	})

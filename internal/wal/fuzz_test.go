@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzWALDecode hammers the frame decoder with arbitrary bytes — torn
+// FuzzWALDecode hammers the frame decoders with arbitrary bytes — torn
 // tails, truncations, bit flips, hostile length prefixes. The decoder must
 // never panic and never over-read, and a successfully decoded frame must
 // re-encode to exactly the bytes it consumed (so corruption can't sneak
@@ -25,8 +25,19 @@ func FuzzWALDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rest := data
+		// The stream decoder (segment tail, standby stream) must agree with
+		// the buffer decoder frame for frame, reusing one buffer throughout.
+		stream := bytes.NewReader(data)
+		var frame []byte
 		for {
 			rec, n, err := DecodeFrame(rest)
+			var serr error
+			if frame, serr = readFrame(stream, frame); (serr == nil) != (err == nil) {
+				t.Fatalf("DecodeFrame err %v but readFrame err %v", err, serr)
+			}
+			if err == nil && !bytes.Equal(frame, rest[:n]) {
+				t.Fatalf("readFrame returned %x, DecodeFrame consumed %x", frame, rest[:n])
+			}
 			if err != nil {
 				// Errors must be one of the two sentinel families and must
 				// not consume input.

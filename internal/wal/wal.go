@@ -40,6 +40,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,6 +168,7 @@ type Log struct {
 	active   int64         // guarded by mu — bytes written to the active segment
 	dirty    bool          // guarded by mu — unsynced appends pending
 	durable  uint64        // guarded by mu — highest fsynced LSN
+	gen      uint64        // guarded by mu — bumped by Reset, so a Tailer notices the log was replaced under it
 	notify   chan struct{} // guarded by mu — closed and replaced when durable advances
 	closed   bool          // guarded by mu
 	syncStop chan struct{}
@@ -220,9 +222,14 @@ func Open(dir string, opt Options) (*Log, error) {
 // recoverLocked installs the on-disk segments: verifies contiguity,
 // relies on recoverSegment having truncated any torn tail on the last
 // one, reopens it for append (or opens a fresh first segment), and marks
-// everything recovered as durable. Caller holds l.mu.
+// everything recovered as durable. Numbering starts at the first segment
+// on disk — LSN 1 only until TruncateBefore or Reset has dropped a prefix.
+// Caller holds l.mu.
 func (l *Log) recoverLocked(segs []segment) error {
 	l.segs = segs
+	if len(segs) > 0 {
+		l.next = segs[0].first
+	}
 	for i, s := range segs {
 		last := i == len(segs)-1
 		n, err := recoverSegment(s.path, last)
@@ -448,92 +455,48 @@ func (l *Log) DurableNotify() <-chan struct{} {
 	return l.notify
 }
 
-// Replay invokes fn for every durable record with LSN in [from, durable],
-// in order. fn's record Data is only valid during the call. Stopping early:
-// return a non-nil error (it is passed through).
-//
-//vialint:ignore dettaint syncLocked samples the clock only to feed the fsync-latency histogram; the replayed record stream itself is a pure function of the log
-func (l *Log) Replay(from uint64, fn func(lsn uint64, rec Record) error) error {
-	l.mu.Lock()
-	if from < l.segs[0].first {
-		first := l.segs[0].first
-		l.mu.Unlock()
-		return fmt.Errorf("wal: replay from %d: records before %d were truncated away", from, first)
-	}
-	// Flush so the files contain everything durable claims.
-	if err := l.syncLocked(); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	limit := l.durable
-	segs := append([]segment(nil), l.segs...)
-	l.mu.Unlock()
-
-	for i, s := range segs {
-		// Upper bound on this segment's record span: next segment's first.
-		if i+1 < len(segs) && segs[i+1].first <= from {
-			continue
-		}
-		if s.first > limit {
-			break
-		}
-		if err := replaySegment(s, from, limit, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replaySegment streams one segment's records through fn.
-func replaySegment(s segment, from, limit uint64, fn func(uint64, Record) error) error {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return fmt.Errorf("wal: open segment for replay: %w", err)
-	}
-	defer f.Close() //vialint:ignore errwrap read-only file; close failure cannot lose data
-	r := bufio.NewReaderSize(f, 1<<16)
-	lsn := s.first
-	for lsn <= limit {
-		rec, err := ReadFrame(r)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("wal: segment %s record %d: %w", filepath.Base(s.path), lsn, err)
-		}
-		if lsn >= from {
-			if err := fn(lsn, rec); err != nil {
-				return err
-			}
-		}
-		lsn++
-	}
-	return nil
-}
-
 // ReadFrame reads one frame from a stream — a segment file or a standby's
 // HTTP tail of the primary's log. io.EOF at a frame boundary means a clean
 // end; a partial frame is ErrTruncated.
 func ReadFrame(r io.Reader) (Record, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	frame, err := readFrame(r, nil)
+	if err != nil {
+		return Record{}, err
+	}
+	return frameRecord(frame), nil
+}
+
+// readFrame is the package's one stream decoder: it reads a frame from r
+// into buf (grown when too small) and returns it whole — header and
+// payload, length-checked and CRC-verified — so a caller can forward the
+// wire bytes verbatim or split them with frameRecord. Passing the returned
+// slice back in as buf makes steady-state reads allocation-free.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], frameHeaderLen)[:frameHeaderLen]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
-			return Record{}, io.EOF
+			return nil, io.EOF
 		}
-		return Record{}, fmt.Errorf("%w: header: %v", ErrTruncated, err) //nolint:errorlint
+		return nil, fmt.Errorf("%w: header: %v", ErrTruncated, err) //nolint:errorlint
 	}
-	payloadLen := binary.BigEndian.Uint32(hdr[0:4])
+	payloadLen := binary.BigEndian.Uint32(buf[0:4])
 	if payloadLen == 0 || payloadLen > MaxRecordBytes {
-		return Record{}, fmt.Errorf("%w: payload length %d", ErrCorrupt, payloadLen)
+		return nil, fmt.Errorf("%w: payload length %d", ErrCorrupt, payloadLen)
 	}
-	payload := make([]byte, payloadLen)
+	buf = slices.Grow(buf, int(payloadLen))[:frameHeaderLen+int(payloadLen)]
+	payload := buf[frameHeaderLen:]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return Record{}, fmt.Errorf("%w: body: %v", ErrTruncated, err) //nolint:errorlint
+		return nil, fmt.Errorf("%w: body: %v", ErrTruncated, err) //nolint:errorlint
 	}
-	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(hdr[4:8]) {
-		return Record{}, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	if crcChecksum(payload) != binary.BigEndian.Uint32(buf[4:8]) {
+		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
-	return Record{Type: Type(payload[0]), Data: payload[1:]}, nil
+	return buf, nil
+}
+
+// frameRecord splits a verified frame into its record. Data aliases frame.
+func frameRecord(frame []byte) Record {
+	return Record{Type: Type(frame[frameHeaderLen]), Data: frame[frameHeaderLen+1:]}
 }
 
 // TruncateBefore removes whole segments every one of whose records has
@@ -580,6 +543,7 @@ func (l *Log) Reset(next uint64) error {
 		}
 	}
 	l.segs = nil
+	l.gen++
 	l.next = next
 	l.durable = next - 1
 	l.dirty = false
