@@ -22,15 +22,21 @@ COVER_FLOOR ?= 75.0
 # -timings prints load + per-analyzer wall time to stderr).
 VIALINT_FLAGS ?=
 
-.PHONY: verify build vet lint lint-fast test race short fuzz chaos chaos-ha chaos-repair soak loss-sweep bench bench-json bench-choose bench-smoke choose-smoke bench-vet cover
+.PHONY: verify build vet fmt-check lint lint-fast test race short fuzz chaos chaos-ha chaos-repair soak loss-sweep bench bench-json bench-choose bench-smoke choose-smoke bench-vet cover
 
-verify: build vet lint test race
+verify: build vet fmt-check lint test race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every tree that holds Go source must be gofmt-clean (analyzer fixtures
+# under testdata/ are exempt: some are malformed on purpose).
+fmt-check:
+	@out=$$(gofmt -l cmd internal via bench | grep -v '/testdata/'); \
+	if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 # Project-specific invariants (cmd/vialint): determinism + dettaint (no
 # wall clock / global rand / map-order output, intra- and inter-

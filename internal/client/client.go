@@ -10,6 +10,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -438,55 +439,11 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 		a.mu.Unlock()
 	}()
 
-	var f transport.Frame
-	f.Session = session
-	f.Kind = transport.KindMedia
-	f.Repair = scheme.Byte()
-	f.Token = tok
-	if err := f.SetRoute(rs.route); err != nil {
-		return out, err
-	}
-	if err := f.SetReply(rs.reply); err != nil {
-		return out, err
-	}
-	// Parity frames share the media frame's addressing but carry the XOR
-	// payload under their own kind; relays forward both transparently.
-	var pf transport.Frame
-	setParityRoute := func(r *routeSet) error {
-		pf.Session = session
-		pf.Kind = transport.KindFEC
-		pf.Repair = scheme.Byte()
-		pf.Token = f.Token
-		if err := pf.SetRoute(r.route); err != nil {
-			return err
-		}
-		return pf.SetReply(r.reply)
-	}
-	if fecEnc != nil {
-		if err := setParityRoute(rs); err != nil {
-			return out, err
-		}
-	}
-	// applyRoute swaps the call onto a new route set: media and parity
-	// addressing, plus the retransmit target NACK service uses.
-	applyRoute := func(r *routeSet) error {
-		if err := f.SetRoute(r.route); err != nil {
-			return err
-		}
-		if err := f.SetReply(r.reply); err != nil {
-			return err
-		}
-		if fecEnc != nil {
-			if err := setParityRoute(r); err != nil {
-				return err
-			}
-		}
-		oc.mu.Lock()
-		oc.sendTo = r.sendTo
-		oc.mu.Unlock()
-		return nil
-	}
-
+	// The media frame, and the parity frame that shares its addressing but
+	// carries the XOR payload under its own kind (relays forward both
+	// transparently); repath addresses them.
+	f := transport.Frame{Session: session, Kind: transport.KindMedia, Repair: scheme.Byte(), Token: tok}
+	pf := transport.Frame{Session: session, Kind: transport.KindFEC, Repair: scheme.Byte(), Token: tok}
 	total := int(spec.Duration / interval)
 	if total < 2 {
 		total = 2
@@ -500,11 +457,39 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 	tsStep := uint32(rtp.ClockRate / spec.PPS)
 	activated := time.Now() // when the current path started carrying media
 	gen := a.rebindGen.Load()
-	lastKA := time.Now() // first keepalive only after one period
-	if !tok.IsZero() {
-		// Prime the relay chain before media flows so every relay on the
-		// path binds the token to our source address from packet one.
+	var lastKA time.Time
+	// repath puts the call on route set nrs for option next — media and
+	// parity addressing, the retransmit target NACK service uses — and
+	// announces it to that relay chain with a keepalive, which restarts the
+	// keepalive period. A changed option is a new path and gets a fresh
+	// liveness window; the same option on new routes (a rebind) keeps the
+	// one it has.
+	repath := func(next netsim.Option, nrs *routeSet) error {
+		for _, fr := range []*transport.Frame{&f, &pf} {
+			if err := fr.SetRoute(nrs.route); err != nil {
+				return err
+			}
+			if err := fr.SetReply(nrs.reply); err != nil {
+				return err
+			}
+		}
+		oc.mu.Lock()
+		oc.sendTo = nrs.sendTo
+		oc.mu.Unlock()
+		if next != cur {
+			cur, out.Used = next, next
+			activated = time.Now()
+		}
+		rs = nrs
 		a.sendKeepalive(session, tok, rs)
+		lastKA = time.Now()
+		return nil
+	}
+	// Address the frames, and prime the relay chain before media flows so
+	// every relay on the path binds the token to our source address from
+	// packet one.
+	if err := repath(cur, rs); err != nil {
+		return out, err
 	}
 	for i := 0; i < total; i++ {
 		pt := uint8(ptSimplex)
@@ -559,14 +544,13 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 		// across the gap.
 		if g := a.rebindGen.Load(); g != gen {
 			gen = g
-			if nrs, err := a.routeSet(cur, spec.Peer); err == nil {
-				rs = nrs
-				if err := applyRoute(rs); err != nil {
-					return out, err
-				}
+			nrs, err := a.routeSet(cur, spec.Peer)
+			if err != nil {
+				nrs = rs // relay gone from the directory: keep the routes we have
 			}
-			a.sendKeepalive(session, tok, rs)
-			lastKA = time.Now()
+			if err := repath(cur, nrs); err != nil {
+				return out, err
+			}
 		}
 
 		// Keepalive cadence: refresh relay session/NAT state on quiet-but-
@@ -587,14 +571,9 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 		oc.mu.Unlock()
 		if nudged {
 			if next, nrs, ok := nextOption(cur); ok {
-				cur, rs = next, nrs
-				out.Used = cur
-				if err := applyRoute(rs); err != nil {
+				if err := repath(next, nrs); err != nil {
 					return out, err
 				}
-				a.sendKeepalive(session, tok, rs)
-				lastKA = time.Now()
-				activated = time.Now()
 				a.drainMigrations.Add(1)
 			}
 		}
@@ -653,14 +632,9 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 				continue // nothing left; ride the dead path out
 			}
 			out.Failed = append(out.Failed, cur)
-			cur, rs = next, nrs
-			out.Used = cur
-			if err := applyRoute(rs); err != nil {
+			if err := repath(next, nrs); err != nil {
 				return out, err
 			}
-			a.sendKeepalive(session, tok, rs)
-			lastKA = time.Now()
-			activated = time.Now()
 			a.failovers.Add(1)
 		}
 	}
@@ -871,7 +845,7 @@ func (a *Agent) readLoop(conn net.PacketConn) {
 		if err := f.Unmarshal(buf[:n]); err != nil {
 			continue
 		}
-		if f.NextHop() != nil {
+		if len(f.Route) != 0 {
 			continue // not at its final destination; misdelivered
 		}
 		if a.legacyV1.Load() && (f.Repair != 0 || !f.Token.IsZero()) {
@@ -894,6 +868,30 @@ func (a *Agent) readLoop(conn net.PacketConn) {
 	}
 }
 
+// maxIncoming bounds callee-side state growth from abandoned sessions.
+const maxIncoming = 4096
+
+// evictStalestLocked drops the incoming call whose media last arrived
+// longest ago, sparing keep (the call just inserted, which has seen none
+// yet): evicting a live call would reset its loss, NACK and FEC state
+// mid-stream and make it mint a second token. Caller holds a.mu.
+func (a *Agent) evictStalestLocked(keep uint64) {
+	var stalest uint64
+	oldest := int64(math.MaxInt64)
+	for s, ic := range a.incoming {
+		if s == keep {
+			continue
+		}
+		ic.mu.Lock()
+		last := ic.lastArrNs
+		ic.mu.Unlock()
+		if last < oldest {
+			stalest, oldest = s, last
+		}
+	}
+	delete(a.incoming, stalest)
+}
+
 // handleMedia is the callee side: measure, and periodically report back.
 func (a *Agent) handleMedia(f *transport.Frame) {
 	var pkt rtp.Packet
@@ -913,12 +911,8 @@ func (a *Agent) handleMedia(f *transport.Frame) {
 			ic.token = a.newTokenLocked()
 		}
 		a.incoming[f.Session] = ic
-		// Bound state growth from abandoned sessions.
-		if len(a.incoming) > 4096 {
-			for k := range a.incoming {
-				delete(a.incoming, k)
-				break
-			}
+		if len(a.incoming) > maxIncoming {
+			a.evictStalestLocked(f.Session)
 		}
 	}
 	a.mu.Unlock()

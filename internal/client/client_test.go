@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/relay"
+	"repro/internal/rtp"
+	"repro/internal/transport"
 	"repro/internal/wan"
 )
 
@@ -488,5 +490,41 @@ func TestDeadPathMetricsValidAndPunitive(t *testing.T) {
 	}
 	if m.LossRate != 1 || m.RTTMs < 1000 {
 		t.Errorf("DeadPathMetrics = %+v; want total loss and pessimal RTT", m)
+	}
+}
+
+// TestIncomingEvictionSparesNewestAndLive: past maxIncoming callee-side
+// entries the one evicted is the one whose media last arrived longest ago —
+// not the call just inserted, and not an early-inserted call that is still
+// receiving (evicting either would reset a live call's loss/NACK/FEC state
+// and make the callee mint a second token).
+func TestIncomingEvictionSparesNewestAndLive(t *testing.T) {
+	a := newAgent(t, 1, 1)
+	pkt := rtp.Packet{PayloadType: ptSimplex, Payload: make([]byte, 160)}
+	media := func(session uint64) {
+		f := transport.Frame{Session: session, Kind: transport.KindMedia, Payload: pkt.Marshal(nil)}
+		a.handleMedia(&f)
+		pkt.Seq++
+	}
+	for s := uint64(1); s <= maxIncoming; s++ {
+		media(s)
+		if s <= 2 {
+			time.Sleep(time.Millisecond) // 1 and 2 are strictly the stalest
+		}
+	}
+	media(1)               // inserted first, but live
+	media(maxIncoming + 1) // one past the bound: somebody goes
+	got := a.incomingSessions()
+	if len(got) != maxIncoming {
+		t.Errorf("incoming = %d entries, want %d", len(got), maxIncoming)
+	}
+	if !got[maxIncoming+1] {
+		t.Error("the call just inserted was evicted")
+	}
+	if !got[1] {
+		t.Error("a call that had just received media was evicted")
+	}
+	if got[2] {
+		t.Error("the stalest call survived")
 	}
 }

@@ -118,13 +118,8 @@ type Server struct {
 	cfg   Config
 	clock func() time.Time
 
-	mu        sync.RWMutex
-	relays    map[netsim.RelayID]string    // guarded by mu
-	relaySeen map[netsim.RelayID]time.Time // guarded by mu
-	// relayDraining marks relays whose latest heartbeat advertised drain
-	// mode: still alive, but excluded from the directory and candidate
-	// enumeration so no new calls land on them.
-	relayDraining map[netsim.RelayID]bool // guarded by mu
+	mu     sync.RWMutex
+	relays map[netsim.RelayID]relayEntry // guarded by mu
 
 	reports   atomic.Int64
 	chooses   atomic.Int64
@@ -270,14 +265,12 @@ func newServer(cfg Config) *Server {
 	}
 	now := clock()
 	s := &Server{
-		cfg:       cfg,
-		clock:     clock,
-		start:     now,
-		baseTime:  now,
-		relays:        make(map[netsim.RelayID]string),
-		relaySeen:     make(map[netsim.RelayID]time.Time),
-		relayDraining: make(map[netsim.RelayID]bool),
-		mux:       http.NewServeMux(),
+		cfg:      cfg,
+		clock:    clock,
+		start:    now,
+		baseTime: now,
+		relays:   make(map[netsim.RelayID]relayEntry),
+		mux:      http.NewServeMux(),
 	}
 	s.roleVal.Store(RolePrimary)
 	s.stateVal.Store(StateReplaying)
@@ -297,10 +290,7 @@ func newServer(cfg Config) *Server {
 		return float64(s.liveRelays())
 	})
 	m.GaugeFunc("via_controller_draining_relays", func() float64 {
-		s.mu.RLock()
-		n := len(s.relayDraining)
-		s.mu.RUnlock()
-		return float64(n)
+		return float64(s.countRelays(func(e relayEntry) bool { return e.draining }))
 	})
 
 	s.limChoose = newLimiter(cfg.Admission,
@@ -465,24 +455,17 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	s.mu.Lock()
-	s.relays[req.RelayID] = req.Addr
-	s.relaySeen[req.RelayID] = now
-	if req.Draining {
-		s.relayDraining[req.RelayID] = true
-	} else {
-		// A non-draining heartbeat clears the mark: drain is reversible
-		// (maintenance canceled) and a restarted relay starts clean.
-		delete(s.relayDraining, req.RelayID)
-	}
+	// The latest heartbeat is the whole truth about a relay: a non-draining
+	// one clears the mark (drain is reversible — maintenance canceled — and
+	// a restarted relay starts clean).
+	s.relays[req.RelayID] = relayEntry{addr: req.Addr, seen: now, draining: req.Draining}
 	// Registration is the natural sweep point: drop entries whose
-	// heartbeat lapsed long ago so the directory maps cannot grow without
-	// bound as relays churn.
+	// heartbeat lapsed long ago so the directory cannot grow without bound
+	// as relays churn.
 	if s.cfg.RelayTTL > 0 {
-		for id, seen := range s.relaySeen {
-			if now.Sub(seen) > 2*s.cfg.RelayTTL {
+		for id, e := range s.relays {
+			if now.Sub(e.seen) > 2*s.cfg.RelayTTL {
 				delete(s.relays, id)
-				delete(s.relaySeen, id)
-				delete(s.relayDraining, id)
 			}
 		}
 	}
@@ -490,22 +473,58 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	reply(w, transport.RegisterRelayResponse{OK: true})
 }
 
-func (s *Server) handleRelays(w http.ResponseWriter, _ *http.Request) {
+// relayEntry is one row of the relay directory: where the relay's media
+// socket is, when it last registered, and whether that heartbeat advertised
+// drain mode (still alive, but no new calls should land on it).
+type relayEntry struct {
+	addr     string
+	seen     time.Time
+	draining bool
+}
+
+// relayLive reports whether e's heartbeat has not lapsed at now.
+func (s *Server) relayLive(e relayEntry, now time.Time) bool {
+	return s.cfg.RelayTTL <= 0 || now.Sub(e.seen) <= s.cfg.RelayTTL
+}
+
+// liveRelays counts registered relays whose heartbeat has not lapsed.
+func (s *Server) liveRelays() int {
+	now := time.Now()
+	return s.countRelays(func(e relayEntry) bool { return s.relayLive(e, now) })
+}
+
+// countRelays counts the directory entries pred holds for.
+func (s *Server) countRelays(pred func(relayEntry) bool) int {
+	n := 0
+	s.mu.RLock()
+	for _, e := range s.relays {
+		if pred(e) {
+			n++
+		}
+	}
+	s.mu.RUnlock()
+	return n
+}
+
+// usableRelays lists the relays new calls may use, in id order: heartbeat
+// not lapsed (a lapsed relay is treated as dead) and not draining (existing
+// calls migrate off, new ones go elsewhere).
+func (s *Server) usableRelays() []transport.RelayInfo {
 	now := time.Now()
 	s.mu.RLock()
 	out := make([]transport.RelayInfo, 0, len(s.relays))
-	for id, addr := range s.relays {
-		if s.cfg.RelayTTL > 0 && now.Sub(s.relaySeen[id]) > s.cfg.RelayTTL {
-			continue // heartbeat lapsed: treat the relay as dead
+	for id, e := range s.relays {
+		if s.relayLive(e, now) && !e.draining {
+			out = append(out, transport.RelayInfo{RelayID: id, Addr: e.addr})
 		}
-		if s.relayDraining[id] {
-			continue // draining: no new calls, existing ones migrate off
-		}
-		out = append(out, transport.RelayInfo{RelayID: id, Addr: addr})
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].RelayID < out[j].RelayID })
-	reply(w, transport.RelayListResponse{Relays: out})
+	return out
+}
+
+func (s *Server) handleRelays(w http.ResponseWriter, _ *http.Request) {
+	reply(w, transport.RelayListResponse{Relays: s.usableRelays()})
 }
 
 func (s *Server) handleChoose(w http.ResponseWriter, r *http.Request) {
@@ -605,24 +624,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	call := core.Call{Src: netsim.ASID(src), Dst: netsim.ASID(dst), THours: s.nowHours()}
-	// Candidate set: every *live* registered relay as bounce plus direct
-	// (the operator can also pass explicit candidates via /v1/choose).
-	// Heartbeat-lapsed relays are excluded exactly as in /v1/relays, so
-	// the diagnostic view never recommends a path through a dead relay.
-	now := time.Now()
-	s.mu.RLock()
+	// Candidate set: direct plus a bounce through every relay /v1/relays
+	// would list (the operator can also pass explicit candidates via
+	// /v1/choose), so the diagnostic view never recommends a path through
+	// a dead or draining relay.
 	cands := []netsim.Option{netsim.DirectOption()}
-	for id := range s.relays {
-		if s.cfg.RelayTTL > 0 && now.Sub(s.relaySeen[id]) > s.cfg.RelayTTL {
-			continue
-		}
-		if s.relayDraining[id] {
-			continue // draining relays are not candidates for new calls
-		}
-		cands = append(cands, netsim.BounceOption(id))
+	for _, r := range s.usableRelays() {
+		cands = append(cands, netsim.BounceOption(r.RelayID))
 	}
-	s.mu.RUnlock()
-	sort.Slice(cands[1:], func(i, j int) bool { return cands[i+1].R1 < cands[j+1].R1 })
 
 	topk := via.TopKFor(call, cands)
 	resp := transport.TopKResponse{Src: int32(src), Dst: int32(dst), Metric: via.Metric().String()}
@@ -680,21 +689,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	replyStatus(w, code, resp)
-}
-
-// liveRelays counts registered relays whose heartbeat has not lapsed.
-func (s *Server) liveRelays() int {
-	now := time.Now()
-	live := 0
-	s.mu.RLock()
-	for id := range s.relays {
-		if s.cfg.RelayTTL > 0 && now.Sub(s.relaySeen[id]) > s.cfg.RelayTTL {
-			continue
-		}
-		live++
-	}
-	s.mu.RUnlock()
-	return live
 }
 
 // handleMetrics serves the shared registry in Prometheus text exposition

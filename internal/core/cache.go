@@ -191,12 +191,22 @@ func (c *Cached) Name() string { return c.inner.Name() + "+cache" }
 // Inner exposes the wrapped strategy (controller diagnostics unwrap it).
 func (c *Cached) Inner() Strategy { return c.inner }
 
+// PairMix is the one hash of a group pair: the pair is ordered (min, max)
+// first, so both call directions mix to the same value. Sharded, the
+// decision cache and ring.PairHash all start from it and apply their own
+// finalizer.
+func PairMix(a, b int32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(uint32(a))*0x9e3779b97f4a7c15 ^ uint64(uint32(b))*0x2545f4914f6cdd1d
+}
+
 // cacheHash mixes a canonical pair; the low bits pick the shard, the
 // rest index the shard's probe table.
 func cacheHash(gp groupPair) uint64 {
-	h := uint64(uint32(gp.a))*0x9e3779b97f4a7c15 ^ uint64(uint32(gp.b))*0x2545f4914f6cdd1d
-	h ^= h >> 33
-	return h
+	h := PairMix(gp.a, gp.b)
+	return h ^ h>>33
 }
 
 // canonPair canonicalizes a call's endpoints and reports whether they

@@ -42,10 +42,7 @@ func NewSharded(n int, factory func(shard int) Strategy) *Sharded {
 // shardOf routes a pair to its shard. Both call directions must land on
 // the same shard, so the hash uses the canonical pair.
 func (s *Sharded) shardOf(a, b netsim.ASID) int {
-	if a > b {
-		a, b = b, a
-	}
-	h := uint64(uint32(a))*0x9e3779b97f4a7c15 ^ uint64(uint32(b))*0x2545f4914f6cdd1d
+	h := PairMix(int32(a), int32(b))
 	h ^= h >> 33
 	return int(h % uint64(len(s.shards)))
 }

@@ -11,14 +11,21 @@ import (
 // discardConn is a PacketConn that swallows writes — it isolates the
 // relay's own forwarding cost from socket behavior.
 type discardConn struct {
-	writes int64
-	bytes  int64
+	writes    int64
+	bytes     int64
+	lastPort  int    // destination port of the latest write
+	challenge []byte // payload of the latest path challenge written
+	scratch   transport.Frame
 }
 
 func (d *discardConn) ReadFrom(b []byte) (int, net.Addr, error) { select {} }
 func (d *discardConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	d.writes++
 	d.bytes += int64(len(b))
+	d.lastPort = addr.(*net.UDPAddr).Port
+	if f := &d.scratch; f.Unmarshal(b) == nil && f.Kind == transport.KindPathChallenge {
+		d.challenge = append([]byte(nil), f.Payload...)
+	}
 	return len(b), nil
 }
 func (d *discardConn) Close() error                       { return nil }
@@ -105,6 +112,36 @@ func TestForwardZeroAllocV3(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("v3 forwarding allocates %v per packet, want 0", allocs)
+	}
+
+	// The same endpoint validates a move to src2; a reverse frame whose
+	// final hop still names src is then re-pinned to src2 on every packet,
+	// and that path must not allocate either.
+	src2 := &net.UDPAddr{IP: net.IPv4(10, 9, 0, 2), Port: 4002}
+	n.handle(wire, src2, &out, &f, next) // draws the challenge
+	if conn.challenge == nil {
+		t.Fatal("no challenge written for the new source address")
+	}
+	resp := transport.Frame{Session: f3.Session, Kind: transport.KindPathResponse, Token: f3.Token, Payload: conn.challenge}
+	n.handle(resp.Marshal(nil), src2, &out, &f, next)
+	if n.Migrations() != 1 {
+		t.Fatalf("migrations = %d, want 1", n.Migrations())
+	}
+	rev := transport.Frame{Session: f3.Session, Kind: transport.KindMedia, Repair: 0x84, Payload: make([]byte, 172)}
+	if err := rev.SetRoute([]*net.UDPAddr{src}); err != nil {
+		t.Fatal(err)
+	}
+	revWire := rev.Marshal(nil)
+	peer := &net.UDPAddr{IP: net.IPv4(10, 9, 0, 9), Port: 4009}
+	n.handle(revWire, peer, &out, &f, next)
+	allocs = testing.AllocsPerRun(500, func() {
+		n.handle(revWire, peer, &out, &f, next)
+	})
+	if allocs != 0 {
+		t.Errorf("re-pinned final-hop delivery allocates %v per packet, want 0", allocs)
+	}
+	if conn.lastPort != src2.Port {
+		t.Errorf("reverse frame delivered to port %d, want the validated %d", conn.lastPort, src2.Port)
 	}
 }
 

@@ -1,7 +1,6 @@
 package relay
 
 import (
-	"encoding/binary"
 	"net"
 	"time"
 
@@ -29,60 +28,34 @@ const (
 	drainNudgeEvery = time.Second
 )
 
-// addrKey is a comparable IPv4 addr+port, the session table's view of an
-// endpoint address.
-type addrKey [6]byte
+// maxMoved bounds the addresses an endpoint remembers having moved away
+// from. Two kinds of stale address are ever written on a frame: the one the
+// endpoint was first bound at — a caller addresses its callee by
+// CallSpec.Peer for the whole call, however often the callee moves — and
+// the last few before the current one, which a peer that has not yet read
+// the newer reply route, or a packet already in flight, may still name. So
+// slot 0 is never displaced and the rest hold the most recent moves.
+const maxMoved = 4
 
-// toAddrKey converts a UDP source address into table form. Non-UDP or
-// non-IPv4 addresses (never produced by the testbed) report false.
-func toAddrKey(a net.Addr) (addrKey, bool) {
-	u, ok := a.(*net.UDPAddr)
-	if !ok {
-		return addrKey{}, false
-	}
-	ip4 := u.IP.To4()
-	if ip4 == nil {
-		return addrKey{}, false
-	}
-	var k addrKey
-	copy(k[:4], ip4)
-	binary.BigEndian.PutUint16(k[4:], uint16(u.Port))
-	return k, true
-}
-
-// udpAddr converts a table key back into a sendable address.
-func (k addrKey) udpAddr() *net.UDPAddr {
-	return &net.UDPAddr{
-		IP:   net.IPv4(k[0], k[1], k[2], k[3]),
-		Port: int(binary.BigEndian.Uint16(k[4:])),
-	}
-}
-
-// tokenEntry is the relay's per-token mobility state: the endpoint's
-// current validated address plus any in-flight validation of a new one.
-type tokenEntry struct {
-	session   uint64
-	addr      addrKey // current validated source address
-	bound     bool    // addr holds a binding (first frame seen)
-	pending   *pathPending
-	lastSeen  time.Time
+// endpoint is one side of a call as this relay knows it: its token, the
+// address validated for it, the challenge outstanding toward a new address
+// (if any), and the addresses it has validated away from. The zero token
+// marks a free slot.
+type endpoint struct {
+	token     transport.Token
+	addr      transport.Addr // validated source address
+	pending   pathPending    // tries == 0: no challenge outstanding
 	lastNudge time.Time
+	moved     [maxMoved]transport.Addr
+	nMoved    int
 }
 
 // pathPending is one outstanding challenge episode toward a new address.
 type pathPending struct {
 	nonce  uint64
-	addr   addrKey
+	addr   transport.Addr
 	sentAt time.Time
 	tries  int
-}
-
-// remapEntry redirects final-hop delivery from a stale endpoint address
-// to its validated successor, so reverse traffic addressed by a peer
-// that has not yet learned the new reply route still arrives.
-type remapEntry struct {
-	to addrKey
-	at time.Time
 }
 
 // mobilityActions is what the locked fast path asks the cold path to
@@ -93,104 +66,99 @@ type mobilityActions struct {
 	nudge     bool
 }
 
-// observeTokenLocked updates the token table for a frame from src and
-// decides whether a path challenge or drain nudge is owed. Caller holds
-// n.mu. Allocation happens only on new-token and new-challenge events,
-// never in the steady state, keeping handle's noalloc promise.
-func (n *Node) observeTokenLocked(session uint64, tok transport.Token, src net.Addr, now time.Time, draining bool) mobilityActions {
-	var act mobilityActions
-	te := n.tokens[tok]
-	if te == nil {
-		te = n.newTokenLocked(session, tok, now)
+// end returns the session's record for tok, or nil.
+func (ss *session) end(tok transport.Token) *endpoint {
+	for i := range ss.ends {
+		if ss.ends[i].token == tok {
+			return &ss.ends[i]
+		}
 	}
-	te.lastSeen = now
-	k, ok := toAddrKey(src)
+	return nil
+}
+
+// observeLocked runs a token-bearing frame from src against its session's
+// endpoints and decides whether a path challenge or drain nudge is owed.
+// Nothing here allocates, which keeps handle's noalloc promise. Caller
+// holds n.mu.
+func (n *Node) observeLocked(ss *session, tok transport.Token, src net.Addr, now time.Time, draining bool) mobilityActions {
+	var act mobilityActions
+	k, ok := transport.AddrFrom(src)
 	if !ok {
 		return act
 	}
-	switch {
-	case !te.bound:
+	e := ss.end(tok)
+	if e == nil {
 		// First sighting: the call was set up over this path, trust it.
-		te.bound, te.addr = true, k
-	case te.addr != k:
-		act = n.scheduleChallengeLocked(te, k, now)
+		if e = ss.end(transport.Token{}); e == nil {
+			return act // both slots taken: a third token binds nothing
+		}
+		*e = endpoint{token: tok, addr: k}
+	} else if e.addr != k {
+		act = n.challengeLocked(e, k, now)
 	}
-	if draining && now.Sub(te.lastNudge) >= drainNudgeEvery {
-		te.lastNudge = now
+	if draining && now.Sub(e.lastNudge) >= drainNudgeEvery {
+		e.lastNudge = now
 		act.nudge = true
 	}
 	return act
 }
 
-// newTokenLocked inserts a token entry, bounding the table alongside the
-// session cap. Caller holds n.mu.
-func (n *Node) newTokenLocked(session uint64, tok transport.Token, now time.Time) *tokenEntry {
-	if len(n.tokens) >= n.maxSess {
-		n.sweepIdleLocked(now)
-		if len(n.tokens) >= n.maxSess {
-			var oldest transport.Token
-			var oldestSeen time.Time
-			first := true
-			for t, te := range n.tokens {
-				if first || te.lastSeen.Before(oldestSeen) {
-					oldest, oldestSeen, first = t, te.lastSeen, false
-				}
-			}
-			if !first {
-				delete(n.tokens, oldest)
-			}
-		}
-	}
-	te := &tokenEntry{session: session}
-	n.tokens[tok] = te
-	return te
-}
-
-// scheduleChallengeLocked runs the challenge state machine for a frame
-// arriving from unvalidated address k. Caller holds n.mu.
-func (n *Node) scheduleChallengeLocked(te *tokenEntry, k addrKey, now time.Time) mobilityActions {
+// challengeLocked runs the challenge state machine for a frame arriving
+// from unvalidated address k. Caller holds n.mu.
+func (n *Node) challengeLocked(e *endpoint, k transport.Addr, now time.Time) mobilityActions {
 	var act mobilityActions
-	p := te.pending
-	if p == nil || p.addr != k {
+	p := &e.pending
+	switch {
+	case p.tries == 0 || p.addr != k:
 		// New episode (or the endpoint moved again mid-validation: the
 		// newest address wins, the stale episode is abandoned).
-		p = &pathPending{nonce: n.rng.Uint64(), addr: k, sentAt: now, tries: 1}
-		te.pending = p
-		act.challenge, act.nonce = true, p.nonce
-		return act
-	}
-	if now.Sub(p.sentAt) < pathChallengeResend {
+		*p = pathPending{nonce: n.rng.Uint64(), addr: k, sentAt: now, tries: 1}
+	case now.Sub(p.sentAt) < pathChallengeResend:
 		return act // recently challenged; wait for the response
-	}
-	if p.tries >= pathChallengeMaxTries {
+	case p.tries >= pathChallengeMaxTries:
 		// Episode exhausted: count one failure, let the next frame from
 		// this address open a fresh episode.
 		n.pathFail.Add(1)
-		te.pending = nil
+		*p = pathPending{}
 		return act
+	default:
+		p.sentAt = now
+		p.tries++
 	}
-	p.sentAt = now
-	p.tries++
 	act.challenge, act.nonce = true, p.nonce
 	return act
 }
 
-// repinLocked rewrites a final-delivery address that has a validated
-// migration, in place and allocation-free. Caller holds n.mu.
-func (n *Node) repinLocked(next *net.UDPAddr) {
-	if len(n.remap) == 0 {
-		return
+// repin maps a final-delivery address that one of the session's endpoints
+// has validated away from onto that endpoint's current address. Looking
+// only in the frame's own session loses nothing against a relay-wide map
+// of stale addresses: whoever still names a stale address is the other
+// side of that call, and its frames carry the call's session id.
+func (ss *session) repin(to transport.Addr) transport.Addr {
+	for i := range ss.ends {
+		e := &ss.ends[i]
+		for _, old := range e.moved[:e.nMoved] {
+			if old == to {
+				return e.addr
+			}
+		}
 	}
-	k, ok := toAddrKey(next)
-	if !ok {
-		return
+	return to
+}
+
+// movedFrom records old as an address the endpoint has left.
+func (e *endpoint) movedFrom(old transport.Addr) {
+	for _, m := range e.moved[:e.nMoved] {
+		if m == old {
+			return
+		}
 	}
-	re, ok := n.remap[k]
-	if !ok {
-		return
+	if e.nMoved == maxMoved {
+		copy(e.moved[1:], e.moved[2:])
+		e.nMoved--
 	}
-	next.IP = append(next.IP[:0], re.to[0], re.to[1], re.to[2], re.to[3])
-	next.Port = int(binary.BigEndian.Uint16(re.to[4:]))
+	e.moved[e.nMoved] = old
+	e.nMoved++
 }
 
 // consume handles frames addressed to the relay itself (empty forward
@@ -212,73 +180,45 @@ func (n *Node) consume(f *transport.Frame, src net.Addr, size int) {
 // observation as data frames, so a keepalive from a rebound address
 // starts path validation without waiting for media.
 func (n *Node) handleKeepalive(f *transport.Frame, src net.Addr, size int) {
-	now := time.Now()
-	draining := n.draining.Load()
-	var act mobilityActions
 	n.mu.Lock()
-	ss := n.sessions[f.Session]
-	if ss == nil {
-		if draining {
-			n.mu.Unlock()
-			n.drainRejected.Add(1)
-			return
-		}
-		ss = n.newSessionLocked(f.Session, now)
-	}
-	ss.Bytes += int64(size)
-	ss.lastSeen = now
-	if !f.Token.IsZero() {
-		act = n.observeTokenLocked(f.Session, f.Token, src, now, draining)
-	}
+	ss, act := n.touchLocked(f, src, size, time.Now())
 	n.mu.Unlock()
+	if ss == nil {
+		return
+	}
 	n.keepalives.Add(1)
 	if act.challenge || act.nudge {
 		n.sendMobility(f.Session, f.Token, src, act)
 	}
 }
 
-// handlePathResponse validates an echoed challenge and, on success,
-// re-pins the token's return path to the responding address.
+// handlePathResponse validates an echoed challenge — it must match the
+// outstanding (session, token, address, nonce) — and on success re-pins
+// the endpoint's return path to the responding address.
 func (n *Node) handlePathResponse(f *transport.Frame, src net.Addr) {
 	var c transport.PathChallenge
-	if err := c.Unmarshal(f.Payload); err != nil || c.Token != f.Token || f.Token.IsZero() {
+	k, ok := transport.AddrFrom(src)
+	if err := c.Unmarshal(f.Payload); err != nil || c.Token != f.Token || f.Token.IsZero() || !ok {
 		n.pathFail.Add(1)
 		return
 	}
-	k, ok := toAddrKey(src)
-	if !ok {
-		n.pathFail.Add(1)
-		return
-	}
-	now := time.Now()
 	n.mu.Lock()
-	te := n.tokens[f.Token]
-	if te == nil || te.pending == nil || te.pending.addr != k || te.pending.nonce != c.Nonce {
+	var e *endpoint
+	ss := n.sessions[f.Session]
+	if ss != nil {
+		e = ss.end(f.Token)
+	}
+	if e == nil || e.pending.tries == 0 || e.pending.addr != k || e.pending.nonce != c.Nonce {
 		n.mu.Unlock()
 		n.pathFail.Add(1)
 		return
 	}
-	old, hadOld := te.addr, te.bound
-	te.addr, te.bound = k, true
-	te.pending = nil
-	te.lastSeen = now
-	if ss := n.sessions[te.session]; ss != nil {
-		ss.lastSeen = now
-	}
-	if hadOld && old != k {
-		// Collapse remap chains so multi-rebind sessions resolve in one
-		// lookup: anything that pointed at the old address now points at
-		// the new one, and the new address itself is never a stale key.
-		for from, re := range n.remap {
-			if re.to == old {
-				n.remap[from] = remapEntry{to: k, at: now}
-			}
-		}
-		n.remap[old] = remapEntry{to: k, at: now}
-		delete(n.remap, k)
-		n.migrations.Add(1)
-	}
+	e.movedFrom(e.addr)
+	e.addr = k
+	e.pending = pathPending{}
+	ss.lastSeen = time.Now()
 	n.mu.Unlock()
+	n.migrations.Add(1)
 	n.pathOK.Add(1)
 }
 
@@ -315,19 +255,21 @@ func (n *Node) SetDraining(d bool) {
 	type target struct {
 		session uint64
 		tok     transport.Token
-		addr    addrKey
+		addr    transport.Addr
 	}
 	var targets []target
 	n.mu.Lock()
-	for tok, te := range n.tokens {
-		if te.bound {
-			te.lastNudge = now
-			targets = append(targets, target{te.session, tok, te.addr})
+	for id, ss := range n.sessions {
+		for i := range ss.ends {
+			if e := &ss.ends[i]; !e.token.IsZero() {
+				e.lastNudge = now
+				targets = append(targets, target{id, e.token, e.addr})
+			}
 		}
 	}
 	n.mu.Unlock()
 	for _, t := range targets {
-		n.sendMobility(t.session, t.tok, t.addr.udpAddr(), mobilityActions{nudge: true})
+		n.sendMobility(t.session, t.tok, t.addr.UDPAddr(), mobilityActions{nudge: true})
 	}
 }
 

@@ -59,14 +59,12 @@ type Node struct {
 	draining atomic.Bool
 
 	mu         sync.Mutex
-	sessions   map[uint64]*sessionEntry          // guarded by mu
-	tokens     map[transport.Token]*tokenEntry   // guarded by mu
-	remap      map[addrKey]remapEntry            // guarded by mu
-	rng        *stats.RNG                        // guarded by mu
-	sinceSweep int                               // guarded by mu
-	idleTTL    time.Duration                     // guarded by mu
-	maxSess    int                               // guarded by mu
-	closed     bool                              // guarded by mu
+	sessions   map[uint64]*session // guarded by mu
+	rng        *stats.RNG          // guarded by mu
+	sinceSweep int                 // guarded by mu
+	idleTTL    time.Duration       // guarded by mu
+	maxSess    int                 // guarded by mu
+	closed     bool                // guarded by mu
 }
 
 // SessionStats is the per-session accounting a relay keeps.
@@ -75,10 +73,16 @@ type SessionStats struct {
 	Bytes   int64
 }
 
-// sessionEntry is SessionStats plus the liveness stamp eviction keys on.
-type sessionEntry struct {
+// session is one row of the relay's only table: the accounting, the
+// liveness stamp eviction keys on, and the mobility state (mobility.go) of
+// the call's two endpoints. Caller and callee each mint one token per call,
+// so two inline records are all a call uses; a third distinct token on a
+// known session is forwarded and accounted like any frame but binds
+// nothing — it is never challenged, nudged or re-pinned.
+type session struct {
 	SessionStats
 	lastSeen time.Time
+	ends     [2]endpoint
 }
 
 // New builds a relay node on an already-bound PacketConn (which may be a
@@ -87,9 +91,7 @@ func New(id netsim.RelayID, conn net.PacketConn) *Node {
 	return &Node{
 		id:       id,
 		conn:     conn,
-		sessions: make(map[uint64]*sessionEntry),
-		tokens:   make(map[transport.Token]*tokenEntry),
-		remap:    make(map[addrKey]remapEntry),
+		sessions: make(map[uint64]*session),
 		// Challenge nonces only need to be unpredictable to an off-path
 		// attacker (the 128-bit token is the real secret); a time-seeded
 		// PRNG suffices and keeps the package dependency-free. Relay is a
@@ -153,43 +155,30 @@ func (n *Node) handle(pkt []byte, src net.Addr, out *[]byte, f *transport.Frame,
 		n.dropped.Add(1)
 		return
 	}
-	if !f.NextHopInto(next) {
+	if len(f.Route) == 0 {
 		// An exhausted route at a relay is either a mobility frame
 		// addressed to this relay itself (keepalive, path response) or a
 		// misrouted data frame; consume sorts them out off the hot path.
 		n.consume(f, src, len(pkt))
 		return
 	}
+	hop := f.Route[0]
 	f.PopHop()
 
 	now := time.Now()
-	draining := n.draining.Load()
-	var act mobilityActions
 	n.mu.Lock()
-	ss := n.sessions[f.Session]
+	ss, act := n.touchLocked(f, src, len(pkt), now)
 	if ss == nil {
-		if draining {
-			// Draining relays accept no new sessions: the controller has
-			// stopped advertising us, so anything unknown is a straggler
-			// that should land on another relay.
-			n.mu.Unlock()
-			n.drainRejected.Add(1)
-			n.dropped.Add(1)
-			return
-		}
-		ss = n.newSessionLocked(f.Session, now)
+		n.mu.Unlock()
+		n.dropped.Add(1)
+		return
 	}
 	ss.Packets++
-	ss.Bytes += int64(len(pkt))
-	ss.lastSeen = now
-	if !f.Token.IsZero() {
-		act = n.observeTokenLocked(f.Session, f.Token, src, now, draining)
-	}
 	if len(f.Route) == 0 {
 		// Final delivery hop: follow any validated migration so reverse
 		// traffic reaches the endpoint's current address even before the
 		// peer learns the new reply route.
-		n.repinLocked(next)
+		hop = ss.repin(hop)
 	}
 	n.sinceSweep++
 	if n.sinceSweep >= sweepEvery {
@@ -201,6 +190,7 @@ func (n *Node) handle(pkt []byte, src net.Addr, out *[]byte, f *transport.Frame,
 	n.packets.Add(1)
 	n.bytes.Add(int64(len(pkt)))
 	*out = f.Marshal((*out)[:0])
+	hop.Into(next)
 	//vialint:ignore errwrap best-effort UDP forwarding: a failed send is equivalent to loss, which the media layer absorbs
 	_, _ = n.conn.WriteTo(*out, next)
 
@@ -209,35 +199,43 @@ func (n *Node) handle(pkt []byte, src net.Addr, out *[]byte, f *transport.Frame,
 	}
 }
 
-// newSessionLocked inserts a fresh session entry, evicting first at the
-// hard cap. Kept out of handle so the once-per-session allocation does not
-// sit on the per-packet path. Caller holds n.mu.
-func (n *Node) newSessionLocked(id uint64, now time.Time) *sessionEntry {
-	if len(n.sessions) >= n.maxSess {
-		n.evictOldestLocked(now)
+// touchLocked is what every frame that names a session does to the table,
+// forwarded or consumed: find the row or create it (a draining relay
+// creates none — the controller has stopped advertising it, so anything
+// unknown is a straggler that should land on another relay — and nil comes
+// back), charge size bytes, refresh the idle deadline, and run the token's
+// mobility observation. The once-per-session allocation lives here, off
+// handle's per-packet path. Caller holds n.mu.
+func (n *Node) touchLocked(f *transport.Frame, src net.Addr, size int, now time.Time) (*session, mobilityActions) {
+	draining := n.draining.Load()
+	ss := n.sessions[f.Session]
+	if ss == nil {
+		if draining {
+			n.drainRejected.Add(1)
+			return nil, mobilityActions{}
+		}
+		if len(n.sessions) >= n.maxSess {
+			n.evictOldestLocked(now)
+		}
+		ss = &session{}
+		n.sessions[f.Session] = ss
 	}
-	ss := &sessionEntry{}
-	n.sessions[id] = ss
-	return ss
+	ss.Bytes += int64(size)
+	ss.lastSeen = now
+	var act mobilityActions
+	if !f.Token.IsZero() {
+		act = n.observeLocked(ss, f.Token, src, now, draining)
+	}
+	return ss, act
 }
 
-// sweepIdleLocked drops sessions, token bindings, and migration remaps
-// idle past the TTL. Caller holds n.mu.
+// sweepIdleLocked drops sessions idle past the TTL, and with each its
+// bindings, pending challenge and moved-from addresses. Caller holds n.mu.
 func (n *Node) sweepIdleLocked(now time.Time) {
 	for id, ss := range n.sessions {
 		if now.Sub(ss.lastSeen) > n.idleTTL {
 			delete(n.sessions, id)
 			n.evicted.Add(1)
-		}
-	}
-	for tok, te := range n.tokens {
-		if now.Sub(te.lastSeen) > n.idleTTL {
-			delete(n.tokens, tok)
-		}
-	}
-	for old, re := range n.remap {
-		if now.Sub(re.at) > n.idleTTL {
-			delete(n.remap, old)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestBounceForwarding(t *testing.T) {
 	if got.Session != 42 || string(got.Payload) != "voice" {
 		t.Errorf("forwarded frame mangled: %+v", got)
 	}
-	if got.NextHop() != nil {
+	if len(got.Route) != 0 {
 		t.Error("delivered frame should have an exhausted route")
 	}
 }

@@ -22,6 +22,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"repro/internal/core"
 )
 
 // Shard is one controller shard's position in the map: its identity and
@@ -68,18 +70,12 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// PairHash places a canonical pair on the ring. Both call directions land
-// on the same point: the pair is canonicalized (min, max) before hashing,
-// the same orientation rule core.Sharded uses. The multiply-xor mix
-// matches core's shardOf, with a finalizer on top so consecutive group
-// IDs spread across the whole ring rather than clustering.
+// PairHash places a pair on the ring. Both call directions land on the
+// same point (core.PairMix orders the pair first), with a finalizer on top
+// of the shared mix so consecutive group IDs spread across the whole ring
+// rather than clustering.
 func PairHash(src, dst int32) uint64 {
-	a, b := src, dst
-	if a > b {
-		a, b = b, a
-	}
-	h := uint64(uint32(a))*0x9e3779b97f4a7c15 ^ uint64(uint32(b))*0x2545f4914f6cdd1d
-	return mix64(h)
+	return mix64(core.PairMix(src, dst))
 }
 
 // NewMap builds an epoch-1 map over the given shards. vnodes <= 0 means

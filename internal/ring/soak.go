@@ -2,7 +2,6 @@ package ring
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -101,27 +100,24 @@ type SoakReport struct {
 	WallSec         float64       `json:"wall_sec"`
 	FaultErrors     int           `json:"fault_errors"`
 	ShardReports    []ShardReport `json:"shard_reports"`
+
+	// FinalMerge is the whole of the final explicit aggregation round
+	// (MergedN and MergedThreshold are its N and Threshold): how many shards
+	// answered and how many installed the result. Not in the JSON report.
+	FinalMerge BudgetAggregate `json:"-"`
 }
 
 // soakWorkload is the deterministic call-mix shared by the fleet workers
-// and the single-strategy oracle: a zipf over pair indices and a synthetic
+// and the single-strategy oracle: per-pair candidate sets and a synthetic
 // quality surface that makes relaying genuinely better for most pairs (so
-// the budget gate has benefit mass to estimate).
+// the budget gate has benefit mass to estimate). Which pair a call is for
+// is each caller's own stats.Zipf draw over cfg.Pairs.
 type soakWorkload struct {
-	cfg  SoakConfig
-	cum  []float64 // zipf cumulative weights over pair indices
-	tot  float64
 	opts [][]netsim.Option // per-pair candidate sets (shared, read-only)
 }
 
 func newSoakWorkload(cfg SoakConfig) *soakWorkload {
-	w := &soakWorkload{cfg: cfg}
-	w.cum = make([]float64, cfg.Pairs)
-	for i := 0; i < cfg.Pairs; i++ {
-		w.tot += 1 / math.Pow(float64(i+1), cfg.ZipfS)
-		w.cum[i] = w.tot
-	}
-	w.opts = make([][]netsim.Option, cfg.Pairs)
+	w := &soakWorkload{opts: make([][]netsim.Option, cfg.Pairs)}
 	for i := range w.opts {
 		opts := make([]netsim.Option, 0, cfg.Relays+1)
 		opts = append(opts, netsim.DirectOption())
@@ -131,21 +127,6 @@ func newSoakWorkload(cfg SoakConfig) *soakWorkload {
 		w.opts[i] = opts
 	}
 	return w
-}
-
-// pairAt maps a uniform draw to a zipf-weighted pair index.
-func (w *soakWorkload) pairAt(u float64) int {
-	target := u * w.tot
-	lo, hi := 0, len(w.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.cum[mid] < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // groups returns the (src, dst) group IDs for a pair index.
@@ -171,7 +152,12 @@ func (w *soakWorkload) measure(pair int, opt netsim.Option) quality.Metrics {
 
 // RunSoak drives the full scenario and returns the report. It fails only
 // on harness-level errors; policy assertions (zero drops, replay
-// identity, oracle tolerance) are the caller's to make on the report.
+// identity, the final merge installed everywhere) are the caller's to make
+// on the report. The oracle figures are reported for a human to read, not
+// to be gated on: the fleet's benefit samples come from a wall-clock
+// schedule the sequential oracle does not share, so the two thresholds
+// summarise different populations (TestMergeThresholdAccuracy gates the
+// merge itself, on one population).
 func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = 3
@@ -284,7 +270,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 				retries.Add(client.Retries())
 				redirects.Add(client.Redirects())
 			}()
-			rng := stats.NewRNG(cfg.Seed).Split("soak-w" + strconv.Itoa(g))
+			zipf := stats.NewZipf(stats.NewRNG(cfg.Seed).Split("soak-w"+strconv.Itoa(g)), cfg.Pairs, cfg.ZipfS)
 			for {
 				n := calls.Add(1)
 				if n > int64(cfg.Calls) {
@@ -296,7 +282,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 					default:
 					}
 				}
-				pair := work.pairAt(rng.Float64())
+				pair := zipf.Sample()
 				src, dst := work.groups(pair)
 				opt, err := client.Choose(src, dst, work.opts[pair])
 				if err != nil {
@@ -338,6 +324,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	rep.Promotions = fleet.Promotions()
 	rep.Rebalances = fleet.Rebalances()
 	rep.MapEpoch = fleet.Map().MapEpoch
+	rep.FinalMerge = agg
 	rep.MergedN = agg.N
 	rep.MergedThreshold = agg.Threshold
 
@@ -419,9 +406,9 @@ func runOracle(cfg SoakConfig, work *soakWorkload, calls int64, totalHours float
 	viaCfg.Budget = cfg.Budget
 	viaCfg.Seed = cfg.Seed
 	via := core.NewVia(viaCfg, nil)
-	rng := stats.NewRNG(cfg.Seed).Split("soak-oracle")
+	zipf := stats.NewZipf(stats.NewRNG(cfg.Seed).Split("soak-oracle"), cfg.Pairs, cfg.ZipfS)
 	for i := int64(0); i < calls; i++ {
-		pair := work.pairAt(rng.Float64())
+		pair := zipf.Sample()
 		src, dst := work.groups(pair)
 		call := core.Call{
 			Src:    netsim.ASID(src),

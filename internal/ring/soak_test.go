@@ -9,9 +9,10 @@ import (
 
 // TestSoakShardChaosZeroDrops is the PR-gate shard-chaos soak: a zipf
 // call load over a 3-shard fleet while shard 0's primary is killed, its
-// standby promoted, and the ring grown by one shard — asserting zero
-// dropped decisions, per-shard WAL replay identity, and a merged budget
-// percentile within tolerance of the single-controller oracle.
+// standby promoted, and the ring grown by one shard — asserting everything
+// chaos can break: zero dropped decisions, the fault plan's effects,
+// per-shard WAL replay identity, and the final budget merge installed on
+// every shard.
 func TestSoakShardChaosZeroDrops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard-chaos soak is a multi-second e2e; skipped in -short")
@@ -53,19 +54,19 @@ func TestSoakShardChaosZeroDrops(t *testing.T) {
 			t.Errorf("shard %d: WAL replay did not reproduce live state byte-for-byte (lsn %d)", sr.ID, sr.AppliedLSN)
 		}
 	}
-	// The merged fleet threshold estimates the same population statistic
-	// as the oracle's single estimator over the same call distribution;
-	// partitioned estimation is an approximation, so the tolerance is
-	// loose but must rule out nonsense (sign flips, off-by-10×).
-	if rep.OracleN >= 20 && rep.MergedN >= 20 {
-		diff := math.Abs(rep.MergedThreshold - rep.OracleThreshold)
-		tol := 0.6*math.Abs(rep.OracleThreshold) + 0.05
-		if diff > tol {
-			t.Errorf("merged threshold %.4f vs oracle %.4f: |diff| %.4f exceeds tolerance %.4f",
-				rep.MergedThreshold, rep.OracleThreshold, diff, tol)
-		}
-	} else {
-		t.Logf("budget estimators not warmed (merged n=%d, oracle n=%d); tolerance check skipped", rep.MergedN, rep.OracleN)
+	// The final explicit AggregateBudget round (no timer: RunSoak stops the
+	// budget loop first) must have reached the whole post-chaos fleet: every
+	// shard answered, at least one was warm enough to merge, and every
+	// answering shard installed a finite threshold. How close that threshold
+	// is to the exact quantile is TestMergeThresholdAccuracy's question, on
+	// fixed samples; here the samples depend on wall-clock scheduling.
+	fm := rep.FinalMerge
+	if fm.Shards != len(rep.ShardReports) || fm.Warmed == 0 || fm.Installed != fm.Shards {
+		t.Errorf("final budget merge: %d of %d shards answered, %d warmed, %d installed; want all answering and installing",
+			fm.Shards, len(rep.ShardReports), fm.Warmed, fm.Installed)
+	}
+	if math.IsNaN(rep.MergedThreshold) || math.IsInf(rep.MergedThreshold, 0) {
+		t.Errorf("final merged threshold = %v, want finite", rep.MergedThreshold)
 	}
 	// The chaos must actually have exercised the ring machinery.
 	snap := reg.Snapshot()

@@ -20,22 +20,25 @@ import (
 	"net"
 )
 
-// frameMagic guards against stray datagrams (wire v1: no repair byte).
-const frameMagic = 0x5641 // "VA"
+// layout is one wire header shape. Every frame starts magic(2) session(8)
+// kind(1); a repair-scheme byte and a TokenLen-byte session token follow
+// where the layout has them, then the route.
+type layout struct {
+	magic  uint16
+	repair bool
+	token  bool
+}
 
-// frameMagicV2 marks wire v2, which inserts a repair-scheme byte after
-// the kind. v1 frames are decoded unchanged (Repair = 0), and Marshal
-// emits v1 whenever Repair is zero, so a repair-unaware build and this
-// one produce byte-identical traffic for unrepaired calls.
-const frameMagicV2 = 0x5642 // "VB"
-
-// frameMagicV3 marks wire v3, which inserts the repair byte (as in v2)
-// plus a TokenLen-byte opaque session token after it. The token lets
-// relays identify a session independently of its source address, which
-// is what makes mid-call NAT rebinding survivable (DESIGN.md §17).
-// Marshal emits v3 only when the token is nonzero, so peers that never
-// negotiate a token keep producing v1/v2 traffic byte-identically.
-const frameMagicV3 = 0x5643 // "VC"
+// layouts is the header-layout table Marshal and Unmarshal both read.
+// Marshal emits the smallest layout that carries the frame's nonzero
+// fields, so a call that negotiates no repair scheme and no token produces
+// the bytes a build that knows neither produces, and a repair-only call
+// the bytes of a pre-token build; Unmarshal zeroes what a layout lacks.
+var layouts = [...]layout{
+	{magic: 0x5641},                            // "VA", wire v1
+	{magic: 0x5642, repair: true},              // "VB", wire v2
+	{magic: 0x5643, repair: true, token: true}, // "VC", wire v3 (DESIGN.md §17)
+}
 
 // TokenLen is the size of the opaque per-call session token carried by
 // wire v3 frames. 128 bits: unguessable by an off-path attacker, cheap
@@ -73,15 +76,15 @@ type Frame struct {
 	// Route holds the remaining forwarding targets. The packet's next stop
 	// is Route[0]; a relay pops it and sends the rest onward. Empty means
 	// the packet is at its final destination.
-	Route []netip
+	Route []Addr
 	// Reply is the route the receiver should use for traffic back to the
 	// sender (already oriented from the receiver's perspective).
-	Reply []netip
+	Reply []Addr
 	// Payload aliases the decode buffer.
 	Payload []byte
 
 	// hopBuf backs Route (first MaxHops) and Reply (rest) after Unmarshal.
-	hopBuf [2 * MaxHops]netip
+	hopBuf [2 * MaxHops]Addr
 }
 
 // PayloadKind values used by the testbed clients.
@@ -100,35 +103,47 @@ const (
 	KindDrain         = 8 // relay → endpoints: migrate off this relay
 )
 
-// netip is a compact IPv4 address + port.
-type netip struct {
+// Addr is an IPv4 address and UDP port: the one spelling of an endpoint
+// that frame routes, the relay's session table and its re-pinning share.
+// It is comparable (a map key, ==) and netipLen bytes on the wire.
+type Addr struct {
 	IP   [4]byte
 	Port uint16
 }
 
+// netipLen is the wire size of an Addr: ip(4) port(2), big-endian.
 const netipLen = 6
 
 // ErrFrame reports a malformed frame.
 var ErrFrame = errors.New("transport: malformed frame")
 
-// ToWireAddr converts a *net.UDPAddr (IPv4) into wire form.
-func ToWireAddr(a *net.UDPAddr) ([6]byte, error) {
-	var out [6]byte
-	ip4 := a.IP.To4()
-	if ip4 == nil {
-		return out, fmt.Errorf("transport: %v is not IPv4", a.IP)
+// AddrFrom converts a UDP address. It reports false for what the wire
+// cannot carry: a net.Addr that is not a *net.UDPAddr, or a non-IPv4 IP.
+func AddrFrom(a net.Addr) (Addr, bool) {
+	u, ok := a.(*net.UDPAddr)
+	if !ok {
+		return Addr{}, false
 	}
-	copy(out[:4], ip4)
-	binary.BigEndian.PutUint16(out[4:], uint16(a.Port))
-	return out, nil
+	ip4 := u.IP.To4()
+	if ip4 == nil {
+		return Addr{}, false
+	}
+	return Addr{IP: [4]byte(ip4), Port: uint16(u.Port)}, true
 }
 
-// FromWireAddr converts wire form back into a UDP address.
-func FromWireAddr(b [6]byte) *net.UDPAddr {
-	return &net.UDPAddr{
-		IP:   net.IPv4(b[0], b[1], b[2], b[3]),
-		Port: int(binary.BigEndian.Uint16(b[4:])),
-	}
+// UDPAddr returns a as a newly allocated sendable address.
+func (a Addr) UDPAddr() *net.UDPAddr {
+	u := new(net.UDPAddr)
+	a.Into(u)
+	return u
+}
+
+// Into overwrites u with a, reusing u's IP backing storage: a forwarding
+// loop that keeps one *net.UDPAddr allocates nothing per packet.
+func (a Addr) Into(u *net.UDPAddr) {
+	u.IP = append(u.IP[:0], a.IP[:]...)
+	u.Port = int(a.Port)
+	u.Zone = ""
 }
 
 // SetRoute assigns the forward route from UDP addresses.
@@ -141,48 +156,22 @@ func (f *Frame) SetReply(addrs []*net.UDPAddr) error {
 	return setHops(&f.Reply, addrs)
 }
 
-func setHops(dst *[]netip, addrs []*net.UDPAddr) error {
+func setHops(dst *[]Addr, addrs []*net.UDPAddr) error {
 	if len(addrs) > MaxHops {
 		return fmt.Errorf("transport: %d hops exceeds max %d", len(addrs), MaxHops)
 	}
-	out := make([]netip, len(addrs))
+	out := make([]Addr, len(addrs))
 	for i, a := range addrs {
-		w, err := ToWireAddr(a)
-		if err != nil {
-			return err
+		var ok bool
+		if out[i], ok = AddrFrom(a); !ok {
+			return fmt.Errorf("transport: %v is not IPv4", a.IP)
 		}
-		copy(out[i].IP[:], w[:4])
-		out[i].Port = binary.BigEndian.Uint16(w[4:])
 	}
 	*dst = out
 	return nil
 }
 
-// NextHop returns the next forwarding target, or nil if the frame is at its
-// final destination.
-func (f *Frame) NextHop() *net.UDPAddr {
-	if len(f.Route) == 0 {
-		return nil
-	}
-	h := f.Route[0]
-	return &net.UDPAddr{IP: net.IPv4(h.IP[0], h.IP[1], h.IP[2], h.IP[3]), Port: int(h.Port)}
-}
-
-// NextHopInto fills a with the next forwarding target, reusing a's IP
-// backing storage so the forwarding hot path allocates nothing. It
-// reports false when the frame is at its final destination.
-func (f *Frame) NextHopInto(a *net.UDPAddr) bool {
-	if len(f.Route) == 0 {
-		return false
-	}
-	h := f.Route[0]
-	a.IP = append(a.IP[:0], h.IP[:]...)
-	a.Port = int(h.Port)
-	a.Zone = ""
-	return true
-}
-
-// PopHop removes the next forwarding target (relay-side).
+// PopHop removes the next forwarding target, Route[0] (relay-side).
 func (f *Frame) PopHop() {
 	if len(f.Route) > 0 {
 		f.Route = f.Route[1:]
@@ -193,120 +182,104 @@ func (f *Frame) PopHop() {
 func (f *Frame) ReplyAddrs() []*net.UDPAddr {
 	out := make([]*net.UDPAddr, len(f.Reply))
 	for i, h := range f.Reply {
-		out[i] = &net.UDPAddr{IP: net.IPv4(h.IP[0], h.IP[1], h.IP[2], h.IP[3]), Port: int(h.Port)}
+		out[i] = h.UDPAddr()
 	}
 	return out
 }
 
-// Marshal appends the frame's wire form to dst.
-// Layout v1: magic(2) session(8) kind(1) nRoute(1) route(6·n) nReply(1)
-// reply(6·n) payload. Layout v2 inserts repair(1) after kind(1) and is
-// emitted only when Repair is nonzero. Layout v3 inserts repair(1) and
-// token(16) after kind(1) and is emitted only when Token is nonzero, so
-// token-less calls stay byte-identical to a v2-era build.
+// Marshal appends the frame's wire form to dst: the layout's header (see
+// layouts), then nRoute(1) route(6·n) nReply(1) reply(6·n) payload.
 func (f *Frame) Marshal(dst []byte) []byte {
-	var h [13 + TokenLen]byte
-	var n int
-	switch {
-	case !f.Token.IsZero():
-		binary.BigEndian.PutUint16(h[0:2], frameMagicV3)
-		binary.BigEndian.PutUint64(h[2:10], f.Session)
-		h[10] = f.Kind
-		h[11] = f.Repair
-		copy(h[12:12+TokenLen], f.Token[:])
-		h[12+TokenLen] = byte(len(f.Route))
-		n = 13 + TokenLen
-	case f.Repair != 0:
-		binary.BigEndian.PutUint16(h[0:2], frameMagicV2)
-		binary.BigEndian.PutUint64(h[2:10], f.Session)
-		h[10] = f.Kind
-		h[11] = f.Repair
-		h[12] = byte(len(f.Route))
-		n = 13
-	default:
-		binary.BigEndian.PutUint16(h[0:2], frameMagic)
-		binary.BigEndian.PutUint64(h[2:10], f.Session)
-		h[10] = f.Kind
-		h[11] = byte(len(f.Route))
-		n = 12
+	var l *layout
+	for i := range layouts {
+		if l = &layouts[i]; (l.token || f.Token.IsZero()) && (l.repair || f.Repair == 0) {
+			break
+		}
+	}
+	var h [12 + TokenLen]byte
+	binary.BigEndian.PutUint16(h[0:2], l.magic)
+	binary.BigEndian.PutUint64(h[2:10], f.Session)
+	h[10] = f.Kind
+	n := 11
+	if l.repair {
+		h[n] = f.Repair
+		n++
+	}
+	if l.token {
+		n += copy(h[n:], f.Token[:])
 	}
 	dst = append(dst, h[:n]...)
-	for _, hop := range f.Route {
-		dst = append(dst, hop.IP[:]...)
-		dst = binary.BigEndian.AppendUint16(dst, hop.Port)
-	}
-	dst = append(dst, byte(len(f.Reply)))
-	for _, hop := range f.Reply {
-		dst = append(dst, hop.IP[:]...)
-		dst = binary.BigEndian.AppendUint16(dst, hop.Port)
-	}
+	dst = appendHops(dst, f.Route)
+	dst = appendHops(dst, f.Reply)
 	return append(dst, f.Payload...)
 }
 
-// Unmarshal decodes a frame (either wire version). Payload aliases buf;
-// Route and Reply alias the frame's internal backing array, so decoding
-// performs no heap allocation — see the Frame doc about copying.
+// appendHops appends a hop count and the hops.
+func appendHops(dst []byte, hops []Addr) []byte {
+	dst = append(dst, byte(len(hops)))
+	for _, hop := range hops {
+		dst = append(dst, hop.IP[:]...)
+		dst = binary.BigEndian.AppendUint16(dst, hop.Port)
+	}
+	return dst
+}
+
+// Unmarshal decodes a frame of any layout. Payload aliases buf; Route and
+// Reply alias the frame's internal backing array, so decoding performs no
+// heap allocation — see the Frame doc about copying.
 func (f *Frame) Unmarshal(buf []byte) error {
 	if len(buf) < 12 {
 		return ErrFrame
 	}
+	magic := binary.BigEndian.Uint16(buf[0:2])
+	var l *layout
+	for i := range layouts {
+		if layouts[i].magic == magic {
+			l = &layouts[i]
+			break
+		}
+	}
+	if l == nil {
+		return ErrFrame
+	}
 	f.Session = binary.BigEndian.Uint64(buf[2:10])
 	f.Kind = buf[10]
+	f.Repair, f.Token = 0, Token{}
 	off := 11
-	switch binary.BigEndian.Uint16(buf[0:2]) {
-	case frameMagic:
-		f.Repair = 0
-		f.Token = Token{}
-	case frameMagicV2:
-		f.Repair = buf[11]
-		f.Token = Token{}
-		off = 12
-	case frameMagicV3:
-		if len(buf) < 12+TokenLen {
+	if l.repair {
+		f.Repair = buf[off]
+		off++
+	}
+	if l.token {
+		if len(buf) < off+TokenLen {
 			return ErrFrame
 		}
-		f.Repair = buf[11]
-		copy(f.Token[:], buf[12:12+TokenLen])
-		off = 12 + TokenLen
-	default:
-		return ErrFrame
+		off += copy(f.Token[:], buf[off:])
 	}
-	if off >= len(buf) {
-		return ErrFrame
-	}
-	nRoute := int(buf[off])
-	if nRoute > MaxHops {
-		return ErrFrame
-	}
-	off++
 	var err error
-	f.Route, off, err = f.parseHops(buf, off, nRoute, 0)
-	if err != nil {
+	if f.Route, off, err = f.parseHops(buf, off, 0); err != nil {
 		return err
 	}
-	if off >= len(buf) {
-		return ErrFrame
-	}
-	nReply := int(buf[off])
-	if nReply > MaxHops {
-		return ErrFrame
-	}
-	off++
-	f.Reply, off, err = f.parseHops(buf, off, nReply, MaxHops)
-	if err != nil {
+	if f.Reply, off, err = f.parseHops(buf, off, MaxHops); err != nil {
 		return err
 	}
 	f.Payload = buf[off:]
 	return nil
 }
 
-// parseHops decodes n hops into the frame's backing array at base.
-func (f *Frame) parseHops(buf []byte, off, n, base int) ([]netip, int, error) {
-	if off+n*netipLen > len(buf) {
+// parseHops decodes a hop count and that many hops into the frame's
+// backing array at base.
+func (f *Frame) parseHops(buf []byte, off, base int) ([]Addr, int, error) {
+	if off >= len(buf) {
+		return nil, 0, ErrFrame
+	}
+	n := int(buf[off])
+	off++
+	if n > MaxHops || off+n*netipLen > len(buf) {
 		return nil, 0, ErrFrame
 	}
 	hops := f.hopBuf[base : base+n : base+n]
-	for i := 0; i < n; i++ {
+	for i := range hops {
 		copy(hops[i].IP[:], buf[off:off+4])
 		hops[i].Port = binary.BigEndian.Uint16(buf[off+4 : off+6])
 		off += netipLen

@@ -29,16 +29,16 @@ func TestFrameRoundTrip(t *testing.T) {
 	if g.Session != f.Session || g.Kind != f.Kind || string(g.Payload) != "media" {
 		t.Errorf("mismatch: %+v", g)
 	}
-	if got := g.NextHop().String(); got != "127.0.0.1:5000" {
+	if got := g.Route[0].UDPAddr().String(); got != "127.0.0.1:5000" {
 		t.Errorf("next hop = %s", got)
 	}
 	g.PopHop()
-	if got := g.NextHop().String(); got != "10.0.0.2:6000" {
+	if got := g.Route[0].UDPAddr().String(); got != "10.0.0.2:6000" {
 		t.Errorf("second hop = %s", got)
 	}
 	g.PopHop()
-	if g.NextHop() != nil {
-		t.Error("exhausted route should have nil next hop")
+	if len(g.Route) != 0 {
+		t.Error("exhausted route should be empty")
 	}
 	g.PopHop() // must not panic on empty route
 	reply := g.ReplyAddrs()
@@ -53,7 +53,7 @@ func TestFrameDirectNoHops(t *testing.T) {
 	if err := g.Unmarshal(f.Marshal(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if g.NextHop() != nil || len(g.ReplyAddrs()) != 0 {
+	if len(g.Route) != 0 || len(g.ReplyAddrs()) != 0 {
 		t.Error("direct frame should have empty routes")
 	}
 }
@@ -101,15 +101,33 @@ func TestFrameIPv6Rejected(t *testing.T) {
 	}
 }
 
-func TestWireAddrRoundTrip(t *testing.T) {
+func TestAddrRoundTrip(t *testing.T) {
 	a := udp("203.0.113.9", 12345)
-	w, err := ToWireAddr(a)
-	if err != nil {
-		t.Fatal(err)
+	w, ok := AddrFrom(a)
+	if !ok {
+		t.Fatal("IPv4 UDP address rejected")
 	}
-	back := FromWireAddr(w)
-	if back.String() != a.String() {
+	if back := w.UDPAddr(); back.String() != a.String() {
 		t.Errorf("round trip: %s vs %s", back, a)
+	}
+	// Into reuses the target's storage and overwrites every field.
+	into := &net.UDPAddr{IP: make(net.IP, 4), Port: 1, Zone: "eth0"}
+	if allocs := testing.AllocsPerRun(100, func() { w.Into(into) }); allocs != 0 {
+		t.Errorf("Into allocates %v", allocs)
+	}
+	if into.String() != a.String() {
+		t.Errorf("Into: %s vs %s", into, a)
+	}
+	// Comparable: equal addresses are one map key, a port apart is two.
+	w2, _ := AddrFrom(udp("203.0.113.9", 12346))
+	if m := map[Addr]bool{w: true, w2: true}; len(m) != 2 || !m[Addr{IP: [4]byte{203, 0, 113, 9}, Port: 12345}] {
+		t.Errorf("map keyed by Addr: %v", m)
+	}
+	if _, ok := AddrFrom(udp("::1", 80)); ok {
+		t.Error("IPv6 address accepted")
+	}
+	if _, ok := AddrFrom(&net.TCPAddr{IP: net.IPv4(1, 2, 3, 4), Port: 5}); ok {
+		t.Error("non-UDP address accepted")
 	}
 }
 
