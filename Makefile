@@ -75,8 +75,10 @@ short:
 	$(GO) test -short ./...
 
 # Short fuzz sessions over the byte-level decoders fed by crash-recovery
-# and the wire: the media frame, the WAL frame, and the loss-repair
-# payloads (FEC parity packets and NACK requests).
+# and the wire: the media frame, the WAL frame, the loss-repair payloads
+# (FEC parity packets and NACK requests), and — differentially against
+# encoding/json — the hand-written JSON codecs of the hot control messages,
+# the hot WAL records and the ring's pair peek.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFrameUnmarshal -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzFrameV3Unmarshal -fuzztime=$(FUZZTIME) ./internal/transport/
@@ -84,6 +86,9 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=NONE -fuzz=FuzzFECDecode -fuzztime=$(FUZZTIME) ./internal/rtp/
 	$(GO) test -run=NONE -fuzz=FuzzNACKParse -fuzztime=$(FUZZTIME) ./internal/rtp/
+	$(GO) test -run=NONE -fuzz=FuzzControlCodec -fuzztime=$(FUZZTIME) ./internal/transport/
+	$(GO) test -run=NONE -fuzz=FuzzWALRecordCodec -fuzztime=$(FUZZTIME) ./internal/controller/
+	$(GO) test -run=NONE -fuzz=FuzzPeekPair -fuzztime=$(FUZZTIME) ./internal/ring/
 
 # Coverage with a floor: writes coverage.out (CI archives it) and fails
 # below COVER_FLOOR percent total statement coverage.

@@ -128,13 +128,50 @@ func retryable(status int) bool {
 	return false
 }
 
+// wireRequest and wireResponse are the two halves of a control message's
+// codec as the client uses them. The hot messages (choose, report)
+// implement them by hand in internal/transport; stdJSON adapts every other
+// message through encoding/json.
+type wireRequest interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+type wireResponse interface {
+	DecodeJSON(data []byte) error
+}
+
+// stdJSON is the encoding/json codec of a cold message: v is the request
+// value, or a pointer to the response value.
+type stdJSON struct{ v any }
+
+func (j stdJSON) AppendJSON(dst []byte) ([]byte, error) {
+	data, err := json.Marshal(j.v)
+	return append(dst, data...), err
+}
+
+func (j stdJSON) DecodeJSON(data []byte) error { return json.Unmarshal(data, j.v) }
+
+// readResponse decodes one 200 response from a whole-body read into a
+// pooled buffer, then closes the body.
+func readResponse(r *http.Response, resp wireResponse) error {
+	buf := transport.GetBuffer()
+	defer buf.Release()
+	var err error
+	buf.B, err = transport.ReadBody(buf.B, r.Body, r.ContentLength)
+	r.Body.Close() //vialint:ignore errwrap body read to its end (or abandoned on a read error); close failures have no recovery
+	if err != nil {
+		return err
+	}
+	return resp.DecodeJSON(buf.B)
+}
+
 // do runs one HTTP exchange with retries; makeReq builds a fresh request
 // per attempt against the current failover endpoint (bodies are not
 // rewindable across attempts). An endpoint-level failure — connection
 // error or a retryable status, including the 503 a standby answers —
 // advances the failover cursor before the next attempt, so one request's
 // retry budget already spans multiple replicas.
-func (c *Client) do(path string, makeReq func(ctx context.Context, base string) (*http.Request, error), resp any) error {
+func (c *Client) do(path string, makeReq func(ctx context.Context, base string) (*http.Request, error), resp wireResponse) error {
 	brk := c.breakerState()
 	if !brk.allow() {
 		return ErrCircuitOpen
@@ -181,8 +218,7 @@ func (c *Client) do(path string, makeReq func(ctx context.Context, base string) 
 			c.failover(cur)
 			continue
 		}
-		err = json.NewDecoder(r.Body).Decode(resp)
-		r.Body.Close() //vialint:ignore errwrap body fully consumed by the decoder; close failures have no recovery
+		err = readResponse(r, resp)
 		cancel()
 		if err != nil {
 			lastErr = fmt.Errorf("controller: %s decode: %w", path, err)
@@ -195,8 +231,22 @@ func (c *Client) do(path string, makeReq func(ctx context.Context, base string) 
 	return lastErr
 }
 
-func (c *Client) post(path string, req, resp any) error {
-	body, err := json.Marshal(req)
+// encodeBody encodes a request body once, for every attempt. The result is
+// an exact-size copy out of the pooled scratch buffer, not the buffer
+// itself: net/http may still be writing a request body after Do has
+// returned, so those bytes must never be reused.
+func encodeBody(req wireRequest) ([]byte, error) {
+	buf := transport.GetBuffer()
+	defer buf.Release()
+	var err error
+	if buf.B, err = req.AppendJSON(buf.B); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(buf.B), nil
+}
+
+func (c *Client) post(path string, req wireRequest, resp wireResponse) error {
+	body, err := encodeBody(req)
 	if err != nil {
 		return err
 	}
@@ -213,7 +263,7 @@ func (c *Client) post(path string, req, resp any) error {
 func (c *Client) get(path string, resp any) error {
 	return c.do(path, func(ctx context.Context, base string) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-	}, resp)
+	}, stdJSON{resp})
 }
 
 // RegisterRelay announces a relay's media address.
@@ -228,7 +278,7 @@ func (c *Client) RegisterRelay(id netsim.RelayID, addr string) error {
 func (c *Client) HeartbeatRelay(id netsim.RelayID, addr string, draining bool) error {
 	var resp transport.RegisterRelayResponse
 	return c.post("/v1/relays/register",
-		transport.RegisterRelayRequest{RelayID: id, Addr: addr, Draining: draining}, &resp)
+		stdJSON{transport.RegisterRelayRequest{RelayID: id, Addr: addr, Draining: draining}}, stdJSON{&resp})
 }
 
 // Relays fetches the registered relay directory.

@@ -420,19 +420,47 @@ func (s *Server) requireReady(w http.ResponseWriter) bool {
 	return true
 }
 
+// decode reads a cold endpoint's request through encoding/json. Like every
+// POST handler it reads at most transport.MaxBodyBytes (413 beyond).
 func decode[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
 	var v T
-	if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	body := transport.ReadRequest(w, r)
+	if body == nil {
+		return v, false
+	}
+	defer body.Release()
+	if err := json.Unmarshal(body.B, &v); err != nil {
+		badRequest(w, err)
 		return v, false
 	}
 	return v, true
+}
+
+func badRequest(w http.ResponseWriter, err error) {
+	http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 }
 
 func reply(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	//vialint:ignore errwrap an encode failure means the client hung up; there is no one left to tell
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// replyWire is reply for the two hot responses: the same bytes, newline
+// included, from the hand-written codec into a pooled buffer.
+func replyWire[M interface {
+	AppendJSON([]byte) ([]byte, error)
+}](w http.ResponseWriter, m M) {
+	buf := transport.GetBuffer()
+	defer buf.Release()
+	var err error
+	if buf.B, err = m.AppendJSON(buf.B); err != nil {
+		return // as reply: nothing is written, and the client sees an empty 200
+	}
+	buf.B = append(buf.B, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	//vialint:ignore errwrap a failed write means the client hung up; there is no one left to tell
+	_, _ = w.Write(buf.B)
 }
 
 // replyStatus is reply with an explicit status code (readiness 503s carry
@@ -531,8 +559,15 @@ func (s *Server) handleChoose(w http.ResponseWriter, r *http.Request) {
 	if !s.requireReady(w) {
 		return
 	}
-	req, ok := decode[transport.ChooseRequest](w, r)
-	if !ok {
+	body := transport.ReadRequest(w, r)
+	if body == nil {
+		return
+	}
+	var req transport.ChooseRequest
+	err := req.DecodeJSON(body.B)
+	body.Release()
+	if err != nil {
+		badRequest(w, err)
 		return
 	}
 	if len(req.Candidates) == 0 {
@@ -542,7 +577,7 @@ func (s *Server) handleChoose(w http.ResponseWriter, r *http.Request) {
 		// the WAL either.
 		s.chooses.Add(1)
 		s.mChooses.Inc()
-		reply(w, transport.ChooseResponse{Option: transport.ToWireOption(netsim.DirectOption())})
+		replyWire(w, transport.ChooseResponse{Option: transport.ToWireOption(netsim.DirectOption())})
 		return
 	}
 	cands := make([]netsim.Option, len(req.Candidates))
@@ -563,15 +598,22 @@ func (s *Server) handleChoose(w http.ResponseWriter, r *http.Request) {
 	}
 	s.chooses.Add(1)
 	s.mChooses.Inc()
-	reply(w, transport.ChooseResponse{Option: transport.ToWireOption(opt), Repair: scheme})
+	replyWire(w, transport.ChooseResponse{Option: transport.ToWireOption(opt), Repair: scheme})
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !s.requireReady(w) {
 		return
 	}
-	req, ok := decode[transport.ReportRequest](w, r)
-	if !ok {
+	body := transport.ReadRequest(w, r)
+	if body == nil {
+		return
+	}
+	var req transport.ReportRequest
+	err := req.DecodeJSON(body.B)
+	body.Release()
+	if err != nil {
+		badRequest(w, err)
 		return
 	}
 	m := req.Metrics.Metrics()
@@ -590,7 +632,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reports.Add(1)
 	s.mReports.Inc()
-	reply(w, transport.ReportResponse{OK: true})
+	replyWire(w, transport.ReportResponse{OK: true})
 }
 
 // unwrapVia peels decorator strategies (the decision cache) down to the

@@ -113,12 +113,13 @@ type ctrlSnapshot struct {
 
 func snapDir(walDir string) string { return filepath.Join(walDir, "snapshots") }
 
-// appendRecord marshals and appends one record. Caller holds s.walMu.
-func (s *Server) appendRecordLocked(typ wal.Type, v any) (uint64, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return 0, fmt.Errorf("controller: marshal wal record: %w", err)
-	}
+// appendRecordLocked appends one encoded record. Callers encode before they
+// take s.walMu: a record's bytes depend only on the request and the THours
+// already computed for it, and log order is fixed here, by Append under the
+// lock, so what the critical section must cover is the append and the apply.
+// Append copies data, so a pooled encode buffer can be released on return.
+// Caller holds s.walMu.
+func (s *Server) appendRecordLocked(typ wal.Type, data []byte) (uint64, error) {
 	lsn, err := s.wlog.Append(wal.Record{Type: typ, Data: data})
 	if err != nil {
 		return 0, err
@@ -166,12 +167,21 @@ func (s *Server) applyChoose(call core.Call, cands []netsim.Option, schemes []st
 		return opt, s.chooseRepairLocked(call, opt, schemes), nil
 	}
 	rec := walChoose{THours: call.THours, Src: int32(call.Src), Dst: int32(call.Dst), Repair: schemes}
-	for _, o := range cands {
-		rec.Cands = append(rec.Cands, transport.ToWireOption(o))
+	if len(cands) > 0 { // nil stays nil: "cands":null, as the log has always spelled it
+		rec.Cands = make([]transport.WireOption, len(cands))
+	}
+	for i, o := range cands {
+		rec.Cands[i] = transport.ToWireOption(o)
+	}
+	buf := transport.GetBuffer()
+	defer buf.Release()
+	var err error
+	if buf.B, err = rec.AppendJSON(buf.B); err != nil {
+		return netsim.DirectOption(), "", fmt.Errorf("controller: marshal wal record: %w", err)
 	}
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	if _, err := s.appendRecordLocked(recChoose, rec); err != nil {
+	if _, err := s.appendRecordLocked(recChoose, buf.B); err != nil {
 		return netsim.DirectOption(), "", err
 	}
 	s.noteTHoursLocked(call.THours)
@@ -196,9 +206,15 @@ func (s *Server) applyReport(call core.Call, opt netsim.Option, wm transport.Wir
 		Option: transport.ToWireOption(opt), Metrics: wm,
 		Repair: scheme, DurationSec: durSec,
 	}
+	buf := transport.GetBuffer()
+	defer buf.Release()
+	var err error
+	if buf.B, err = rec.AppendJSON(buf.B); err != nil {
+		return fmt.Errorf("controller: marshal wal record: %w", err)
+	}
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	if _, err := s.appendRecordLocked(recReport, rec); err != nil {
+	if _, err := s.appendRecordLocked(recReport, buf.B); err != nil {
 		return err
 	}
 	s.noteTHoursLocked(call.THours)
@@ -213,9 +229,13 @@ func (s *Server) appendTerm(term uint64) error {
 	if s.wlog == nil {
 		return nil
 	}
+	data, err := json.Marshal(walTerm{Term: term})
+	if err != nil {
+		return fmt.Errorf("controller: marshal wal record: %w", err)
+	}
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	_, err := s.appendRecordLocked(recTerm, walTerm{Term: term})
+	_, err = s.appendRecordLocked(recTerm, data)
 	return err
 }
 
@@ -237,7 +257,7 @@ func (s *Server) applyRecordLocked(rec wal.Record) error {
 	switch rec.Type {
 	case recChoose:
 		var r walChoose
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		if err := r.DecodeJSON(rec.Data); err != nil {
 			return fmt.Errorf("controller: decode choose record: %w", err)
 		}
 		cands := make([]netsim.Option, len(r.Cands))
@@ -253,7 +273,7 @@ func (s *Server) applyRecordLocked(rec wal.Record) error {
 		s.noteTHoursLocked(r.THours)
 	case recReport:
 		var r walReport
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		if err := r.DecodeJSON(rec.Data); err != nil {
 			return fmt.Errorf("controller: decode report record: %w", err)
 		}
 		call := core.Call{Src: netsim.ASID(r.Src), Dst: netsim.ASID(r.Dst), THours: r.THours, DurationSec: r.DurationSec}

@@ -72,9 +72,13 @@ func (s *Server) applyBudget(n int64, threshold float64) error {
 		via.SetSharedBudgetThreshold(n, threshold)
 		return nil
 	}
+	data, err := json.Marshal(walBudget{N: n, Threshold: threshold})
+	if err != nil {
+		return fmt.Errorf("controller: marshal wal record: %w", err)
+	}
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	if _, err := s.appendRecordLocked(recBudget, walBudget{N: n, Threshold: threshold}); err != nil {
+	if _, err := s.appendRecordLocked(recBudget, data); err != nil {
 		return err
 	}
 	via.SetSharedBudgetThreshold(n, threshold)
@@ -90,13 +94,13 @@ func RecordPair(rec wal.Record) (src, dst int32, ok bool) {
 	switch rec.Type {
 	case recChoose:
 		var r walChoose
-		if json.Unmarshal(rec.Data, &r) != nil {
+		if r.DecodeJSON(rec.Data) != nil {
 			return 0, 0, false
 		}
 		return r.Src, r.Dst, true
 	case recReport:
 		var r walReport
-		if json.Unmarshal(rec.Data, &r) != nil {
+		if r.DecodeJSON(rec.Data) != nil {
 			return 0, 0, false
 		}
 		return r.Src, r.Dst, true

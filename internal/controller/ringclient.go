@@ -15,7 +15,6 @@ package controller
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -90,11 +89,11 @@ func (c *Client) refreshShardMap() {
 // followed once to the URL the shard names, and triggers a map refresh so
 // later requests go direct. Falls back to Client.post when no shard map
 // is installed.
-func (c *Client) postPair(src, dst int32, path string, req, resp any) error {
+func (c *Client) postPair(src, dst int32, path string, req wireRequest, resp wireResponse) error {
 	if c.shardMap() == nil {
 		return c.post(path, req, resp)
 	}
-	body, err := json.Marshal(req)
+	body, err := encodeBody(req)
 	if err != nil {
 		return err
 	}
@@ -161,7 +160,7 @@ func (c *Client) postPair(src, dst int32, path string, req, resp any) error {
 // ringPost performs one POST against an absolute URL. On 200 the response
 // body is decoded into resp; on 307 the Location header is returned for
 // the caller to follow; other statuses are reported as-is.
-func (c *Client) ringPost(url string, body []byte, resp any) (status int, location string, err error) {
+func (c *Client) ringPost(url string, body []byte, resp wireResponse) (status int, location string, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.policy().Timeout)
 	defer cancel()
 	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
@@ -173,14 +172,14 @@ func (c *Client) ringPost(url string, body []byte, resp any) (status int, locati
 	if err != nil {
 		return 0, "", err
 	}
-	defer r.Body.Close() //vialint:ignore errwrap body either fully consumed by the decoder or discarded on a non-200
-	if r.StatusCode == http.StatusTemporaryRedirect {
-		return r.StatusCode, r.Header.Get("Location"), nil
-	}
 	if r.StatusCode != http.StatusOK {
+		r.Body.Close() //vialint:ignore errwrap a non-200 body is discarded; the status (and Location) is the answer
+		if r.StatusCode == http.StatusTemporaryRedirect {
+			return r.StatusCode, r.Header.Get("Location"), nil
+		}
 		return r.StatusCode, "", nil
 	}
-	if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
+	if err := readResponse(r, resp); err != nil {
 		return 0, "", fmt.Errorf("controller: decode %s: %w", url, err)
 	}
 	return r.StatusCode, "", nil

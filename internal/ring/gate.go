@@ -9,17 +9,41 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
-// maxPairBody bounds how much of a choose/report body the gate will read
-// to find the pair; matches the controller's own request-size posture.
-const maxPairBody = 1 << 20
-
-// pairHeader is the prefix of ChooseRequest/ReportRequest the gate needs:
-// just the pair. json.Unmarshal ignores the rest of the body.
+// pairHeader is the prefix of ChooseRequest/ReportRequest that routing
+// needs: just the pair. json.Unmarshal ignores the rest of the body.
 type pairHeader struct {
 	Src int32 `json:"src"`
 	Dst int32 `json:"dst"`
+}
+
+// peekPair extracts the (src, dst) pair a choose or report body is routed
+// by, for the gate and the router alike, without decoding the rest. It is
+// json.Unmarshal into pairHeader in verdict and value (the contract of
+// transport/jsoncodec.go): the whole body must be valid JSON, and members
+// other than the pair may be anything.
+func peekPair(body []byte) (src, dst int32, err error) {
+	s := transport.ScanJSON(body)
+	for q := s.Object(); q.Next(); {
+		switch {
+		case q.Field("src", 0):
+			src = s.Int32()
+		case q.Field("dst", 1):
+			dst = s.Int32()
+		case bytes.EqualFold(q.Key, []byte("src")) || bytes.EqualFold(q.Key, []byte("dst")):
+			s.Fail() // encoding/json matches field names case-insensitively
+		default:
+			s.Skip()
+		}
+	}
+	if s.End() {
+		return src, dst, nil
+	}
+	var h pairHeader
+	err = json.Unmarshal(body, &h)
+	return h.Src, h.Dst, err
 }
 
 // Gate is the per-shard ownership check: middleware wrapped around a
@@ -120,12 +144,12 @@ func (g *Gate) serveMap(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data) //vialint:ignore errwrap best-effort HTTP response write; the client observes any failure
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxPairBody))
-		if err != nil {
-			http.Error(w, "read map: "+err.Error(), http.StatusBadRequest)
+		body := transport.ReadRequest(w, r)
+		if body == nil {
 			return
 		}
-		m, err := DecodeMap(body)
+		m, err := DecodeMap(body.B)
+		body.Release()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -141,20 +165,22 @@ func (g *Gate) serveMap(w http.ResponseWriter, r *http.Request) {
 }
 
 // gatePair peeks at the request pair; owned pairs pass through with the
-// body restored, foreign pairs get a 307 naming the owner.
+// body restored, foreign pairs get a 307 naming the owner. The body is read
+// under the controller's own bound (transport.MaxBodyBytes, 413 beyond).
 func (g *Gate) gatePair(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxPairBody))
-	if err != nil {
-		http.Error(w, "read request: "+err.Error(), http.StatusBadRequest)
+	body := transport.ReadRequest(w, r)
+	if body == nil {
 		return
 	}
-	var hdr pairHeader
-	if err := json.Unmarshal(body, &hdr); err != nil {
+	// The inner handler reads the restored body before it returns.
+	defer body.Release()
+	src, dst, err := peekPair(body.B)
+	if err != nil {
 		http.Error(w, "decode request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	m := g.cur.Load()
-	owner := m.OwnerShard(hdr.Src, hdr.Dst)
+	owner := m.OwnerShard(src, dst)
 	if owner.ID != g.shardID {
 		if g.redirects != nil {
 			g.redirects.Inc()
@@ -170,7 +196,7 @@ func (g *Gate) gatePair(w http.ResponseWriter, r *http.Request) {
 			g.mDecisions.Inc()
 		}
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.ContentLength = int64(len(body))
+	r.Body = io.NopCloser(bytes.NewReader(body.B))
+	r.ContentLength = int64(len(body.B))
 	g.inner.ServeHTTP(w, r)
 }

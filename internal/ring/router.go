@@ -99,18 +99,17 @@ func (r *Router) Handler() http.Handler {
 // proxyPair forwards a choose/report to the pair's owning shard, standby
 // on primary failure, and relays the shard's status and body verbatim.
 func (r *Router) proxyPair(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxPairBody))
-	if err != nil {
-		http.Error(w, "read request: "+err.Error(), http.StatusBadRequest)
+	body, ok := readProxied(w, req)
+	if !ok {
 		return
 	}
-	var hdr pairHeader
-	if err := json.Unmarshal(body, &hdr); err != nil {
+	src, dst, err := peekPair(body)
+	if err != nil {
 		http.Error(w, "decode request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	m := r.cur.Load()
-	owner := m.OwnerShard(hdr.Src, hdr.Dst)
+	owner := m.OwnerShard(src, dst)
 	if r.proxied != nil {
 		r.proxied.Inc()
 	}
@@ -149,9 +148,8 @@ func (r *Router) proxyPair(w http.ResponseWriter, req *http.Request) {
 // directory is replicated, not partitioned, because any shard may pick
 // any relay for its pairs.
 func (r *Router) fanoutRegister(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxPairBody))
-	if err != nil {
-		http.Error(w, "read request: "+err.Error(), http.StatusBadRequest)
+	body, ok := readProxied(w, req)
+	if !ok {
 		return
 	}
 	m := r.cur.Load()
@@ -490,6 +488,19 @@ func (r *Router) postMerged(s Shard, n int64, threshold float64) error {
 		lastErr = fmt.Errorf("ring: shard %d merged-install returned %s", s.ID, resp.Status)
 	}
 	return lastErr
+}
+
+// readProxied reads a request body the router will send on, under the same
+// bound as every control-plane body (transport.MaxBodyBytes, 413 beyond).
+// The buffer is deliberately not released to the pool: net/http may still
+// be writing an outgoing request body after Post has returned, so bytes
+// that back one are never reused.
+func readProxied(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+	buf := transport.ReadRequest(w, req)
+	if buf == nil {
+		return nil, false
+	}
+	return buf.B, true
 }
 
 // shardTargets lists a shard's endpoints in preference order.

@@ -85,12 +85,13 @@ var (
 )
 
 // EncodeFrame appends the record's wire framing to dst and returns the
-// extended slice.
+// extended slice, growing dst at most once.
 func EncodeFrame(dst []byte, rec Record) []byte {
 	payloadLen := 1 + len(rec.Data)
 	var hdr [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(payloadLen))
 	start := len(dst)
+	dst = slices.Grow(dst, frameHeaderLen+payloadLen)
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, byte(rec.Type))
 	dst = append(dst, rec.Data...)
