@@ -78,7 +78,8 @@ short:
 # and the wire: the media frame, the WAL frame, the loss-repair payloads
 # (FEC parity packets and NACK requests), and — differentially against
 # encoding/json — the hand-written JSON codecs of the hot control messages,
-# the hot WAL records and the ring's pair peek.
+# the hot WAL records and the ring's pair peek; and the control stream's
+# frame readers, server and client side.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFrameUnmarshal -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzFrameV3Unmarshal -fuzztime=$(FUZZTIME) ./internal/transport/
@@ -89,6 +90,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzControlCodec -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzWALRecordCodec -fuzztime=$(FUZZTIME) ./internal/controller/
 	$(GO) test -run=NONE -fuzz=FuzzPeekPair -fuzztime=$(FUZZTIME) ./internal/ring/
+	$(GO) test -run=NONE -fuzz=FuzzControlStream -fuzztime=$(FUZZTIME) ./internal/controller/
 
 # Coverage with a floor: writes coverage.out (CI archives it) and fails
 # below COVER_FLOOR percent total statement coverage.

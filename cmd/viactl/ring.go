@@ -60,7 +60,7 @@ func routeCmd(args []string) int {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		router.Stop()
+		router.Close()
 		hs.Close() //vialint:ignore errwrap final teardown; the listener is going away regardless
 	}()
 

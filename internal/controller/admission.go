@@ -17,7 +17,8 @@ import (
 // Selector (the paper's default-path degradation) instead of timing out.
 
 // AdmissionConfig bounds per-endpoint concurrency on the decision endpoints
-// (/v1/choose, /v1/report). The zero value disables admission control.
+// (choose and report, over either carrier). The zero value disables
+// admission control.
 type AdmissionConfig struct {
 	// MaxConcurrent is the number of requests allowed inside the handler at
 	// once, per endpoint. 0 disables admission control entirely.
@@ -93,23 +94,24 @@ func (l *limiter) acquire(done <-chan struct{}) bool {
 
 func (l *limiter) release() { <-l.sem }
 
-// admit wraps a handler in the endpoint's limiter. With admission control
-// off (nil limiter) it is the handler unchanged.
-func (s *Server) admit(l *limiter, h http.HandlerFunc) http.HandlerFunc {
-	if l == nil {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !l.acquire(r.Context().Done()) {
+// An opFunc is one op's implementation (choose, report), shared by both
+// carriers: it appends the reply body to dst and returns the HTTP status.
+type opFunc func(body, dst []byte) (int, []byte)
+
+// admit serves one message under its endpoint's limiter, for either
+// carrier; with admission control off (nil limiter) it serves it directly.
+// A message that finds no slot in time, or whose caller hangs up (done)
+// while it queues, is shed: 503 with the shed text. Both carriers send a
+// 503 with Retry-After, which tells well-behaved clients to back off a
+// beat; the controller.Client treats 503 as retryable with jittered backoff
+// already, and its circuit breaker opens under a streak.
+func (l *limiter) admit(done <-chan struct{}, serve opFunc, body, dst []byte) (int, []byte) {
+	if l != nil {
+		if !l.acquire(done) {
 			l.shed.Inc()
-			// Retry-After tells well-behaved clients to back off a beat;
-			// the controller.Client treats 503 as retryable with jittered
-			// backoff already, and its circuit breaker opens under a streak.
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "controller overloaded, request shed", http.StatusServiceUnavailable)
-			return
+			return http.StatusServiceUnavailable, append(dst, msgShed...)
 		}
 		defer l.release()
-		h(w, r)
 	}
+	return serve(body, dst)
 }

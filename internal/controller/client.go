@@ -45,14 +45,18 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// Client is the HTTP client the relays and call agents use to talk to the
-// controller. Every request carries a deadline and is retried with
-// exponential backoff and jitter under the Retry policy; a zero-valued
-// policy field falls back to its default. With Replicas set the client
-// fails over between controller endpoints (see failover.go), and a
-// circuit breaker fails fast once the whole control plane looks down.
+// Client is the client the relays and call agents use to talk to the
+// controller: choose and report over pooled control streams
+// (controlclient.go), every other endpoint over plain HTTP. Every request
+// carries a deadline and is retried with exponential backoff and jitter
+// under the Retry policy; a zero-valued policy field falls back to its
+// default. With Replicas set the client fails over between controller
+// endpoints (see failover.go), and a circuit breaker fails fast once the
+// whole control plane looks down.
 type Client struct {
-	Base  string // e.g. "http://127.0.0.1:8080"
+	Base string // e.g. "http://127.0.0.1:8080"
+	// HTTP carries the HTTP endpoints; its Transport (nil means
+	// http.DefaultTransport) also dials the control streams.
 	HTTP  *http.Client
 	Retry RetryPolicy
 	// Replicas are additional controller endpoints (warm standbys) tried
@@ -75,8 +79,9 @@ type Client struct {
 	brk       *breaker     // initialized by breakerState
 	shards    atomic.Value // shardHolder; set by SetShards
 	redirects atomic.Int64 // 307 epoch-stale redirects followed
-	ringOnce  sync.Once
-	ringHTTP  *http.Client // initialized by ringClient; never follows 307s
+
+	streamMu sync.Mutex
+	idle     map[string][]*ctlStream // guarded by streamMu — idle control streams by endpoint
 }
 
 // NewClient builds a client for a controller base URL with the default
@@ -129,7 +134,7 @@ func retryable(status int) bool {
 }
 
 // wireRequest and wireResponse are the two halves of a control message's
-// codec as the client uses them. The hot messages (choose, report)
+// codec as the client uses them. The stream messages (choose, report)
 // implement them by hand in internal/transport; stdJSON adapts every other
 // message through encoding/json.
 type wireRequest interface {
@@ -165,6 +170,21 @@ func readResponse(r *http.Response, resp wireResponse) error {
 	return resp.DecodeJSON(buf.B)
 }
 
+// backoff sleeps before a retry: BaseDelay doubling per attempt up to
+// MaxDelay, jittered uniform in (0.1, 1]× so synchronized clients don't
+// hammer a recovering controller in lockstep.
+func (c *Client) backoff(p RetryPolicy, attempt int) {
+	c.retries.Add(1)
+	d := p.BaseDelay << (attempt - 1)
+	if d > p.MaxDelay {
+		d = p.MaxDelay
+	}
+	c.rngMu.Lock()
+	u := c.rng.Float64()
+	c.rngMu.Unlock()
+	time.Sleep(time.Duration(float64(d) * (0.1 + 0.9*u)))
+}
+
 // do runs one HTTP exchange with retries; makeReq builds a fresh request
 // per attempt against the current failover endpoint (bodies are not
 // rewindable across attempts). An endpoint-level failure — connection
@@ -180,17 +200,7 @@ func (c *Client) do(path string, makeReq func(ctx context.Context, base string) 
 	var lastErr error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			c.retries.Add(1)
-			backoff := p.BaseDelay << (attempt - 1)
-			if backoff > p.MaxDelay {
-				backoff = p.MaxDelay
-			}
-			// Jittered: sleep uniform in (0.1, 1]×backoff so synchronized
-			// clients don't hammer a recovering controller in lockstep.
-			c.rngMu.Lock()
-			u := c.rng.Float64()
-			c.rngMu.Unlock()
-			time.Sleep(time.Duration(float64(backoff) * (0.1 + 0.9*u)))
+			c.backoff(p, attempt)
 		}
 		eps, cur := c.endpoint()
 		ctx, cancel := context.WithTimeout(context.Background(), p.Timeout)
@@ -301,7 +311,7 @@ func (c *Client) Choose(src, dst int32, cands []netsim.Option) (netsim.Option, e
 		req.Candidates = append(req.Candidates, transport.ToWireOption(o))
 	}
 	var resp transport.ChooseResponse
-	if err := c.postPair(src, dst, "/v1/choose", req, &resp); err != nil {
+	if err := call(c, transport.OpChoose, src, dst, req, &resp); err != nil {
 		return netsim.DirectOption(), err
 	}
 	return resp.Option.Option(), nil
@@ -317,7 +327,7 @@ func (c *Client) ChooseWithRepair(src, dst int32, cands []netsim.Option, schemes
 		req.Candidates = append(req.Candidates, transport.ToWireOption(o))
 	}
 	var resp transport.ChooseResponse
-	if err := c.postPair(src, dst, "/v1/choose", req, &resp); err != nil {
+	if err := call(c, transport.OpChoose, src, dst, req, &resp); err != nil {
 		return netsim.DirectOption(), "", err
 	}
 	return resp.Option.Option(), resp.Repair, nil
@@ -327,7 +337,7 @@ func (c *Client) ChooseWithRepair(src, dst int32, cands []netsim.Option, schemes
 // scheme that ran and the call duration in seconds (0 = unknown).
 func (c *Client) ReportRepair(src, dst int32, opt netsim.Option, scheme string, durSec float64, m quality.Metrics) error {
 	var resp transport.ReportResponse
-	return c.postPair(src, dst, "/v1/report", transport.ReportRequest{
+	return call(c, transport.OpReport, src, dst, transport.ReportRequest{
 		Src: src, Dst: dst,
 		Option:      transport.ToWireOption(opt),
 		Metrics:     transport.ToWireMetrics(m),
@@ -339,7 +349,7 @@ func (c *Client) ReportRepair(src, dst int32, opt netsim.Option, scheme string, 
 // Report pushes one call's measurements.
 func (c *Client) Report(src, dst int32, opt netsim.Option, m quality.Metrics) error {
 	var resp transport.ReportResponse
-	return c.postPair(src, dst, "/v1/report", transport.ReportRequest{
+	return call(c, transport.OpReport, src, dst, transport.ReportRequest{
 		Src: src, Dst: dst,
 		Option:  transport.ToWireOption(opt),
 		Metrics: transport.ToWireMetrics(m),

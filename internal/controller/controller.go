@@ -1,8 +1,9 @@
 // Package controller implements Via's centralized controller (§3.1,
 // Figure 7) as an HTTP/JSON service: relays register their media addresses,
 // clients push per-call measurement reports and ask which relaying option to
-// use. Relay selection is delegated to a pluggable core.Strategy — the full
-// Via algorithm in production, or a baseline for controlled experiments.
+// use (over a control stream upgraded from HTTP, control.go). Relay
+// selection is delegated to a pluggable core.Strategy — the full Via
+// algorithm in production, or a baseline for controlled experiments.
 //
 // The control exchange per call is deliberately minimal (one report, one
 // decision — the §7 scalability budget). Time is virtualized: a TimeScale
@@ -160,6 +161,8 @@ type Server struct {
 	limChoose *limiter
 	limReport *limiter
 
+	streams *StreamServer // control streams (choose/report frames)
+
 	// Telemetry handles, pre-resolved at construction so the request path
 	// pays one atomic per event. All are valid no-op instruments when
 	// Config.Metrics is nil.
@@ -297,11 +300,13 @@ func newServer(cfg Config) *Server {
 		m.Counter(obs.L("via_controller_shed_requests_total", "endpoint", "choose")))
 	s.limReport = newLimiter(cfg.Admission,
 		m.Counter(obs.L("via_controller_shed_requests_total", "endpoint", "report")))
+	s.streams = NewStreamServer(s.serveMessage, m.Gauge("via_controller_control_streams"))
 
 	s.mux.HandleFunc("POST /v1/relays/register", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/relays", s.handleRelays)
-	s.mux.HandleFunc("POST /v1/choose", s.admit(s.limChoose, s.handleChoose))
-	s.mux.HandleFunc("POST /v1/report", s.admit(s.limReport, s.handleReport))
+	s.mux.Handle("GET "+transport.ControlPath, s.streams)
+	s.mux.HandleFunc("POST /v1/choose", servePOST(s.limChoose, s.choose))
+	s.mux.HandleFunc("POST /v1/report", servePOST(s.limReport, s.report))
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/topk", s.handleTopK)
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
@@ -331,10 +336,12 @@ func (s *Server) Term() uint64 { return s.term.Load() }
 // (0 when durability is off or nothing is logged yet).
 func (s *Server) AppliedLSN() uint64 { return s.appliedLSN.Load() }
 
-// Close releases durability resources: it waits out an in-flight
-// background snapshot, stops the standby tailer, and closes the WAL.
-// Callers that want zero loss should Shutdown (drain) first.
+// Close severs the server's control streams (and refuses new ones) and
+// releases durability resources: it waits out an in-flight background
+// snapshot, stops the standby tailer, and closes the WAL. Callers that want
+// zero loss should Shutdown (drain) first.
 func (s *Server) Close() error {
+	s.streams.Close()
 	if s.standby != nil {
 		s.standby.requestStop()
 		<-s.standby.done
@@ -350,26 +357,64 @@ func (s *Server) Close() error {
 // recovery and in-flight accounting (for graceful shutdown).
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Count in before checking the drain flag: a request admitted
-		// here is either rejected below or fully drained by Shutdown.
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		if s.draining.Load() {
-			http.Error(w, "controller draining", http.StatusServiceUnavailable)
-			return
-		}
-		start := time.Now()
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.panics.Add(1)
-				s.mPanics.Inc()
-				s.lastPanic.Store(string(debug.Stack()))
-				http.Error(w, "internal error", http.StatusInternalServerError)
-			}
-			s.mLatency.Observe(time.Since(start).Seconds())
-		}()
-		s.mux.ServeHTTP(w, r)
+		s.guard(func() { s.mux.ServeHTTP(w, r) }, func(status int, text string) { http.Error(w, text, status) })
 	})
+}
+
+// guard serves one request, whichever carrier brought it, inside the
+// guards every request gets: the in-flight count Shutdown waits on, drain →
+// 503, panic recovery → 500, and the via_controller_request_seconds
+// observation. refuse answers a request the guards turn away.
+func (s *Server) guard(serve func(), refuse func(status int, text string)) {
+	// Count in before checking the drain flag: a request admitted here is
+	// either refused below or fully drained by Shutdown.
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	if s.draining.Load() {
+		refuse(http.StatusServiceUnavailable, msgDraining)
+		return
+	}
+	start := time.Now()
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.recordPanic()
+			refuse(http.StatusInternalServerError, msgInternal)
+		}
+		s.mLatency.Observe(time.Since(start).Seconds())
+	}()
+	serve()
+}
+
+// Refusal texts shared by both carriers of choose and report.
+const (
+	msgDraining = "controller draining"
+	msgInternal = "internal error"
+	msgShed     = "controller overloaded, request shed"
+)
+
+// recordPanic counts a recovered handler panic and keeps its stack.
+func (s *Server) recordPanic() {
+	s.panics.Add(1)
+	s.mPanics.Inc()
+	s.lastPanic.Store(string(debug.Stack()))
+}
+
+// serveMessage serves one control-stream message inside the guards and
+// through the admission limiter (done is the stream's) that a POST gets
+// from Handler and servePOST; the message functions do the rest, for both
+// carriers.
+func (s *Server) serveMessage(op transport.Op, body []byte, done <-chan struct{}, dst []byte) (status int, reply []byte) {
+	s.guard(func() {
+		switch op {
+		case transport.OpChoose:
+			status, reply = s.limChoose.admit(done, s.choose, body, dst)
+		case transport.OpReport:
+			status, reply = s.limReport.admit(done, s.report, body, dst)
+		default:
+			status, reply = http.StatusBadRequest, append(dst, "unknown control op"...)
+		}
+	}, func(code int, text string) { status, reply = code, append(dst, text...) })
+	return status, reply
 }
 
 // Shutdown drains the server: new requests are rejected with 503 while
@@ -409,12 +454,21 @@ func (s *Server) nowHours() float64 {
 	return base + since.Seconds()*s.cfg.TimeScale
 }
 
-// requireReady gates decision endpoints: a replaying or standby controller
-// must not serve (or log) decisions. Returns false after writing the 503.
-func (s *Server) requireReady(w http.ResponseWriter) bool {
+// notReady is the refusal of decision traffic by a replaying or standby
+// controller, which must not serve (or log) decisions; "" once ready.
+func (s *Server) notReady() string {
 	if st := s.State(); st != StateReady {
+		return "controller not ready: " + st
+	}
+	return ""
+}
+
+// requireReady gates the HTTP decision endpoints on notReady. Returns false
+// after writing the 503.
+func (s *Server) requireReady(w http.ResponseWriter) bool {
+	if msg := s.notReady(); msg != "" {
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, "controller not ready: "+st, http.StatusServiceUnavailable)
+		http.Error(w, msg, http.StatusServiceUnavailable)
 		return false
 	}
 	return true
@@ -446,21 +500,36 @@ func reply(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// replyWire is reply for the two hot responses: the same bytes, newline
-// included, from the hand-written codec into a pooled buffer.
-func replyWire[M interface {
-	AppendJSON([]byte) ([]byte, error)
-}](w http.ResponseWriter, m M) {
-	buf := transport.GetBuffer()
-	defer buf.Release()
-	var err error
-	if buf.B, err = m.AppendJSON(buf.B); err != nil {
-		return // as reply: nothing is written, and the client sees an empty 200
+// writeReply writes a message function's answer as an HTTP response: a
+// 200 is the JSON document plus encoding/json's trailing newline, any other
+// status the error text as http.Error writes it (a 503 with Retry-After).
+func writeReply(w http.ResponseWriter, status int, reply []byte) {
+	if status != http.StatusOK {
+		if status == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", "1")
+		}
+		http.Error(w, string(reply), status)
+		return
 	}
-	buf.B = append(buf.B, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	//vialint:ignore errwrap a failed write means the client hung up; there is no one left to tell
-	_, _ = w.Write(buf.B)
+	_, _ = w.Write(append(reply, '\n'))
+}
+
+// appendReply appends a 200's JSON document to dst.
+func appendReply[M interface {
+	AppendJSON([]byte) ([]byte, error)
+}](dst []byte, m M) (int, []byte) {
+	out, err := m.AppendJSON(dst)
+	if err != nil {
+		return http.StatusInternalServerError, append(dst, "encode reply: "+err.Error()...)
+	}
+	return http.StatusOK, out
+}
+
+// appendError appends an error text to dst under status.
+func appendError(dst []byte, status int, prefix string, err error) (int, []byte) {
+	return status, append(append(dst, prefix...), err.Error()...)
 }
 
 // replyStatus is reply with an explicit status code (readiness 503s carry
@@ -555,71 +624,73 @@ func (s *Server) handleRelays(w http.ResponseWriter, _ *http.Request) {
 	reply(w, transport.RelayListResponse{Relays: s.usableRelays()})
 }
 
-func (s *Server) handleChoose(w http.ResponseWriter, r *http.Request) {
-	if !s.requireReady(w) {
-		return
+// servePOST carries a message function over plain POST — for clients older
+// than the control stream, curl, and bench/ — with the same bytes, through
+// the endpoint's admission limiter.
+func servePOST(lim *limiter, op opFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body := transport.ReadRequest(w, r)
+		if body == nil {
+			return
+		}
+		defer body.Release()
+		out := transport.GetBuffer()
+		defer out.Release()
+		var status int
+		status, out.B = lim.admit(r.Context().Done(), op, body.B, out.B)
+		writeReply(w, status, out.B)
 	}
-	body := transport.ReadRequest(w, r)
-	if body == nil {
-		return
+}
+
+// choose is the one choose implementation, whichever carrier brought the
+// message: readiness, decode, a durable decision, the encoded answer. It
+// appends the reply body to dst and returns its HTTP status.
+func (s *Server) choose(body, dst []byte) (int, []byte) {
+	if msg := s.notReady(); msg != "" {
+		return http.StatusServiceUnavailable, append(dst, msg...)
 	}
 	var req transport.ChooseRequest
-	err := req.DecodeJSON(body.B)
-	body.Release()
-	if err != nil {
-		badRequest(w, err)
-		return
+	if err := req.DecodeJSON(body); err != nil {
+		return appendError(dst, http.StatusBadRequest, "bad request: ", err)
 	}
-	if len(req.Candidates) == 0 {
-		// An empty candidate set has exactly one answer — the default
-		// path. Answer it directly rather than handing strategies a nil
-		// slice to index. Nothing reaches the strategy, so nothing needs
-		// the WAL either.
-		s.chooses.Add(1)
-		s.mChooses.Inc()
-		replyWire(w, transport.ChooseResponse{Option: transport.ToWireOption(netsim.DirectOption())})
-		return
-	}
-	cands := make([]netsim.Option, len(req.Candidates))
-	for i, c := range req.Candidates {
-		cands[i] = c.Option()
-	}
-	call := core.Call{
-		Src:    netsim.ASID(req.Src),
-		Dst:    netsim.ASID(req.Dst),
-		THours: s.nowHours(),
-	}
-	opt, scheme, err := s.applyChoose(call, cands, req.RepairCandidates)
-	if err != nil {
-		// The decision could not be made durable; pretending otherwise
-		// would hand out state the log cannot reproduce.
-		http.Error(w, "durability failure: "+err.Error(), http.StatusInternalServerError)
-		return
+	resp := transport.ChooseResponse{Option: transport.ToWireOption(netsim.DirectOption())}
+	// An empty candidate set has exactly one answer — the default path.
+	// Answer it directly rather than handing strategies a nil slice to
+	// index. Nothing reaches the strategy, so nothing needs the WAL either.
+	if len(req.Candidates) > 0 {
+		cands := make([]netsim.Option, len(req.Candidates))
+		for i, c := range req.Candidates {
+			cands[i] = c.Option()
+		}
+		call := core.Call{
+			Src:    netsim.ASID(req.Src),
+			Dst:    netsim.ASID(req.Dst),
+			THours: s.nowHours(),
+		}
+		opt, scheme, err := s.applyChoose(call, cands, req.RepairCandidates)
+		if err != nil {
+			// The decision could not be made durable; pretending otherwise
+			// would hand out state the log cannot reproduce.
+			return appendError(dst, http.StatusInternalServerError, "durability failure: ", err)
+		}
+		resp = transport.ChooseResponse{Option: transport.ToWireOption(opt), Repair: scheme}
 	}
 	s.chooses.Add(1)
 	s.mChooses.Inc()
-	replyWire(w, transport.ChooseResponse{Option: transport.ToWireOption(opt), Repair: scheme})
+	return appendReply(dst, resp)
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if !s.requireReady(w) {
-		return
-	}
-	body := transport.ReadRequest(w, r)
-	if body == nil {
-		return
+// report is the one report implementation, as choose is for choose.
+func (s *Server) report(body, dst []byte) (int, []byte) {
+	if msg := s.notReady(); msg != "" {
+		return http.StatusServiceUnavailable, append(dst, msg...)
 	}
 	var req transport.ReportRequest
-	err := req.DecodeJSON(body.B)
-	body.Release()
-	if err != nil {
-		badRequest(w, err)
-		return
+	if err := req.DecodeJSON(body); err != nil {
+		return appendError(dst, http.StatusBadRequest, "bad request: ", err)
 	}
-	m := req.Metrics.Metrics()
-	if !m.Valid() {
-		http.Error(w, "invalid metrics", http.StatusBadRequest)
-		return
+	if m := req.Metrics.Metrics(); !m.Valid() {
+		return http.StatusBadRequest, append(dst, "invalid metrics"...)
 	}
 	call := core.Call{
 		Src:    netsim.ASID(req.Src),
@@ -627,12 +698,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		THours: s.nowHours(),
 	}
 	if err := s.applyReport(call, req.Option.Option(), req.Metrics, req.Repair, req.DurationSec); err != nil {
-		http.Error(w, "durability failure: "+err.Error(), http.StatusInternalServerError)
-		return
+		return appendError(dst, http.StatusInternalServerError, "durability failure: ", err)
 	}
 	s.reports.Add(1)
 	s.mReports.Inc()
-	replyWire(w, transport.ReportResponse{OK: true})
+	return appendReply(dst, transport.ReportResponse{OK: true})
 }
 
 // unwrapVia peels decorator strategies (the decision cache) down to the

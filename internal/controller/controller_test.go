@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -450,19 +451,43 @@ func TestShutdownTimesOutOnStuckRequest(t *testing.T) {
 	}
 }
 
+// fakeControl is a controller faking what the retry, breaker and failover
+// tests need: every control-stream message is answered by msg, and every
+// plain HTTP request (the cold endpoints) by h, when h is set.
+func fakeControl(t *testing.T, msg MessageFunc, h http.HandlerFunc) *httptest.Server {
+	t.Helper()
+	ss := NewStreamServer(msg, nil)
+	mux := http.NewServeMux()
+	mux.Handle("GET "+transport.ControlPath, ss)
+	if h != nil {
+		mux.Handle("/", h)
+	}
+	ts := httptest.NewServer(mux)
+	t.Cleanup(func() {
+		ss.Close()
+		ts.Close()
+	})
+	return ts
+}
+
+// answer is a MessageFunc answering every message with status and text.
+func answer(status int, text string) MessageFunc {
+	return func(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
+		return status, append(dst, text...)
+	}
+}
+
 func TestClientRetriesTransientFailure(t *testing.T) {
 	// Fail the first two attempts with 503, then succeed: the client's
 	// bounded retry budget must ride it out.
 	var hits atomic.Int32
 	inner := New(Config{Strategy: &recordingStrategy{ret: netsim.BounceOption(2)}})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := fakeControl(t, func(op transport.Op, body []byte, done <-chan struct{}, dst []byte) (int, []byte) {
 		if hits.Add(1) <= 2 {
-			http.Error(w, "flap", http.StatusServiceUnavailable)
-			return
+			return http.StatusServiceUnavailable, append(dst, "flap"...)
 		}
-		inner.Handler().ServeHTTP(w, r)
-	}))
-	defer ts.Close()
+		return inner.serveMessage(op, body, done, dst)
+	}, nil)
 	c := NewClient(ts.URL)
 	c.Retry.BaseDelay = 5 * time.Millisecond
 	opt, err := c.Choose(1, 2, []netsim.Option{netsim.BounceOption(2)})
@@ -478,10 +503,7 @@ func TestClientRetriesTransientFailure(t *testing.T) {
 }
 
 func TestClientExhaustsRetryBudget(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
+	ts := fakeControl(t, answer(http.StatusServiceUnavailable, "down"), nil)
 	c := NewClient(ts.URL)
 	c.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Timeout: time.Second}
 	_, err := c.Choose(1, 2, []netsim.Option{netsim.DirectOption()})
@@ -495,11 +517,10 @@ func TestClientExhaustsRetryBudget(t *testing.T) {
 
 func TestClientDoesNotRetryBadRequest(t *testing.T) {
 	var hits atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	ts := fakeControl(t, func(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
 		hits.Add(1)
-		http.Error(w, "nope", http.StatusBadRequest)
-	}))
-	defer ts.Close()
+		return http.StatusBadRequest, append(dst, "nope"...)
+	}, nil)
 	c := NewClient(ts.URL)
 	if _, err := c.Choose(1, 2, []netsim.Option{netsim.DirectOption()}); err == nil {
 		t.Fatal("bad request reported success")
@@ -509,23 +530,81 @@ func TestClientDoesNotRetryBadRequest(t *testing.T) {
 	}
 }
 
+// TestUpgradeRefusalSurfacesStatus: an endpoint that refuses the control
+// stream's upgrade with status S (an older controller answers 404, a
+// shedding proxy 503) is judged by S exactly as a response frame carrying S
+// would be: a 4xx is not retried, a 503 is.
+func TestUpgradeRefusalSurfacesStatus(t *testing.T) {
+	for _, tc := range []struct {
+		status int
+		hits   int32
+	}{{http.StatusBadRequest, 1}, {http.StatusNotFound, 1}, {http.StatusServiceUnavailable, 3}} {
+		var hits atomic.Int32
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			hits.Add(1)
+			http.Error(w, "refused", tc.status)
+		}))
+		c := NewClient(ts.URL)
+		c.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Timeout: time.Second}
+		_, err := c.Choose(1, 2, []netsim.Option{netsim.DirectOption()})
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(tc.status)) {
+			t.Errorf("upgrade refused with %d: error %v, want the status in it", tc.status, err)
+		}
+		if hits.Load() != tc.hits {
+			t.Errorf("upgrade refused with %d: %d attempts, want %d", tc.status, hits.Load(), tc.hits)
+		}
+	}
+}
+
 func TestClientTimeoutAppliesPerAttempt(t *testing.T) {
 	block := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	ts := fakeControl(t, func(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
 		<-block
-	}))
-	defer ts.Close()
-	// Unblock the stuck handler before ts.Close waits on it (defers LIFO).
+		return http.StatusOK, dst
+	}, func(http.ResponseWriter, *http.Request) {
+		<-block
+	})
+	// Unblock the stuck handlers before the server closes (cleanups run
+	// after defers).
 	defer close(block)
+	policy := RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Timeout: 50 * time.Millisecond}
 	c := NewClient(ts.URL)
-	c.Retry = RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Timeout: 50 * time.Millisecond}
-	start := time.Now()
-	_, err := c.Stats()
-	if err == nil {
-		t.Fatal("hung server reported success")
-	}
-	if el := time.Since(start); el > time.Second {
-		t.Errorf("deadline not applied: took %s", el)
+	c.Retry = policy
+
+	// A controller that answers the upgrade and then the message each
+	// within Timeout, but not both: one attempt is one deadline.
+	const half = 35 * time.Millisecond
+	ss := NewStreamServer(func(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
+		time.Sleep(half)
+		return http.StatusOK, append(dst, `{"option":{"kind":"direct"}}`...)
+	}, nil)
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(half)
+		ss.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ss.Close()
+		slow.Close()
+	})
+	sc := NewClient(slow.URL)
+	sc.Retry = policy
+
+	for _, carrier := range []struct {
+		name string
+		call func() error
+	}{
+		{"HTTP", func() error { _, err := c.Stats(); return err }},
+		{"control stream", func() error { _, err := c.Choose(1, 2, []netsim.Option{netsim.DirectOption()}); return err }},
+		{"slow upgrade, then slow answer", func() error { _, err := sc.Choose(1, 2, []netsim.Option{netsim.DirectOption()}); return err }},
+	} {
+		start := time.Now()
+		if err := carrier.call(); err == nil {
+			t.Fatalf("%s: hung server reported success", carrier.name)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("%s: deadline not applied: took %s", carrier.name, el)
+		}
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/quality"
+	"repro/internal/transport"
 )
 
 // fastRetry keeps failover tests quick: one extra attempt, tiny backoff.
@@ -23,11 +25,10 @@ func fastRetry() RetryPolicy {
 // lands it on a replica, and the cursor sticks there for later requests.
 func TestClientFailsOverToReplica(t *testing.T) {
 	var deadHits atomic.Int64
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	dead := fakeControl(t, func(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
 		deadHits.Add(1)
-		http.Error(w, "standby", http.StatusServiceUnavailable)
-	}))
-	defer dead.Close()
+		return http.StatusServiceUnavailable, append(dst, "standby"...)
+	}, nil)
 
 	live := New(Config{Strategy: &recordingStrategy{ret: netsim.BounceOption(1)}})
 	liveTS := httptest.NewServer(live.Handler())
@@ -69,14 +70,12 @@ func TestClientFailsOverToReplica(t *testing.T) {
 func TestClientBreakerOpensFailsFastAndRecovers(t *testing.T) {
 	var healthy atomic.Bool
 	inner := New(Config{Strategy: &recordingStrategy{ret: netsim.DirectOption()}})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := fakeControl(t, func(op transport.Op, body []byte, done <-chan struct{}, dst []byte) (int, []byte) {
 		if !healthy.Load() {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
+			return http.StatusServiceUnavailable, append(dst, "down"...)
 		}
-		inner.Handler().ServeHTTP(w, r)
-	}))
-	defer ts.Close()
+		return inner.serveMessage(op, body, done, dst)
+	}, nil)
 
 	c := NewClient(ts.URL)
 	c.Retry = fastRetry()
@@ -127,10 +126,7 @@ func TestClientBreakerOpensFailsFastAndRecovers(t *testing.T) {
 // TestClientBreakerDisabled: Threshold < 0 never opens the circuit no
 // matter how many failures accumulate.
 func TestClientBreakerDisabled(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
+	ts := fakeControl(t, answer(http.StatusServiceUnavailable, "down"), nil)
 	c := NewClient(ts.URL)
 	c.Retry = fastRetry()
 	c.Breaker = BreakerConfig{Threshold: -1}
@@ -181,5 +177,103 @@ func TestClientFailoverWithPromotion(t *testing.T) {
 	}
 	if c.Failovers() == 0 {
 		t.Fatal("client never failed over")
+	}
+}
+
+// TestCloseEndsControlStreams: Server.Close severs the control streams
+// clients hold in their pools — hijacked connections are invisible to
+// http.Server — and refuses new ones, so a client whose primary closed
+// behind a still-open listener fails over rather than stalling on a dead
+// stream or being served by a closed controller.
+func TestCloseEndsControlStreams(t *testing.T) {
+	reg := obs.NewRegistry()
+	primary := New(Config{Strategy: &recordingStrategy{ret: netsim.BounceOption(1)}, Metrics: reg})
+	pts := httptest.NewServer(primary.Handler())
+	defer pts.Close()
+	replica := New(Config{Strategy: &recordingStrategy{ret: netsim.BounceOption(1)}})
+	rts := httptest.NewServer(replica.Handler())
+	defer rts.Close()
+	defer replica.Close() //vialint:ignore errwrap test teardown close
+
+	c := NewClient(pts.URL)
+	c.Replicas = []string{rts.URL}
+	c.Retry = fastRetry()
+	cands := []netsim.Option{netsim.DirectOption(), netsim.BounceOption(1)}
+	if _, err := c.Choose(1, 2, cands); err != nil {
+		t.Fatalf("choose via primary: %v", err)
+	}
+	if n := reg.Snapshot()["via_controller_control_streams"]; n != 1 {
+		t.Fatalf("open control streams = %v after one choose, want 1", n)
+	}
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "streams severed", func() bool {
+		return reg.Snapshot()["via_controller_control_streams"] == 0
+	})
+	if _, err := c.Choose(1, 2, cands); err != nil {
+		t.Fatalf("choose after the primary closed: %v", err)
+	}
+	if c.Failovers() == 0 {
+		t.Fatal("client never failed over")
+	}
+	if p, r := primary.chooses.Load(), replica.chooses.Load(); p != 1 || r != 1 {
+		t.Fatalf("chooses served: primary %d, replica %d; want 1 each", p, r)
+	}
+}
+
+// staticShards is a ShardMap sending every pair to one primary and standby.
+type staticShards struct{ primary, standby string }
+
+func (m staticShards) Epoch() uint64                       { return 1 }
+func (m staticShards) Owner(int32, int32) (string, string) { return m.primary, m.standby }
+
+// countingTransport counts the requests and stream dials a client puts on
+// the wire.
+type countingTransport struct{ n atomic.Int64 }
+
+func (t *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	t.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRingClientBreakerOpens: with a shard map installed, a control plane
+// whose shards are all dead trips the breaker after Threshold failed
+// requests, and from then on choose and report fail with ErrCircuitOpen
+// without touching the network — the contract above, for ring clients too.
+func TestRingClientBreakerOpens(t *testing.T) {
+	dead := func() string {
+		ts := httptest.NewServer(http.NotFoundHandler())
+		ts.Close()
+		return ts.URL
+	}
+	wire := &countingTransport{}
+	c := NewClient(dead())
+	c.HTTP = &http.Client{Transport: wire, Timeout: time.Second}
+	c.SetShards(staticShards{dead(), dead()})
+	c.Retry = fastRetry()
+	c.Breaker = BreakerConfig{Threshold: 2, Cooldown: time.Minute}
+	cands := []netsim.Option{netsim.DirectOption()}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Choose(1, 2, cands); err == nil || errors.Is(err, ErrCircuitOpen) {
+			t.Fatalf("request %d against dead shards: %v", i, err)
+		}
+	}
+	if open, trips := c.BreakerOpen(); !open || trips != 1 {
+		t.Fatalf("after threshold failures: open=%v trips=%d", open, trips)
+	}
+	before := wire.n.Load()
+	start := time.Now()
+	if _, err := c.Choose(1, 2, cands); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("open-circuit choose error = %v", err)
+	}
+	if err := c.Report(1, 2, netsim.DirectOption(), quality.Metrics{RTTMs: 50}); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("open-circuit report error = %v", err)
+	}
+	if d := time.Since(start); d > 20*time.Millisecond {
+		t.Fatalf("open-circuit requests took %v", d)
+	}
+	if n := wire.n.Load(); n != before {
+		t.Fatalf("open circuit made %d requests", n-before)
 	}
 }

@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/quality"
 )
 
 // fakeTarget records every action applied to it.
@@ -304,5 +307,85 @@ func TestFlakyTransportDelay(t *testing.T) {
 	resp.Body.Close()
 	if el := time.Since(start); el < 45*time.Millisecond {
 		t.Errorf("request took %s with 50ms injected delay", el)
+	}
+}
+
+// directStrategy always answers the direct path.
+type directStrategy struct{}
+
+func (directStrategy) Name() string                                      { return "direct" }
+func (directStrategy) Choose(core.Call, []netsim.Option) netsim.Option   { return netsim.DirectOption() }
+func (directStrategy) Observe(core.Call, netsim.Option, quality.Metrics) {}
+
+// TestFlakyTransportControlStream: the faults reach a control stream per
+// message, not per connection. A partition fails a message on an already
+// open stream fast with ErrInjected, and the redial fails too; a drop rate
+// draws once per message from the seeded RNG, so the same seed drops the
+// same messages; a delay holds every message, not only a stream's first.
+func TestFlakyTransportControlStream(t *testing.T) {
+	srv := controller.New(controller.Config{Strategy: directStrategy{}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close() //vialint:ignore errwrap test teardown close
+	client := func(ft *FlakyTransport) *controller.Client {
+		c := controller.NewClient(ts.URL)
+		c.HTTP = &http.Client{Transport: ft, Timeout: 5 * time.Second}
+		c.Retry = controller.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Timeout: time.Second}
+		c.Breaker = controller.BreakerConfig{Threshold: -1}
+		return c
+	}
+	cands := []netsim.Option{netsim.DirectOption()}
+
+	ft := NewFlakyTransport(nil, 1)
+	c := client(ft)
+	if _, err := c.Choose(1, 2, cands); err != nil {
+		t.Fatalf("healthy stream: %v", err)
+	}
+	ft.SetPartitioned(true)
+	start := time.Now()
+	for _, what := range []string{"message on the open stream", "redial"} {
+		if _, err := c.Choose(1, 2, cands); !errors.Is(err, ErrInjected) {
+			t.Fatalf("partitioned %s: error = %v, want ErrInjected", what, err)
+		}
+	}
+	if el := time.Since(start); el > 100*time.Millisecond {
+		t.Errorf("partitioned messages took %s; should fail fast", el)
+	}
+	if ft.Injected() != 2 {
+		t.Errorf("injected = %d, want 2", ft.Injected())
+	}
+	ft.SetPartitioned(false)
+	if _, err := c.Choose(1, 2, cands); err != nil {
+		t.Errorf("healed stream: %v", err)
+	}
+
+	count := func(seed uint64) int64 {
+		ft := NewFlakyTransport(nil, seed)
+		ft.SetDropRate(0.5)
+		c := client(ft)
+		for i := 0; i < 60; i++ {
+			c.Choose(1, 2, cands) //vialint:ignore errwrap dropped messages are the point; Injected counts them
+		}
+		return ft.Injected()
+	}
+	a, b := count(42), count(42)
+	if a != b {
+		t.Errorf("same seed diverged: %d vs %d", a, b)
+	}
+	if a == 0 || a == 60 {
+		t.Errorf("drop rate 0.5 injected %d/60", a)
+	}
+
+	ft = NewFlakyTransport(nil, 1)
+	ft.SetDelay(50 * time.Millisecond)
+	c = client(ft)
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		if _, err := c.Choose(1, 2, cands); err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el < 45*time.Millisecond {
+			t.Errorf("message %d took %s with 50ms injected delay", i, el)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
@@ -343,25 +344,22 @@ func (f *Fleet) NewClient() *controller.Client {
 	return c
 }
 
-// FetchMap bootstraps a shard map from a router or gate base URL.
+// FetchMap bootstraps a shard map from a router or gate base URL. The body
+// is read under the control plane's bound (transport.MaxBodyBytes); a read
+// that fails or runs past it is an error, not a map.
 func FetchMap(base string) (*Map, error) {
 	hc := &http.Client{Timeout: 5 * time.Second}
 	resp, err := hc.Get(base + "/v1/ring/map")
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close() //vialint:ignore errwrap body fully consumed below; close failures have no recovery
+	defer resp.Body.Close() //vialint:ignore errwrap body read whole below; close failures have no recovery
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("ring: map fetch returned %s", resp.Status)
 	}
-	data := make([]byte, 0, 4096)
-	buf := make([]byte, 4096)
-	for {
-		n, err := resp.Body.Read(buf)
-		data = append(data, buf[:n]...)
-		if err != nil {
-			break
-		}
+	data, err := transport.ReadBody(nil, resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("ring: read map: %w", err)
 	}
 	return DecodeMap(data)
 }
@@ -551,7 +549,7 @@ func (f *Fleet) Close() error {
 	}
 	f.closed = true
 	if f.router != nil {
-		f.router.Stop()
+		f.router.Close()
 	}
 	if f.routerHTTP != nil {
 		f.routerHTTP.Close() //vialint:ignore errwrap teardown close; nothing to recover

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/quality"
+	"repro/internal/transport"
 )
 
 // constClock freezes algorithm time so a fleet shard and a reference
@@ -330,5 +333,97 @@ func TestFleetRouterServesMapAndHealth(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("router health status %d", resp.StatusCode)
+	}
+}
+
+// TestFetchMapBoundedRead: FetchMap reads the map body under
+// transport.MaxBodyBytes and returns read errors instead of decoding
+// whatever arrived: an oversized body fails, and so does a body cut short
+// mid-read even when the bytes that did arrive are a valid map.
+func TestFetchMapBoundedRead(t *testing.T) {
+	m, err := NewMap(0, Shard{ID: 0, URL: "http://s0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := m.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, serve := range map[string]http.HandlerFunc{
+		"oversized": func(w http.ResponseWriter, _ *http.Request) {
+			// Valid JSON padded past the bound, so only the bound rejects it.
+			w.Write(append(append([]byte(nil), valid...), strings.Repeat(" ", transport.MaxBodyBytes)...))
+		},
+		"cut short": func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(valid)+100))
+			w.Write(valid)
+			conn, _, err := http.NewResponseController(w).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+		},
+	} {
+		ts := httptest.NewServer(serve)
+		if got, err := FetchMap(ts.URL); err == nil {
+			t.Errorf("%s map body: FetchMap returned a map of epoch %d, want an error", name, got.MapEpoch)
+		}
+		ts.Close()
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.Write(valid) }))
+	defer ts.Close()
+	if got, err := FetchMap(ts.URL); err != nil || got.MapEpoch != 1 {
+		t.Fatalf("valid map body: %v, %v", got, err)
+	}
+}
+
+// TestGateAndRouterServeControlStreams: a client with no map, pointed at a
+// shard that does not own the pair, gets a 307 frame on its stream, follows
+// it to the owner and is served there (the owner's gate counts the
+// decision); a client on the router's URL is carried to the owning shard
+// by the router's stream. Every decision lands exactly once.
+func TestGateAndRouterServeControlStreams(t *testing.T) {
+	work := newSoakWorkload(SoakConfig{Pairs: 8, ZipfS: 1.1, Relays: 3})
+	fleet, err := NewFleet(FleetConfig{
+		Shards:      2,
+		WALRoot:     t.TempDir(),
+		NewStrategy: func() core.Strategy { return core.NewVia(soakViaConfig(5), nil) },
+		Clock:       constClock(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	m := fleet.Map()
+	src, dst := pairOwnedBy(t, m, 1)
+	cands := work.opts[0]
+
+	direct := controller.NewClient(m.Shards[0].URL)
+	opt, err := direct.Choose(src, dst, cands)
+	if err != nil {
+		t.Fatalf("choose via the non-owner: %v", err)
+	}
+	if err := direct.Report(src, dst, opt, work.measure(0, opt)); err != nil {
+		t.Fatalf("report via the non-owner: %v", err)
+	}
+	if got := direct.Redirects(); got != 2 {
+		t.Errorf("client followed %d redirects, want 2 (choose and report)", got)
+	}
+
+	routed := controller.NewClient(fleet.RouterURL())
+	if _, err := routed.Choose(src, dst, cands); err != nil {
+		t.Fatalf("choose via the router: %v", err)
+	}
+	if got := routed.Redirects(); got != 0 {
+		t.Errorf("router client saw %d redirects, want 0", got)
+	}
+	if d := fleet.ShardDecisions(); d[0] != 0 || d[1] != 2 {
+		t.Errorf("shard decisions = %v, want all 2 on the owner", d)
+	}
+	st, err := routed.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Chooses != 2 || st.Reports != 1 {
+		t.Errorf("fleet stats = %+v, want 2 chooses and 1 report", st)
 	}
 }

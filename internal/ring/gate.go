@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync/atomic"
 
+	"repro/internal/controller"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -50,7 +51,9 @@ func peekPair(body []byte) (src, dst int32, err error) {
 // controller.Server's handler. Pair-scoped requests (choose/report) for
 // pairs this shard does not own are answered 307 with the owner's URL —
 // the mechanism by which clients holding a stale (older-epoch) map
-// self-correct. Everything else passes through to the controller.
+// self-correct. The check runs per POST, and per message on a control
+// stream (attached to its upgrade request). Everything else passes through
+// to the controller.
 //
 // The gate also serves and accepts the shard map itself on /v1/ring/map,
 // so a fleet operator (or the Fleet harness) can push a new epoch to
@@ -127,6 +130,8 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.serveMap(w, r)
 	case r.Method == http.MethodPost && (r.URL.Path == "/v1/choose" || r.URL.Path == "/v1/report"):
 		g.gatePair(w, r)
+	case r.URL.Path == transport.ControlPath:
+		g.inner.ServeHTTP(w, controller.WithMessageCheck(r, g.checkMessage))
 	default:
 		g.inner.ServeHTTP(w, r)
 	}
@@ -164,8 +169,33 @@ func (g *Gate) serveMap(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// gatePair peeks at the request pair; owned pairs pass through with the
-// body restored, foreign pairs get a 307 naming the owner. The body is read
+// route is the gate's one ownership check, for a choose or report body
+// whichever carrier brought it: the owner's base URL when another shard owns
+// the pair (counted as a redirect), "" when this shard does (an owned choose
+// counted as a decision), and the epoch of the map it answered by.
+func (g *Gate) route(choose bool, body []byte) (owner string, epoch uint64, err error) {
+	src, dst, err := peekPair(body)
+	if err != nil {
+		return "", 0, err
+	}
+	m := g.cur.Load()
+	if o := m.OwnerShard(src, dst); o.ID != g.shardID {
+		if g.redirects != nil {
+			g.redirects.Inc()
+		}
+		return o.URL, m.MapEpoch, nil
+	}
+	if choose {
+		g.decisions.Add(1)
+		if g.mDecisions != nil {
+			g.mDecisions.Inc()
+		}
+	}
+	return "", m.MapEpoch, nil
+}
+
+// gatePair routes a POST: owned pairs pass through with the body restored,
+// foreign pairs get a 307 naming the owner's endpoint. The body is read
 // under the controller's own bound (transport.MaxBodyBytes, 413 beyond).
 func (g *Gate) gatePair(w http.ResponseWriter, r *http.Request) {
 	body := transport.ReadRequest(w, r)
@@ -174,29 +204,31 @@ func (g *Gate) gatePair(w http.ResponseWriter, r *http.Request) {
 	}
 	// The inner handler reads the restored body before it returns.
 	defer body.Release()
-	src, dst, err := peekPair(body.B)
+	owner, epoch, err := g.route(r.URL.Path == "/v1/choose", body.B)
 	if err != nil {
 		http.Error(w, "decode request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	m := g.cur.Load()
-	owner := m.OwnerShard(src, dst)
-	if owner.ID != g.shardID {
-		if g.redirects != nil {
-			g.redirects.Inc()
-		}
-		w.Header().Set("Location", owner.URL+r.URL.Path)
-		w.Header().Set("X-Via-Ring-Epoch", strconv.FormatUint(m.MapEpoch, 10))
+	if owner != "" {
+		w.Header().Set("Location", owner+r.URL.Path)
+		w.Header().Set("X-Via-Ring-Epoch", strconv.FormatUint(epoch, 10))
 		w.WriteHeader(http.StatusTemporaryRedirect)
 		return
-	}
-	if r.URL.Path == "/v1/choose" {
-		g.decisions.Add(1)
-		if g.mDecisions != nil {
-			g.mDecisions.Inc()
-		}
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body.B))
 	r.ContentLength = int64(len(body.B))
 	g.inner.ServeHTTP(w, r)
+}
+
+// checkMessage is route for a control-stream message: a foreign pair is
+// answered with a 307 frame whose body is the owner's base URL.
+func (g *Gate) checkMessage(op transport.Op, body []byte) (int, string) {
+	owner, _, err := g.route(op == transport.OpChoose, body)
+	switch {
+	case err != nil:
+		return http.StatusBadRequest, "decode request: " + err.Error()
+	case owner != "":
+		return http.StatusTemporaryRedirect, owner
+	}
+	return 0, ""
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -19,7 +20,9 @@ import (
 // that don't carry a shard map send every request here; the router proxies
 // pair-scoped requests to the owning shard (primary first, standby on
 // failure), fans relay registrations out to all shards, and serves the
-// current map so smart clients can bootstrap and go shard-direct.
+// current map so smart clients can bootstrap and go shard-direct. Choose
+// and report arrive over control streams (controller.NewClient on the
+// router's URL) or plain POST; either way the hop to the shard is a POST.
 //
 // The router holds no decision state. Its one cross-shard responsibility
 // is the §4.6 budget percentile, the single global datum in the design:
@@ -34,6 +37,8 @@ type Router struct {
 	proxied   *obs.Counter
 	proxyErrs *obs.Counter
 	merges    *obs.Counter
+
+	streams *controller.StreamServer // inbound control streams
 
 	mu       sync.Mutex
 	stopCh   chan struct{} // guarded by mu
@@ -54,6 +59,7 @@ func NewRouter(m *Map, reg *obs.Registry) *Router {
 		},
 		reg: reg,
 	}
+	r.streams = controller.NewStreamServer(r.serveMessage, nil)
 	r.cur.Store(m)
 	if reg != nil {
 		r.proxied = reg.Counter(obs.L("via_ring_proxied_total", "role", "router"))
@@ -85,6 +91,7 @@ func (r *Router) Install(m *Map) error {
 // Handler returns the router's HTTP surface.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
+	mux.Handle("GET "+transport.ControlPath, r.streams)
 	mux.HandleFunc("POST /v1/choose", r.proxyPair)
 	mux.HandleFunc("POST /v1/report", r.proxyPair)
 	mux.HandleFunc("POST /v1/relays/register", r.fanoutRegister)
@@ -96,17 +103,50 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// proxyPair forwards a choose/report to the pair's owning shard, standby
-// on primary failure, and relays the shard's status and body verbatim.
+// proxyPair forwards a POSTed choose/report to the pair's owning shard and
+// relays the shard's status and body verbatim.
 func (r *Router) proxyPair(w http.ResponseWriter, req *http.Request) {
 	body, ok := readProxied(w, req)
 	if !ok {
 		return
 	}
+	resp, status, err := r.forward(req.URL.Path, body)
+	if err != nil {
+		http.Error(w, err.Error(), status)
+		return
+	}
+	relayResponse(w, resp)
+}
+
+// serveMessage is proxyPair for a control-stream message: the same hop,
+// with the shard's status and body returned as the response frame.
+func (r *Router) serveMessage(op transport.Op, body []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
+	path := op.Path()
+	if path == "" {
+		return http.StatusBadRequest, append(dst, "unknown control op"...)
+	}
+	// The stream reuses its body buffer for the next message, and net/http
+	// may still be writing a request body after Post returns.
+	resp, status, err := r.forward(path, bytes.Clone(body))
+	if err != nil {
+		return status, append(dst, err.Error()...)
+	}
+	defer resp.Body.Close() //vialint:ignore errwrap body read whole below; close failures have no recovery
+	n := len(dst)
+	if dst, err = transport.ReadBody(dst, resp.Body, resp.ContentLength); err != nil {
+		return http.StatusBadGateway, append(dst[:n], "ring: read shard reply: "+err.Error()...)
+	}
+	return resp.StatusCode, dst
+}
+
+// forward sends a choose/report body to its pair's owning shard, standby on
+// primary failure, and returns the shard's response. On failure it returns
+// the status to answer with instead: 400 for an unreadable pair, 502 when
+// no shard endpoint answered.
+func (r *Router) forward(path string, body []byte) (*http.Response, int, error) {
 	src, dst, err := peekPair(body)
 	if err != nil {
-		http.Error(w, "decode request: "+err.Error(), http.StatusBadRequest)
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
 	}
 	m := r.cur.Load()
 	owner := m.OwnerShard(src, dst)
@@ -115,7 +155,7 @@ func (r *Router) proxyPair(w http.ResponseWriter, req *http.Request) {
 	}
 	var lastErr error
 	for _, base := range shardTargets(owner) {
-		resp, err := r.http.Post(base+req.URL.Path, "application/json", bytes.NewReader(body))
+		resp, err := r.http.Post(base+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			lastErr = err
 			continue
@@ -135,13 +175,12 @@ func (r *Router) proxyPair(w http.ResponseWriter, req *http.Request) {
 				continue
 			}
 		}
-		relayResponse(w, resp)
-		return
+		return resp, http.StatusOK, nil
 	}
 	if r.proxyErrs != nil {
 		r.proxyErrs.Inc()
 	}
-	http.Error(w, "ring: no shard reachable for pair: "+lastErr.Error(), http.StatusBadGateway)
+	return nil, http.StatusBadGateway, fmt.Errorf("ring: no shard reachable for pair: %w", lastErr)
 }
 
 // fanoutRegister mirrors a relay registration to every shard — the relay
@@ -355,6 +394,13 @@ func (r *Router) Stop() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.stopLocked()
+}
+
+// Close stops the budget loop and severs the router's control streams,
+// which closing its http.Server does not reach. Idempotent.
+func (r *Router) Close() {
+	r.Stop()
+	r.streams.Close()
 }
 
 func (r *Router) stopLocked() {
