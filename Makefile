@@ -22,7 +22,7 @@ COVER_FLOOR ?= 75.0
 # -timings prints load + per-analyzer wall time to stderr).
 VIALINT_FLAGS ?=
 
-.PHONY: verify build vet fmt-check lint lint-fast test race short fuzz chaos chaos-ha chaos-repair soak loss-sweep bench bench-json bench-choose bench-smoke choose-smoke bench-vet cover
+.PHONY: verify build vet fmt-check mod-check lint lint-fast test race short fuzz chaos chaos-ha chaos-repair soak loss-sweep bench bench-json bench-choose bench-smoke choose-smoke bench-vet cover
 
 verify: build vet fmt-check lint test race
 
@@ -37,6 +37,12 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l cmd internal via bench | grep -v '/testdata/'); \
 	if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
+
+# go.mod must already be tidy: no requirement nothing imports. Needs Go
+# 1.23+ (`go mod tidy -diff`), so it is a CI step rather than part of
+# `make verify`, which also runs on 1.22.
+mod-check:
+	$(GO) mod tidy -diff
 
 # Project-specific invariants (cmd/vialint): determinism + dettaint (no
 # wall clock / global rand / map-order output, intra- and inter-

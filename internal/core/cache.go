@@ -22,13 +22,12 @@ package core
 //     enforced forever by the //via:noalloc annotation on the lookup,
 //     which `make lint` verifies against the compiler's escape analysis.
 //
-//   - Epoch invalidation: every slot carries an epoch counter, bumped when
-//     a measurement report for the pair is applied (via the strategy's
-//     report hook when the inner strategy supports it, else directly in
-//     Observe). A decision records the epoch it was computed under; a hit
-//     requires the epochs to match, so one report forces one recompute
-//     instead of waiting out the TTL — the cache is at most one report
-//     stale, never a TTL stale.
+//   - Epoch invalidation: every slot carries an epoch counter, bumped in
+//     Observe once the inner strategy has applied the pair's report. A
+//     decision records the epoch it was computed under; a hit requires the
+//     epochs to match, so one report forces one recompute instead of
+//     waiting out the TTL — the cache is at most one report stale, never a
+//     TTL stale.
 //
 // Orientation: decisions are stored in canonical (low endpoint first)
 // form and flipped on the way out, so both call directions share one
@@ -150,16 +149,11 @@ type Cached struct {
 	inner    Strategy
 	ttlHours float64
 	perShard int // max slots per shard (bounded memory)
-	hooked   bool
 	shards   [cacheShardCount]cacheShard
 }
 
 // NewCached wraps inner with a decision cache of the given TTL (hours)
-// and the default size bound. If inner exposes a report hook
-// (ReportHooked — core.Via and core.Sharded do), cache invalidation is
-// driven by report *application*, so with async ingestion a decision is
-// only recomputed once the new measurement is actually visible to the
-// inner strategy; otherwise Observe invalidates directly.
+// and the default size bound.
 func NewCached(inner Strategy, ttlHours float64) *Cached {
 	return NewCachedBounded(inner, ttlHours, DefaultCacheMaxPairs)
 }
@@ -174,15 +168,11 @@ func NewCachedBounded(inner Strategy, ttlHours float64, maxPairs int) *Cached {
 	if maxPairs < cacheShardCount {
 		maxPairs = cacheShardCount
 	}
-	c := &Cached{
+	return &Cached{
 		inner:    inner,
 		ttlHours: ttlHours,
 		perShard: (maxPairs + cacheShardCount - 1) / cacheShardCount,
 	}
-	if h, ok := inner.(ReportHooked); ok {
-		c.hooked = h.SetReportHook(c.invalidate)
-	}
-	return c
 }
 
 // Name implements Strategy.
@@ -192,8 +182,8 @@ func (c *Cached) Name() string { return c.inner.Name() + "+cache" }
 func (c *Cached) Inner() Strategy { return c.inner }
 
 // PairMix is the one hash of a group pair: the pair is ordered (min, max)
-// first, so both call directions mix to the same value. Sharded, the
-// decision cache and ring.PairHash all start from it and apply their own
+// first, so both call directions mix to the same value. The decision
+// cache and ring.PairHash both start from it and apply their own
 // finalizer.
 func PairMix(a, b int32) uint64 {
 	if a > b {
@@ -337,19 +327,12 @@ func (s *cacheShard) evictDownLocked(target int, nowHours float64) {
 	}
 }
 
-// Observe implements Strategy: reports pass through to the inner
-// strategy, and (when the inner strategy exposes no report hook) the
-// pair's cached decision is invalidated here instead.
+// Observe implements Strategy: the report passes through to the inner
+// strategy, then the pair's epoch is bumped so the next Choose recomputes
+// against the new measurement. Pairs with no cached decision are
+// untouched (nothing to invalidate).
 func (c *Cached) Observe(call Call, opt netsim.Option, m quality.Metrics) {
 	c.inner.Observe(call, opt, m)
-	if !c.hooked {
-		c.invalidate(call)
-	}
-}
-
-// invalidate bumps the pair's epoch so the next Choose recomputes. Pairs
-// with no cached decision are untouched (nothing to invalidate).
-func (c *Cached) invalidate(call Call) {
 	gp, _ := canonPair(call)
 	h := cacheHash(gp)
 	sh := &c.shards[h&(cacheShardCount-1)]
@@ -432,18 +415,23 @@ func (c *Cached) Reset() {
 	}
 }
 
-// Flush drains the inner strategy's pending reports (async ingestion);
-// a no-op for synchronous inner strategies.
-func (c *Cached) Flush() {
-	if f, ok := c.inner.(interface{ Flush() }); ok {
-		f.Flush()
+// ChooseRepair implements RepairStrategy by passing through to the inner
+// strategy, so a cache-wrapped Via still co-selects repair schemes. Repair
+// choices are not cached; an inner strategy without repair selection
+// answers "no repair".
+func (c *Cached) ChooseRepair(call Call, opt netsim.Option, schemes []string) string {
+	rs, ok := c.inner.(RepairStrategy)
+	if !ok {
+		return ""
 	}
+	return rs.ChooseRepair(call, opt, schemes)
 }
 
-// Close shuts down the inner strategy's background machinery, if any.
-func (c *Cached) Close() {
-	if cl, ok := c.inner.(interface{ Close() }); ok {
-		cl.Close()
+// ObserveRepair implements RepairStrategy by passing through to the inner
+// strategy, if it selects repair schemes.
+func (c *Cached) ObserveRepair(call Call, opt netsim.Option, scheme string, m quality.Metrics) {
+	if rs, ok := c.inner.(RepairStrategy); ok {
+		rs.ObserveRepair(call, opt, scheme, m)
 	}
 }
 

@@ -69,17 +69,6 @@ type ViaConfig struct {
 	// redundant repair bandwidth per pair (§4.6 applied to redundancy);
 	// 0 defaults to 0.25 when RepairSchemes is set, >= 1 disables.
 	RepairOverheadBudget float64
-	// AsyncIngest decouples measurement reports from decisions: Observe
-	// enqueues into a bounded ring and returns, and a drainer goroutine
-	// applies reports in arrival order (see ingest.go). Off by default —
-	// synchronous application is what keeps simulation results a pure
-	// function of the seed, and WAL-replay durability requires reports to
-	// be applied before the next record. Turn it on only for live
-	// serving; call Close on shutdown and Flush before snapshots.
-	AsyncIngest bool
-	// IngestBuffer bounds the async ring (reports pending application);
-	// 0 means defaultIngestBuffer. Producers block when it is full.
-	IngestBuffer int
 	// Groups sets the decision granularity (default: AS pair).
 	Groups GroupFunc
 	// Predictor tunes stage 2-3.
@@ -231,14 +220,6 @@ type Via struct {
 	inclScratch []bool
 	candScratch []netsim.Option
 	topkScratch []Candidate
-
-	// reportHook (guarded by mu) fires after each report is applied; the
-	// decision cache registers its epoch bump here (see ingest.go).
-	reportHook func(Call)
-	// ring, when non-nil, carries Observe calls to the drainer goroutine
-	// (AsyncIngest). Nil means synchronous application.
-	ring    *reportRing
-	drainWG sync.WaitGroup
 }
 
 // NewVia builds the strategy. bb may be nil (backbone links then become
@@ -281,15 +262,6 @@ func NewVia(cfg ViaConfig, bb BackboneSource) *Via {
 	}
 	if cfg.Budget < 1 {
 		v.benefit = stats.NewP2(clamp01(1-cfg.Budget, 0.001, 0.999))
-	}
-	if cfg.AsyncIngest {
-		buf := cfg.IngestBuffer
-		if buf <= 0 {
-			buf = defaultIngestBuffer
-		}
-		v.ring = newReportRing(buf)
-		v.drainWG.Add(1)
-		go v.drainLoop()
 	}
 	v.obs = viaObs{enabled: cfg.Metrics != nil, spans: cfg.Spans, reg: cfg.Metrics}
 	if v.obs.enabled {
@@ -729,19 +701,8 @@ func (v *Via) filterTopKLocked(topk []Candidate) []Candidate {
 }
 
 // Observe implements Strategy: fold the realized performance into the call
-// history (stage 1) and the per-pair UCB state — inline, or via the async
-// ingestion ring when AsyncIngest is on.
+// history (stage 1) and the per-pair UCB state.
 func (v *Via) Observe(c Call, opt netsim.Option, m quality.Metrics) {
-	if v.ring != nil {
-		v.ring.enqueue(pendingReport{call: c, opt: opt, m: m})
-		return
-	}
-	v.applyReport(c, opt, m)
-}
-
-// applyReport folds one measurement report into strategy state and fires
-// the report hook. Called from Observe (sync mode) or the drainer.
-func (v *Via) applyReport(c Call, opt netsim.Option, m quality.Metrics) {
 	g1, g2 := v.cfg.Groups(c)
 	bucket := v.epochOf(c.THours)
 	v.store.Add(netsim.ASID(g1), netsim.ASID(g2), opt, bucket, m)
@@ -758,13 +719,9 @@ func (v *Via) applyReport(c Call, opt netsim.Option, m quality.Metrics) {
 		v.pairs[gp] = ps
 	}
 	ps.ucb.observe(copt, m.Get(v.cfg.Metric))
-	hook := v.reportHook
 	v.mu.Unlock()
 	if v.obs.observations != nil {
 		v.obs.observations.Inc()
-	}
-	if hook != nil {
-		hook(c)
 	}
 }
 

@@ -40,11 +40,11 @@ type Env struct {
 }
 
 // cacheEntry is one singleflight slot: the first requester runs the
-// strategy inside once; later requesters block on the same Once and then
-// read res, which Once's happens-before edge publishes.
+// computation inside once; later requesters block on the same Once and
+// then read res, which Once's happens-before edge publishes.
 type cacheEntry struct {
 	once sync.Once
-	res  *sim.Result
+	res  any
 }
 
 // NewEnv builds the default environment: the standard world (150 ASes, 24
@@ -65,12 +65,12 @@ func NewEnv(seed uint64, calls int) *Env {
 	}
 }
 
-// runCustom executes (or returns the cached result of) an arbitrary
+// memo executes (or returns the cached result of) an arbitrary
 // computation labeled by key with singleflight semantics: compute is
 // invoked exactly once per key, and concurrent callers of the same key
 // wait on that single in-flight run instead of recomputing or serializing
-// unrelated work behind Env.mu.
-func (e *Env) runCustom(key string, compute func() *sim.Result) *sim.Result {
+// unrelated work behind Env.mu. A key always memoises one result type.
+func memo[T any](e *Env, key string, compute func() T) T {
 	e.mu.Lock()
 	ent, ok := e.cache[key]
 	if !ok {
@@ -81,14 +81,14 @@ func (e *Env) runCustom(key string, compute func() *sim.Result) *sim.Result {
 	ent.once.Do(func() {
 		ent.res = compute()
 	})
-	return ent.res
+	return ent.res.(T)
 }
 
 // run executes (or returns the cached result of) a strategy labeled by key.
 // The factory is invoked exactly once per key — strategies are stateful and
 // must be fresh per run.
 func (e *Env) run(key string, mk func() core.Strategy) *sim.Result {
-	return e.runCustom(key, func() *sim.Result {
+	return memo(e, key, func() *sim.Result {
 		return e.Runner.RunOne(mk(), e.Trace)
 	})
 }

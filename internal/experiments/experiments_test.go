@@ -145,6 +145,25 @@ func TestFig16BudgetShape(t *testing.T) {
 	}
 }
 
+func TestDecisionCachingShape(t *testing.T) {
+	e := env(t)
+	// §7's cache sits at the client and reports go to the controller, so
+	// the cache saves controller load, and saves more the longer its TTL.
+	// The rows come from memoised runs, so re-reading the table must print
+	// the same savings as the first run did.
+	prev := 0.0
+	for _, row := range DecisionCaching(e)[0].Rows[1:] {
+		saved, err := strconv.ParseFloat(strings.TrimSuffix(row[1], "%"), 64)
+		if err != nil {
+			t.Fatalf("TTL %s: bad saved cell %q", row[0], row[1])
+		}
+		if saved <= prev {
+			t.Errorf("TTL %s: saved %.1f%%, want > %.1f%%", row[0], saved, prev)
+		}
+		prev = saved
+	}
+}
+
 func TestHistoryFromSurveyCoversOptions(t *testing.T) {
 	e := env(t)
 	pairs := e.Runner.EligiblePairs()

@@ -41,7 +41,7 @@ func (e *Env) runWithFilter(key string, m quality.Metric, filter func([]netsim.O
 // runExcluding runs Via on a simulator whose candidate sets exclude the
 // given relays (Fig. 17c).
 func (e *Env) runExcluding(key string, m quality.Metric, excluded map[netsim.RelayID]bool) *sim.Result {
-	return e.runCustom(key, func() *sim.Result {
+	return memo(e, key, func() *sim.Result {
 		cfg := e.Runner.Cfg
 		cfg.ExcludeRelays = excluded
 		runner := sim.NewRunner(e.World, cfg)

@@ -30,7 +30,7 @@ func ActiveProbes(e *Env) []*stats.Table {
 
 // runProbes runs Via on a simulator with an active-probe budget.
 func (e *Env) runProbes(key string, m quality.Metric, probesPerWindow int) *sim.Result {
-	return e.runCustom(key, func() *sim.Result {
+	return memo(e, key, func() *sim.Result {
 		cfg := e.Runner.Cfg
 		cfg.ActiveProbesPerWindow = probesPerWindow
 		runner := sim.NewRunner(e.World, cfg)

@@ -178,17 +178,11 @@ func NewExploreOnly(m Metric, epsilon float64, seed uint64) Strategy {
 	return core.NewExploreOnly(m, epsilon, seed)
 }
 
-// NewSharded partitions calls across n independent strategy instances by
-// pair hash — the C3-style split-control scaling of §7. The factory is
-// invoked once per shard.
-func NewSharded(n int, factory func(shard int) Strategy) Strategy {
-	return core.NewSharded(n, factory)
-}
-
 // NewCached wraps a strategy with a per-pair decision cache (TTL in hours):
 // the §7 client-side caching that trades decision staleness for controller
 // load. Entries are also invalidated early when a report for their pair is
-// applied (epoch invalidation), so the cache is at most one report stale.
+// observed through the cache (epoch invalidation), so the cache is at most
+// one report stale.
 func NewCached(inner Strategy, ttlHours float64) *core.Cached {
 	return core.NewCached(inner, ttlHours)
 }

@@ -93,12 +93,7 @@ func TestExperimentRegistryThroughFacade(t *testing.T) {
 }
 
 func TestScalingWrappersThroughFacade(t *testing.T) {
-	s := via.NewSharded(4, func(shard int) via.Strategy {
-		cfg := via.DefaultSelectorConfig(via.RTT)
-		cfg.Seed = uint64(shard + 1)
-		return via.NewSelector(cfg, nil)
-	})
-	cached := via.NewCached(s, 2)
+	cached := via.NewCached(via.NewSelector(via.DefaultSelectorConfig(via.RTT), nil), 2)
 	call := via.Call{Src: 1, Dst: 2, THours: 0.1}
 	cands := []via.Option{via.DirectOption(), via.BounceOption(1)}
 	opt1 := cached.Choose(call, cands)
