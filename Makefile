@@ -35,7 +35,7 @@ vet:
 # Every tree that holds Go source must be gofmt-clean (analyzer fixtures
 # under testdata/ are exempt: some are malformed on purpose).
 fmt-check:
-	@out=$$(gofmt -l cmd internal via bench | grep -v '/testdata/'); \
+	@out=$$(gofmt -l cmd internal via bench examples | grep -v '/testdata/'); \
 	if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 # go.mod must already be tidy: no requirement nothing imports. Needs Go

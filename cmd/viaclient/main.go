@@ -114,9 +114,6 @@ func main() {
 	}
 	fmt.Printf("measured: rtt=%.1fms loss=%.2f%% jitter=%.2fms\n",
 		m.RTTMs, 100*m.LossRate, m.JitterMs)
-	if agent.RepairDowngrades() > 0 {
-		fmt.Println("peer did not confirm the repair scheme; ran plain forwarding")
-	}
 	if cc != nil {
 		var rerr error
 		if scheme == rtp.SchemeNone {

@@ -118,7 +118,6 @@ func serveCmd(args []string) int {
 		"decision-cache TTL in virtual hours (0 = no cache); incompatible with -wal, whose replay must re-execute every decision")
 	timescale := fs.Float64("timescale", 0, "virtual hours per wall second (0 = real time)")
 	seed := fs.Uint64("seed", 1, "strategy seed")
-	state := fs.String("state", "", "history snapshot file: loaded at start, saved on SIGINT (in-memory mode only)")
 	relayTTL := fs.Duration("relay-ttl", 0, "expire relays whose heartbeat lapsed this long (0 = never)")
 	walDir := fs.String("wal", "", "durability: write-ahead log + snapshot directory (restart recovers exact state)")
 	walSync := fs.Duration("wal-sync", 0, "WAL group-commit window (0 = default, negative = fsync every append)")
@@ -147,9 +146,6 @@ func serveCmd(args []string) int {
 	if *standbyOf != "" && *walDir == "" {
 		log.Fatal("-standby requires -wal (the standby replicates the primary's WAL into its own)")
 	}
-	if *state != "" && *walDir != "" {
-		log.Fatal("-state and -wal are mutually exclusive (the WAL supersedes the history snapshot file)")
-	}
 	if (*ringMapFile == "") != (*ringShard < 0) {
 		log.Fatal("-ring-map and -ring-shard go together (a shard needs both the map and its own ID)")
 	}
@@ -172,18 +168,6 @@ func serveCmd(args []string) int {
 		cfg.RepairOverheadBudget = *repairBudget
 	}
 	strat := core.NewVia(cfg, nil)
-
-	if *state != "" {
-		if f, err := os.Open(*state); err == nil {
-			if err := strat.LoadHistory(f); err != nil {
-				log.Fatalf("load state: %v", err)
-			}
-			f.Close() //vialint:ignore errwrap read-only file
-			fmt.Printf("restored history from %s\n", *state)
-		} else if !os.IsNotExist(err) {
-			log.Fatalf("open state: %v", err)
-		}
-	}
 
 	var serveStrat core.Strategy = strat
 	if *cacheTTL > 0 {
@@ -248,8 +232,8 @@ func serveCmd(args []string) int {
 	}
 
 	// On SIGINT/SIGTERM: stop admitting requests, drain in-flight
-	// choose/report calls (so no measurement is lost), persist history if
-	// asked, flush the WAL, then close the listener.
+	// choose/report calls (so no measurement is lost), flush the WAL, then
+	// close the listener.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -258,18 +242,6 @@ func serveCmd(args []string) int {
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("drain: %v", err)
-		}
-		if *state != "" {
-			f, err := os.Create(*state)
-			if err == nil {
-				err = strat.SaveHistory(f)
-				f.Close() //vialint:ignore errwrap SaveHistory's error is the one that matters; a close failure surfaces on the next load
-			}
-			if err != nil {
-				log.Printf("save state: %v", err)
-			} else {
-				fmt.Printf("\nsaved history to %s\n", *state)
-			}
 		}
 		if err := srv.Close(); err != nil {
 			log.Printf("close: %v", err)

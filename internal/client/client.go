@@ -54,11 +54,6 @@ type Agent struct {
 	keepalivesSent  atomic.Int64 // session keepalives emitted
 	pathResponses   atomic.Int64 // relay path challenges answered
 	drainMigrations atomic.Int64 // in-place migrations off draining relays
-	tokenDowngrades atomic.Int64 // calls that dropped the token for a legacy peer
-
-	// mobility gates the per-call session token (wire v3). On by default;
-	// disabled agents produce byte-identical v1/v2 traffic.
-	mobilityOff atomic.Bool
 
 	// Loss-repair data-plane counters (see repair.go).
 	nacksSent         atomic.Int64 // NACK seqs requested (receiver side)
@@ -66,12 +61,6 @@ type Agent struct {
 	fecRecovered      atomic.Int64 // packets rebuilt from FEC parity
 	redDuplicates     atomic.Int64 // redundant RED copies absorbed
 	rtxDeadlineMisses atomic.Int64 // NACK entries expired unrepaired
-	repairDowngrades  atomic.Int64 // calls that fell back to plain forwarding
-
-	// legacyV1 simulates a pre-repair build: the agent drops any frame
-	// carrying a repair byte (the v2 header an old Unmarshal would reject)
-	// and never negotiates a scheme.
-	legacyV1 atomic.Bool
 
 	wg sync.WaitGroup
 }
@@ -95,22 +84,6 @@ func (a *Agent) REDDuplicates() int64 { return a.redDuplicates.Load() }
 // RtxDeadlineMisses returns how many NACK entries expired unrepaired.
 func (a *Agent) RtxDeadlineMisses() int64 { return a.rtxDeadlineMisses.Load() }
 
-// RepairDowngrades returns how many calls fell back to plain forwarding
-// because the peer never confirmed the repair scheme.
-func (a *Agent) RepairDowngrades() int64 { return a.repairDowngrades.Load() }
-
-// SetLegacyV1 makes the agent behave like a pre-repair build: incoming
-// frames with a repair byte are dropped (an old parser would reject the
-// v2 magic) and no scheme is ever echoed, so a repair-requesting caller
-// must detect the silence and downgrade. A legacy build also predates
-// session tokens, so v3 frames are dropped and none are emitted.
-func (a *Agent) SetLegacyV1(on bool) { a.legacyV1.Store(on) }
-
-// SetMobility toggles session tokens (wire v3) for calls this agent
-// originates. Off, the agent emits byte-identical v1/v2 traffic — the
-// compat path for peers that never negotiate a token.
-func (a *Agent) SetMobility(on bool) { a.mobilityOff.Store(!on) }
-
 // Rebinds returns how many times the agent's transport was rebound.
 func (a *Agent) Rebinds() int64 { return a.rebinds.Load() }
 
@@ -124,10 +97,6 @@ func (a *Agent) PathResponses() int64 { return a.pathResponses.Load() }
 // in place (not counted as failovers: the path was healthy, just
 // retiring).
 func (a *Agent) DrainMigrations() int64 { return a.drainMigrations.Load() }
-
-// TokenDowngrades returns how many calls dropped their session token
-// mid-call to interoperate with a silent (pre-token) peer.
-func (a *Agent) TokenDowngrades() int64 { return a.tokenDowngrades.Load() }
 
 // RegisterMetrics publishes the agent's failover and loss-repair counters
 // on a shared registry, labeled per client.
@@ -144,8 +113,6 @@ func (a *Agent) RegisterMetrics(reg *obs.Registry, client string) {
 		func() float64 { return float64(a.REDDuplicates()) })
 	reg.GaugeFunc(obs.L("via_client_rtx_deadline_misses", "client", client),
 		func() float64 { return float64(a.RtxDeadlineMisses()) })
-	reg.GaugeFunc(obs.L("via_client_repair_downgrades", "client", client),
-		func() float64 { return float64(a.RepairDowngrades()) })
 	reg.CounterFunc(obs.L("via_client_rebinds_total", "client", client),
 		func() int64 { return a.Rebinds() })
 	reg.CounterFunc(obs.L("via_client_keepalives_total", "client", client),
@@ -154,8 +121,6 @@ func (a *Agent) RegisterMetrics(reg *obs.Registry, client string) {
 		func() int64 { return a.PathResponses() })
 	reg.CounterFunc(obs.L("via_client_drain_migrations_total", "client", client),
 		func() int64 { return a.DrainMigrations() })
-	reg.CounterFunc(obs.L("via_client_token_downgrades_total", "client", client),
-		func() int64 { return a.TokenDowngrades() })
 }
 
 // outCall is caller-side per-call state.
@@ -165,12 +130,9 @@ type outCall struct {
 	lastRR   *rtp.ReceiverReport
 	lastRRAt time.Time // arrival time of lastRR (failover liveness signal)
 
-	// Sender-side repair state (nil / zero when the call runs no repair).
-	scheme   rtp.Scheme
-	rtx      *rtp.RtxRing // sent wire frames, for NACK retransmits
-	sendTo   *net.UDPAddr // current first hop (retransmit target)
-	echoSeen bool         // a receiver report carried a scheme echo
-	echo     rtp.Scheme   // the scheme the callee confirmed
+	// Sender-side repair state (rtx is nil when the call runs no repair).
+	rtx    *rtp.RtxRing // sent wire frames, for NACK retransmits
+	sendTo *net.UDPAddr // current first hop (retransmit target)
 
 	// drainNudge is set by the read loop when a relay on the path asks the
 	// call to migrate (KindDrain); the media loop consumes it and repaths
@@ -296,17 +258,15 @@ type CallSpec struct {
 	FailoverAfter time.Duration
 	// Repair selects the in-band loss-repair scheme for the call's media
 	// (negotiated at setup: the scheme rides in every frame's repair byte
-	// and the callee echoes its acceptance on receiver reports). The zero
-	// value (SchemeNone) sends plain v1 frames. If the peer never
-	// confirms the scheme — a pre-repair build — the caller downgrades to
-	// plain forwarding instead of failing the call.
+	// and the callee adopts it from the first frame). The zero value
+	// (SchemeNone) runs no repair.
 	Repair rtp.Scheme
 	// Keepalive is how often the caller refreshes its session state at the
 	// relays on the path: a token-bearing frame addressed to the relay
 	// chain (consumed before the peer) that resets the relay idle TTL and
 	// keeps NAT bindings warm. Zero means the 10s default; negative
-	// disables. Keepalives ride only relayed, token-bearing calls — direct
-	// or tokenless calls have no relay session to refresh.
+	// disables. Keepalives ride only relayed calls — a direct call has no
+	// relay session to refresh.
 	Keepalive time.Duration
 }
 
@@ -405,24 +365,16 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 	}
 
 	session := a.newSession()
-	// Repair setup: a legacy build cannot emit v2 frames at all.
 	scheme := spec.Repair
-	if a.legacyV1.Load() {
-		scheme = rtp.SchemeNone
-	}
 	// Session token (wire v3): lets relays identify this call's frames by
 	// token rather than source address, so the call survives a mid-call
-	// NAT rebind (DESIGN.md §17). A legacy or mobility-off agent stays on
-	// the v1/v2 wire.
-	var tok transport.Token
-	if !a.legacyV1.Load() && !a.mobilityOff.Load() {
-		tok = a.newToken()
-	}
+	// NAT rebind (DESIGN.md §17).
+	tok := a.newToken()
 	kaEvery := spec.Keepalive
 	if kaEvery == 0 {
 		kaEvery = 10 * time.Second
 	}
-	oc := &outCall{scheme: scheme, sendTo: rs.sendTo}
+	oc := &outCall{sendTo: rs.sendTo}
 	if scheme != rtp.SchemeNone {
 		oc.rtx = rtp.NewRtxRing(256)
 	}
@@ -555,7 +507,7 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 
 		// Keepalive cadence: refresh relay session/NAT state on quiet-but-
 		// alive paths (media itself also refreshes; this is the floor).
-		if !tok.IsZero() && kaEvery > 0 && time.Since(lastKA) >= kaEvery {
+		if kaEvery > 0 && time.Since(lastKA) >= kaEvery {
 			a.sendKeepalive(session, tok, rs)
 			lastKA = time.Now()
 		}
@@ -575,43 +527,6 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 					return out, err
 				}
 				a.drainMigrations.Add(1)
-			}
-		}
-
-		// Repair liveness: the callee confirms the scheme by echoing it on
-		// its receiver reports. A peer that reports without the echo (or
-		// with a different scheme) is a pre-repair build — downgrade to
-		// plain forwarding immediately rather than failing the call. A peer
-		// that stays silent for FailoverAfter gets one downgrade attempt
-		// (maybe it dropped our v2/v3 frames wholesale) before path
-		// failover; the session token is shed on the same silence signal,
-		// since a pre-token build rejects the v3 magic just as a pre-repair
-		// build rejects v2. An echoing peer keeps the token — it parsed our
-		// frames fine.
-		if scheme != rtp.SchemeNone || !tok.IsZero() {
-			oc.mu.Lock()
-			seenRR := oc.lastRR != nil
-			confirmed := oc.echoSeen && oc.echo == scheme
-			oc.mu.Unlock()
-			silent := !seenRR && time.Since(activated) > spec.FailoverAfter
-			if scheme != rtp.SchemeNone && ((seenRR && !confirmed) || silent) {
-				scheme = rtp.SchemeNone
-				f.Repair = 0
-				fecEnc = nil
-				oc.mu.Lock()
-				oc.scheme = rtp.SchemeNone
-				oc.rtx = nil
-				oc.mu.Unlock()
-				a.repairDowngrades.Add(1)
-			}
-			if silent && !tok.IsZero() {
-				tok = transport.Token{}
-				f.Token = tok
-				pf.Token = tok
-				a.tokenDowngrades.Add(1)
-			}
-			if silent {
-				activated = time.Now() // fresh liveness window for the downgraded wire
 			}
 		}
 
@@ -731,22 +646,6 @@ func (a *Agent) incomingSessions() map[uint64]bool {
 	return out
 }
 
-// CallWithFallback places a call like Call, but if a relayed path turns out
-// to be completely dead (no receiver reports at all — a crashed relay, not
-// mere degradation), it retries once over the direct path. It returns the
-// metrics together with the option actually used; the caller should report
-// that option to the controller so the dead path's failure is learned.
-func (a *Agent) CallWithFallback(spec CallSpec) (quality.Metrics, netsim.Option, error) {
-	m, err := a.Call(spec)
-	if err == ErrNoFeedback && spec.Option.IsRelayed() {
-		direct := spec
-		direct.Option = netsim.DirectOption()
-		m, err = a.Call(direct)
-		return m, direct.Option, err
-	}
-	return m, spec.Option, err
-}
-
 func putNanos(b []byte, v int64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * (7 - i)))
@@ -848,9 +747,6 @@ func (a *Agent) readLoop(conn net.PacketConn) {
 		if len(f.Route) != 0 {
 			continue // not at its final destination; misdelivered
 		}
-		if a.legacyV1.Load() && (f.Repair != 0 || !f.Token.IsZero()) {
-			continue // pre-repair build: the v2/v3 header reads as garbage
-		}
 		switch f.Kind {
 		case transport.KindMedia:
 			a.handleMedia(&f)
@@ -906,8 +802,9 @@ func (a *Agent) handleMedia(f *transport.Frame) {
 		ic = &inCall{}
 		// A token-bearing caller gets a token-bearing callee: the callee
 		// mints its own token (each endpoint's relay-adjacent hop tracks
-		// its own mobility), fixed for the life of the call.
-		if !f.Token.IsZero() && !a.mobilityOff.Load() {
+		// its own mobility), fixed for the life of the call. Frames from
+		// non-agent senders may carry no token; those calls stay tokenless.
+		if !f.Token.IsZero() {
 			ic.token = a.newTokenLocked()
 		}
 		a.incoming[f.Session] = ic
@@ -959,7 +856,6 @@ func (a *Agent) handleMedia(f *transport.Frame) {
 	sendRR := ic.pkts%rrEvery == 0
 	var rr rtp.ReceiverReport
 	var replyRoute []*net.UDPAddr
-	echoScheme := rtp.SchemeNone
 	if sendRR && len(ic.reply) > 0 {
 		rr = rtp.ReceiverReport{
 			SSRC:          pkt.SSRC,
@@ -970,7 +866,6 @@ func (a *Agent) handleMedia(f *transport.Frame) {
 			DelayNanos:    time.Now().UnixNano() - ic.lastArrNs,
 		}
 		replyRoute = ic.reply
-		echoScheme = ic.scheme
 	}
 	// NACK pass: collect overdue gaps for (re)request while the lock is
 	// held, send after release. Runs on every packet, not just RR ticks —
@@ -1007,11 +902,6 @@ func (a *Agent) handleMedia(f *transport.Frame) {
 			return
 		}
 		out.Payload = rr.Marshal(nil)
-		if echoScheme != rtp.SchemeNone {
-			// Confirm the negotiated scheme: one echo byte after the fixed
-			// report, ignored by pre-repair parsers.
-			out.Payload = append(out.Payload, echoScheme.Byte())
-		}
 		//vialint:ignore errwrap best-effort receiver report: a lost RR is one missing sample, repaired by the next interval
 		_, _ = a.pc().WriteTo(out.Marshal(nil), replyRoute[0])
 	}
@@ -1115,10 +1005,5 @@ func (a *Agent) handleReport(f *transport.Frame) {
 	cp := rr
 	oc.lastRR = &cp
 	oc.lastRRAt = time.Now()
-	if len(f.Payload) > rtp.RRLen {
-		// Trailing byte past the fixed report is the callee's scheme echo.
-		oc.echoSeen = true
-		oc.echo = rtp.SchemeFromByte(f.Payload[rtp.RRLen])
-	}
 	oc.mu.Unlock()
 }

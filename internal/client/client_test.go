@@ -270,49 +270,84 @@ func TestAgentDoubleClose(t *testing.T) {
 	}
 }
 
-func TestCallWithFallbackOnDeadRelay(t *testing.T) {
-	// Route the call through a relay that is not running: no feedback over
-	// the relayed path, so the agent must retry direct and succeed.
-	caller := newAgent(t, 1, 40)
-	callee := newAgent(t, 2, 41)
-	dead, err := net.ResolveUDPAddr("udp", "127.0.0.1:1") // nothing listens
-	if err != nil {
+// deadRelayAgent is an agent whose directory maps relay id to an address
+// nothing listens on, so every relayed path through it is dead from the
+// first packet.
+func deadRelayAgent(t *testing.T, id netsim.RelayID, seed uint64) *Agent {
+	t.Helper()
+	a := newAgent(t, 1, seed)
+	if err := a.SetRelays(map[netsim.RelayID]string{id: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
-	caller.SetRelays(map[netsim.RelayID]string{7: dead.String()})
-	m, used, err := caller.CallWithFallback(CallSpec{
+	return a
+}
+
+func TestCallResilientDeadRelayFallsBackDirect(t *testing.T) {
+	// Route the call through a relay that is not running: no feedback over
+	// the relayed path, so the agent must fail over to direct and succeed
+	// within the default liveness window.
+	caller := deadRelayAgent(t, 7, 40)
+	callee := newAgent(t, 2, 41)
+	out, err := caller.CallResilient(CallSpec{
 		Peer:     callee.Addr(),
 		Option:   netsim.BounceOption(7),
-		Duration: 200 * time.Millisecond,
+		Failover: []netsim.Option{netsim.DirectOption()},
+		Duration: 600 * time.Millisecond,
 		PPS:      100,
 	})
 	if err != nil {
 		t.Fatalf("fallback call failed: %v", err)
 	}
-	if used != netsim.DirectOption() {
-		t.Errorf("used option = %v, want direct fallback", used)
+	if out.Used != netsim.DirectOption() {
+		t.Errorf("used option = %v, want direct fallback", out.Used)
 	}
-	if m.RTTMs <= 0 {
+	if out.Metrics.RTTMs <= 0 {
 		t.Error("fallback call measured no RTT")
 	}
 }
 
-func TestCallWithFallbackKeepsWorkingOption(t *testing.T) {
+// TestDeadFirstPathFailsOverInOneWindow: a path that is dead from setup
+// fails over after one FailoverAfter window, so a call only a little
+// longer than the window still finishes on its fallback.
+func TestDeadFirstPathFailsOverInOneWindow(t *testing.T) {
+	caller := deadRelayAgent(t, 7, 44)
+	callee := newAgent(t, 2, 45)
+	out, err := caller.CallResilient(CallSpec{
+		Peer:          callee.Addr(),
+		Option:        netsim.BounceOption(7),
+		Failover:      []netsim.Option{netsim.DirectOption()},
+		FailoverAfter: 200 * time.Millisecond,
+		Duration:      350 * time.Millisecond,
+		PPS:           100,
+	})
+	if err != nil {
+		t.Fatalf("call over a dead first path: %v", err)
+	}
+	if out.Used != netsim.DirectOption() {
+		t.Errorf("finished on %v, want direct", out.Used)
+	}
+	if len(out.Failed) != 1 {
+		t.Errorf("failed options = %v, want [bounce 7]", out.Failed)
+	}
+}
+
+func TestCallResilientKeepsWorkingOption(t *testing.T) {
 	r := startRelay(t, 3)
 	caller := newAgent(t, 1, 42)
 	callee := newAgent(t, 2, 43)
 	caller.SetRelays(relayDir(r))
-	_, used, err := caller.CallWithFallback(CallSpec{
+	out, err := caller.CallResilient(CallSpec{
 		Peer:     callee.Addr(),
 		Option:   netsim.BounceOption(3),
+		Failover: []netsim.Option{netsim.DirectOption()},
 		Duration: 200 * time.Millisecond,
 		PPS:      100,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if used != netsim.BounceOption(3) {
-		t.Errorf("healthy relay replaced: used %v", used)
+	if out.Used != netsim.BounceOption(3) {
+		t.Errorf("healthy relay replaced: used %v", out.Used)
 	}
 }
 

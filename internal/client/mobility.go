@@ -24,10 +24,9 @@ var ErrClosed = errors.New("client: agent closed")
 // a NAT rebind or interface handover: the old conn is closed (its read
 // loop retires), a fresh read loop starts on the new conn, and every
 // in-flight call notices the generation bump and re-derives the routes
-// that embed the agent's own address. Calls carrying a session token
-// survive — their relays re-validate the new source and re-pin the
-// return path; tokenless calls keep sending but lose reverse traffic,
-// exactly like a real pre-token client behind a rebinding NAT.
+// that embed the agent's own address. Calls carrying a session token —
+// every call an agent places — survive: their relays re-validate the new
+// source and re-pin the return path.
 func (a *Agent) Rebind(conn net.PacketConn) error {
 	a.mu.Lock()
 	if a.closed {
@@ -74,10 +73,10 @@ func (a *Agent) newTokenLocked() transport.Token {
 // hop is dropped, so the last relay consumes it — the peer never sees
 // keepalives). Each relay on the chain resets the session's idle TTL and,
 // after a rebind, sees the new source address on a token it knows, which
-// triggers path validation immediately. Direct or tokenless calls have no
-// relay session to refresh; this is a no-op for them.
+// triggers path validation immediately. A direct call has no relay
+// session to refresh; this is a no-op for it.
 func (a *Agent) sendKeepalive(session uint64, tok transport.Token, rs *routeSet) {
-	if tok.IsZero() || len(rs.route) == 0 {
+	if len(rs.route) == 0 {
 		return
 	}
 	var f transport.Frame

@@ -4,8 +4,7 @@
 // overdue packets, and folds FEC parity into its decoder. RED needs no
 // state here beyond duplicate detection in FlowStats. The scheme itself
 // is negotiated in CallResilient (see client.go): it rides in every
-// frame's repair byte, and the callee confirms it with an echo byte
-// trailing each receiver report.
+// frame's repair byte, and the callee adopts the first one it sees.
 package client
 
 import (
@@ -55,7 +54,7 @@ func (a *Agent) sendNack(session uint64, ssrc uint32, seqs []uint16, reply []*ne
 // handleNack is the caller side of retransmission: look the requested
 // sequence numbers up in the call's retransmit ring and re-send the
 // stored wire frames verbatim. A seq that has already been overwritten
-// in the ring (or a call that downgraded away its ring) is silently
+// in the ring (or a call that runs no repair and keeps no ring) is silently
 // skipped — the receiver's retry/deadline machinery owns giving up.
 func (a *Agent) handleNack(f *transport.Frame) {
 	var req rtp.NACKRequest

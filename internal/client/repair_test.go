@@ -45,9 +45,6 @@ func TestNACKRepairReducesResidualLoss(t *testing.T) {
 		t.Errorf("NACK residual loss %.3f, no-repair %.3f — repair did not help",
 			rep.Metrics.LossRate, base.Metrics.LossRate)
 	}
-	if caller.RepairDowngrades() != 0 {
-		t.Errorf("unexpected downgrade on a repair-capable peer")
-	}
 }
 
 func TestREDRepairAbsorbsDuplicates(t *testing.T) {
@@ -81,57 +78,6 @@ func TestFECRepairRecoversSingleLosses(t *testing.T) {
 	// packet, so residual should land well under the raw rate.
 	if rep.Metrics.LossRate > 0.08 {
 		t.Errorf("FEC residual loss %.3f, want < raw 0.10 with margin", rep.Metrics.LossRate)
-	}
-	if caller.RepairDowngrades() != 0 {
-		t.Errorf("unexpected downgrade on a repair-capable peer")
-	}
-}
-
-// TestLegacyPeerDowngradesNotFails is the graceful-degradation contract:
-// a callee that predates repair drops every v2 frame, so the caller must
-// notice the silence, downgrade to plain v1 forwarding, and complete the
-// call — never fail it.
-func TestLegacyPeerDowngradesNotFails(t *testing.T) {
-	caller := newAgent(t, 1, 107)
-	callee := newAgent(t, 2, 108)
-	callee.SetLegacyV1(true)
-
-	out, err := caller.CallResilient(CallSpec{
-		Peer:          callee.Addr(),
-		Option:        netsim.DirectOption(),
-		Duration:      1200 * time.Millisecond,
-		PPS:           100,
-		Repair:        rtp.SchemeNACK,
-		FailoverAfter: 200 * time.Millisecond, // downgrade quickly
-	})
-	if err != nil {
-		t.Fatalf("call against legacy peer failed instead of downgrading: %v", err)
-	}
-	if caller.RepairDowngrades() == 0 {
-		t.Error("caller never recorded the downgrade")
-	}
-	if len(out.Failed) != 0 {
-		t.Errorf("downgrade escalated to path failover: failed=%v", out.Failed)
-	}
-	// After the downgrade the media is plain v1 and the call measures.
-	if out.Metrics.LossRate > 0.5 {
-		t.Errorf("post-downgrade loss %.3f — media never flowed plain", out.Metrics.LossRate)
-	}
-}
-
-// A legacy *caller* must also interoperate: it silently sends plain v1
-// even when the spec asks for repair.
-func TestLegacyCallerSendsPlain(t *testing.T) {
-	caller := newAgent(t, 1, 109)
-	callee := newAgent(t, 2, 110)
-	caller.SetLegacyV1(true)
-
-	out := repairCall(t, caller, callee, rtp.SchemeFEC(4), 500*time.Millisecond)
-	if out.Metrics.LossRate > 0.02 {
-		t.Errorf("legacy caller loss %.3f on loopback", out.Metrics.LossRate)
-	}
-	if callee.FECRecovered() != 0 {
-		t.Error("legacy caller somehow shipped parity")
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 
 // Full-state persistence for Via — the controller's snapshot payload.
 //
-// SaveHistory/LoadHistory (persist.go-era API) only carry the call history,
-// which is NOT enough for crash recovery with bit-identical behavior: the
+// The call history alone is NOT enough for crash recovery with
+// bit-identical behavior: the
 // budget counters, the per-pair top-k caches, the UCB arm memory (which
 // decays and reseeds — both history-dependent and order-dependent), the
 // benefit percentile estimator, and the ε-draw RNG position all influence

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"io"
 	"sync"
 
 	"repro/internal/history"
@@ -313,27 +312,6 @@ func (v *Via) Metric() quality.Metric { return v.cfg.Metric }
 
 // History exposes the strategy's accumulated call history (read-only use).
 func (v *Via) History() *history.Store { return v.store }
-
-// SaveHistory snapshots the call history (controller persistence, §7).
-func (v *Via) SaveHistory(w io.Writer) error {
-	return v.store.Save(w)
-}
-
-// LoadHistory restores a snapshot into the call history and forces the
-// predictor to retrain on next use.
-func (v *Via) LoadHistory(r io.Reader) error {
-	if err := v.store.Load(r); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	v.curEpoch = -1
-	v.pred = nil
-	for _, ps := range v.pairs {
-		ps.topkEpoch = -1
-	}
-	v.mu.Unlock()
-	return nil
-}
 
 // epochOf buckets absolute time into refresh epochs.
 func (v *Via) epochOf(tHours float64) int {

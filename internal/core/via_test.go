@@ -360,38 +360,6 @@ func TestViaPanicsOnBadConfig(t *testing.T) {
 	}
 }
 
-func TestViaSaveLoadHistory(t *testing.T) {
-	v := NewVia(DefaultViaConfig(quality.RTT), nil)
-	e := newFakeEnv(30)
-	for i := 0; i < 300; i++ {
-		c := Call{Src: 1, Dst: 2, THours: 20 * float64(i) / 300}
-		opt := v.Choose(c, e.options())
-		v.Observe(c, opt, e.sample(opt))
-	}
-	var buf bytes.Buffer
-	if err := v.SaveHistory(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh instance restored from the snapshot must have the same
-	// aggregates and be able to predict immediately.
-	v2 := NewVia(DefaultViaConfig(quality.RTT), nil)
-	if err := v2.LoadHistory(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	w1 := v.History().Windows()
-	w2 := v2.History().Windows()
-	if len(w1) != len(w2) {
-		t.Fatalf("windows differ: %v vs %v", w1, w2)
-	}
-	a1, ok1 := v.History().Get(1, 2, netsim.DirectOption(), w1[0])
-	a2, ok2 := v2.History().Get(1, 2, netsim.DirectOption(), w1[0])
-	if ok1 != ok2 || a1.N() != a2.N() {
-		t.Errorf("restored aggregate differs: %v/%v %d/%d", ok1, ok2, a1.N(), a2.N())
-	}
-	// Restored strategy must decide without panicking.
-	_ = v2.Choose(Call{Src: 1, Dst: 2, THours: 21}, e.options())
-}
-
 func TestViaPerRelayBudget(t *testing.T) {
 	// With a per-relay cap, no single relay may dominate the relayed mix.
 	cfg := DefaultViaConfig(quality.RTT)

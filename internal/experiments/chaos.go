@@ -281,8 +281,6 @@ func Chaos(cfg ChaosConfig) ([]*stats.Table, error) {
 			"duplicates absorbed at the receiver")
 		t.AddRow("rtx deadline misses (metrics)", int64(sumPrefix(snap, "via_client_rtx_deadline_misses")),
 			"gaps abandoned past retry cap/playout")
-		t.AddRow("repair downgrades (metrics)", int64(sumPrefix(snap, "via_client_repair_downgrades")),
-			"fell back to plain forwarding mid-call")
 	}
 	return []*stats.Table{t}, nil
 }

@@ -290,9 +290,6 @@ func (e *FECEncoder) Add(p *Packet) *FECPacket {
 	return nil
 }
 
-// Reset abandons the in-progress group (e.g. after a mid-call downgrade).
-func (e *FECEncoder) Reset() { e.n = 0 }
-
 // fecGroupSlots bounds how many FEC groups the decoder tracks at once;
 // reordering across more than this many groups abandons the oldest.
 const fecGroupSlots = 4

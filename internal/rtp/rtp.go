@@ -89,14 +89,8 @@ type ReceiverReport struct {
 	DelayNanos    int64
 }
 
-// rrLen is the receiver report wire size.
+// rrLen is the receiver report wire size. Unmarshal ignores bytes past it.
 const rrLen = 4 + 4 + 4 + 4 + 8 + 8
-
-// RRLen is the receiver report wire size. Unmarshal ignores bytes past
-// it, so peers may append trailer bytes (the client appends a one-byte
-// repair-scheme echo for capability negotiation) without breaking old
-// receivers.
-const RRLen = rrLen
 
 // Marshal appends the report's wire form to dst.
 func (r *ReceiverReport) Marshal(dst []byte) []byte {

@@ -15,8 +15,8 @@ import (
 // (DESIGN.md §17): two concurrent NACK-repaired calls — one where the
 // churning client is the caller, one where it is the callee — ride out
 // six NAT rebinds and a relay maintenance drain with zero dropped calls,
-// zero repair downgrades, and the mobility counters proving the machinery
-// (path validation, return-path re-pinning, drain nudges) actually fired.
+// and the mobility counters proving the machinery (path validation,
+// return-path re-pinning, drain nudges) actually fired.
 func TestChurnChaosCallsSurviveMobility(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e is slow")
@@ -111,17 +111,6 @@ func TestChurnChaosCallsSurviveMobility(t *testing.T) {
 	}
 	if got := mobile.Agent.Failovers() + fixed.Agent.Failovers(); got != 0 {
 		t.Errorf("failovers = %d, want 0 (mobility must not look like path death)", got)
-	}
-
-	// Repair continuity: the NACK scheme stayed negotiated end to end on
-	// both calls — no downgrade, no token shed — across every rebind.
-	for name, ag := range map[string]*client.Agent{"mobile": mobile.Agent, "fixed": fixed.Agent} {
-		if got := ag.RepairDowngrades(); got != 0 {
-			t.Errorf("%s agent repair downgrades = %d, want 0", name, got)
-		}
-		if got := ag.TokenDowngrades(); got != 0 {
-			t.Errorf("%s agent token downgrades = %d, want 0", name, got)
-		}
 	}
 
 	// The mobility machinery fired: six rebinds, each re-validated by a
