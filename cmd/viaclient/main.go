@@ -9,6 +9,10 @@
 //	viaclient -group 7 -controller http://ctrl:8080 \
 //	    call -peer 10.0.0.2:9000 -peer-group 12 -option auto -duration 5s
 //
+// -controller takes a plain controller's URL, or any ring router or shard
+// URL: the agent then fetches the shard map and sends each decision and
+// report straight to the pair's owning shard.
+//
 // Option syntax: auto | direct | bounce:R | transit:R1:R2.
 package main
 
@@ -24,13 +28,14 @@ import (
 	"repro/internal/client"
 	"repro/internal/controller"
 	"repro/internal/netsim"
+	"repro/internal/ring"
 	"repro/internal/rtp"
 )
 
 func main() {
 	group := flag.Int("group", 0, "this client's group (AS) id")
 	addr := flag.String("addr", "127.0.0.1:0", "UDP listen address")
-	ctrl := flag.String("controller", "", "controller base URL")
+	ctrl := flag.String("controller", "", "controller, ring router or ring shard base URL")
 	peer := flag.String("peer", "", "peer media address (call mode)")
 	peerGroup := flag.Int("peer-group", 0, "peer's group id (call mode)")
 	option := flag.String("option", "auto", "auto | direct | bounce:R | transit:R1:R2")
@@ -56,7 +61,9 @@ func main() {
 
 	var cc *controller.Client
 	if *ctrl != "" {
-		cc = controller.NewClient(*ctrl)
+		if cc, err = ring.NewClient(*ctrl); err != nil {
+			log.Fatalf("controller: %v", err)
+		}
 		dir, err := cc.Relays()
 		if err != nil {
 			log.Fatalf("fetch relays: %v", err)

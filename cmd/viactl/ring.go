@@ -25,9 +25,10 @@ func loadRingMap(path string) (*ring.Map, error) {
 }
 
 // routeCmd runs the stateless ring router: it serves the shard map to
-// bootstrapping clients, proxies pair traffic for clients that don't carry
-// a map, and runs the periodic cross-shard §4.6 budget aggregation — the
-// only piece of fleet-global state in the sharded control plane.
+// bootstrapping clients, answers every choose/report with a 307 to the
+// pair's owning shard, fans relay registration out to every shard, and
+// runs the periodic cross-shard §4.6 budget aggregation — the only piece
+// of fleet-global state in the sharded control plane.
 func routeCmd(args []string) int {
 	fs := flag.NewFlagSet("viactl route", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8079", "HTTP listen address")

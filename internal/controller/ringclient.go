@@ -9,9 +9,10 @@ package controller
 // the map via RefreshShards, and subsequent requests route correctly again
 // (Client.exchange, controlclient.go).
 //
-// Without an installed map the client behaves exactly as before: every
-// request goes to Base (a single controller, or the ring router, which
-// proxies by ownership itself).
+// Without an installed map every request goes to Base: a single
+// controller, or a ring router or shard, whose 307 the client then follows
+// for every pair-scoped message. ring.NewClient installs the map for any
+// router or shard URL.
 
 // ShardMap is the client's read-only view of the ring: which shard owns a
 // canonical (src, dst) pair, and which epoch that assignment belongs to.

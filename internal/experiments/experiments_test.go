@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -53,6 +57,14 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/golden from this run's tables")
+
+// TestEveryExperimentProducesTables runs every registered experiment on
+// the shared seed-1, 60k-call Env and compares its tables (title and CSV)
+// exactly with testdata/golden/<name>.csv, so a change that moves any
+// reproduced number fails here with the first differing line; rerun with
+// -update to accept it. fig18 and chaos run real sockets, take no Env and
+// are not in Registry(), so they have no golden.
 func TestEveryExperimentProducesTables(t *testing.T) {
 	e := env(t)
 	for _, exp := range Registry() {
@@ -62,6 +74,7 @@ func TestEveryExperimentProducesTables(t *testing.T) {
 			if len(tables) == 0 {
 				t.Fatal("no tables")
 			}
+			var got strings.Builder
 			for _, tb := range tables {
 				s := tb.String()
 				if !strings.Contains(s, "==") {
@@ -70,11 +83,49 @@ func TestEveryExperimentProducesTables(t *testing.T) {
 				if len(tb.Rows) == 0 {
 					t.Errorf("table %q has no rows", tb.Title)
 				}
-				if tb.CSV() == "" {
+				csv := tb.CSV()
+				if csv == "" {
 					t.Errorf("table %q has no CSV", tb.Title)
 				}
+				fmt.Fprintf(&got, "# %s\n%s\n", tb.Title, csv)
 			}
+			checkGolden(t, filepath.Join("testdata", "golden", exp.Name+".csv"), got.String())
 		})
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -run TestEveryExperimentProducesTables -update to create it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s line %d:\n got  %q\n want %q\n(rerun with -update if the change is intended)", path, i+1, g, w)
+		}
 	}
 }
 

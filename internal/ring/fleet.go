@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -334,15 +335,42 @@ func (f *Fleet) ShardState(id int) (state []byte, walDir string, lsn uint64, err
 
 // NewClient builds a ring-aware controller client: requests go shard-
 // direct by the fleet's map, epoch-stale redirects re-fetch the map from
-// the router, and anything unsharded falls back to the router.
+// the router, and anything unsharded goes to the router. The map is the
+// fleet's own, installed without an HTTP fetch.
 func (f *Fleet) NewClient() *controller.Client {
-	c := controller.NewClient(f.routerURL)
-	c.RefreshShards = func() (controller.ShardMap, error) {
-		return FetchMap(f.routerURL)
+	return newClient(f.routerURL, f.Map())
+}
+
+// NewClient builds a controller client for base: a ring router, a shard's
+// gate, or a plain controller. Where base serves a shard map, the client
+// routes choose/report shard-direct by it (owner's primary, then its
+// standby) and re-fetches it from base after a stale redirect; where base
+// answers the map fetch 404, as an unsharded controller does, the client
+// sends everything to base. Any other failure to fetch the map is
+// returned.
+func NewClient(base string) (*controller.Client, error) {
+	m, err := FetchMap(base)
+	if errors.Is(err, errNoMap) {
+		return controller.NewClient(base), nil
 	}
-	c.SetShards(f.Map())
+	if err != nil {
+		return nil, err
+	}
+	return newClient(base, m), nil
+}
+
+// newClient is a client on base holding m, refreshing it from base.
+func newClient(base string, m *Map) *controller.Client {
+	c := controller.NewClient(base)
+	c.RefreshShards = func() (controller.ShardMap, error) {
+		return FetchMap(base)
+	}
+	c.SetShards(m)
 	return c
 }
+
+// errNoMap is FetchMap's error for a base URL that serves no map (404).
+var errNoMap = errors.New("ring: no shard map served")
 
 // FetchMap bootstraps a shard map from a router or gate base URL. The body
 // is read under the control plane's bound (transport.MaxBodyBytes); a read
@@ -354,7 +382,11 @@ func FetchMap(base string) (*Map, error) {
 		return nil, err
 	}
 	defer resp.Body.Close() //vialint:ignore errwrap body read whole below; close failures have no recovery
-	if resp.StatusCode != http.StatusOK {
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusNotFound:
+		return nil, errNoMap
+	default:
 		return nil, fmt.Errorf("ring: map fetch returned %s", resp.Status)
 	}
 	data, err := transport.ReadBody(nil, resp.Body, resp.ContentLength)

@@ -21,10 +21,10 @@ type pairHeader struct {
 }
 
 // peekPair extracts the (src, dst) pair a choose or report body is routed
-// by, for the gate and the router alike, without decoding the rest. It is
-// json.Unmarshal into pairHeader in verdict and value (the contract of
-// transport/jsoncodec.go): the whole body must be valid JSON, and members
-// other than the pair may be anything.
+// by, without decoding the rest. It is json.Unmarshal into pairHeader in
+// verdict and value (the contract of transport/jsoncodec.go): the whole
+// body must be valid JSON, and members other than the pair may be
+// anything.
 func peekPair(body []byte) (src, dst int32, err error) {
 	s := transport.ScanJSON(body)
 	for q := s.Object(); q.Next(); {
@@ -57,7 +57,8 @@ func peekPair(body []byte) (src, dst int32, err error) {
 //
 // The gate also serves and accepts the shard map itself on /v1/ring/map,
 // so a fleet operator (or the Fleet harness) can push a new epoch to
-// every shard.
+// every shard. The Router fronts its own map with a gate whose ID no
+// shard has, so the same check redirects every pair sent to it.
 type Gate struct {
 	shardID int
 	inner   http.Handler

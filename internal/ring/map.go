@@ -7,9 +7,12 @@
 //     hash ring) that every router, gate, and client agrees on
 //   - Gate: per-shard middleware answering 307 for pairs the shard does
 //     not own, so epoch-stale clients self-correct
-//   - Router: a thin stateless proxy for clients that don't carry a map,
-//     which also merges the one truly global datum — the §4.6 budget
-//     percentile — from periodic per-shard digests
+//   - Router: a thin stateless front that serves the map, answers every
+//     pair with the gate's 307 to its owner, and merges the one truly
+//     global datum — the §4.6 budget percentile — from periodic
+//     per-shard digests
+//   - NewClient: a controller client that bootstraps the map from a
+//     router or shard URL and goes shard-direct
 //   - Fleet: an in-process multi-shard harness used by the soak/chaos
 //     tests and viabench, with kill/promote/add/remove fault hooks
 //
@@ -79,9 +82,9 @@ func PairHash(src, dst int32) uint64 {
 }
 
 // NewMap builds an epoch-1 map over the given shards. vnodes <= 0 means
-// DefaultVNodes. Shard IDs must be unique; order does not matter (the
-// ring depends only on IDs, so every builder of the same shard set gets
-// the same ownership).
+// DefaultVNodes. Shard IDs must be unique and non-negative (the router's
+// gate takes -1); order does not matter (the ring depends only on IDs, so
+// every builder of the same shard set gets the same ownership).
 func NewMap(vnodes int, shards ...Shard) (*Map, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("ring: map needs at least one shard")
@@ -104,6 +107,9 @@ func NewMap(vnodes int, shards ...Shard) (*Map, error) {
 func (m *Map) build() error {
 	seen := make(map[int]bool, len(m.Shards))
 	for _, s := range m.Shards {
+		if s.ID < 0 {
+			return fmt.Errorf("ring: negative shard id %d", s.ID)
+		}
 		if seen[s.ID] {
 			return fmt.Errorf("ring: duplicate shard id %d", s.ID)
 		}

@@ -158,4 +158,8 @@ func TestMapJSONRoundTrip(t *testing.T) {
 	if _, err := DecodeMap([]byte("not json")); err == nil {
 		t.Fatal("decoding garbage succeeded")
 	}
+	// -1 is the router gate's ID, which no shard may hold.
+	if _, err := DecodeMap([]byte(`{"epoch":1,"shards":[{"id":-1,"url":"http://s"}]}`)); err == nil {
+		t.Fatal("decoding a map with a negative shard id succeeded")
+	}
 }

@@ -1,7 +1,10 @@
 package ring
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"testing"
 
@@ -99,5 +102,58 @@ func TestMergeThresholdAccuracy(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestAggregateBudgetSkipsSketchlessDigest: a digest with n >= 20 but no
+// P² sketch (P == 0) counts toward the fleet's sample total and is not
+// merged; the threshold is the sketched shard's alone, and every shard
+// installs it.
+func TestAggregateBudgetSkipsSketchlessDigest(t *testing.T) {
+	e := stats.NewP2(0.2)
+	rng := stats.NewRNG(1)
+	for i := 0; i < 40; i++ {
+		e.Add(rng.Float64())
+	}
+	st := e.State()
+	sketched := transport.BudgetDigestResponse{OK: true, N: int64(st.N), Threshold: e.Value(), P: st.P, Q: st.Q, Pos: st.Pos}
+	bare := transport.BudgetDigestResponse{OK: true, N: 100, Threshold: 0.9}
+	want := mergeThreshold([]transport.BudgetDigestResponse{sketched})
+
+	var shards []Shard
+	installed := make([]float64, 2)
+	for i, d := range []transport.BudgetDigestResponse{sketched, bare} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/budget/digest":
+				writeJSON(w, d)
+			case "/v1/budget/merged":
+				var req transport.BudgetMergedRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					t.Error(err)
+				}
+				installed[i] = req.Threshold
+				writeJSON(w, transport.BudgetMergedResponse{OK: true})
+			default:
+				http.NotFound(w, r)
+			}
+		}))
+		defer ts.Close()
+		shards = append(shards, Shard{ID: i, URL: ts.URL})
+	}
+	m, err := NewMap(0, shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := NewRouter(m, nil).AggregateBudget()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Shards != 2 || agg.Warmed != 1 || agg.N != sketched.N+bare.N || agg.Threshold != want || agg.Installed != 2 {
+		t.Errorf("aggregate %+v, want 2 shards, 1 warmed, n %d, threshold %v, 2 installed",
+			agg, sketched.N+bare.N, want)
+	}
+	if installed[0] != want || installed[1] != want {
+		t.Errorf("shards installed %v, want %v on both", installed, want)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/controller"
@@ -16,13 +15,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Router is the thin stateless front of a sharded control plane. Clients
-// that don't carry a shard map send every request here; the router proxies
-// pair-scoped requests to the owning shard (primary first, standby on
-// failure), fans relay registrations out to all shards, and serves the
-// current map so smart clients can bootstrap and go shard-direct. Choose
-// and report arrive over control streams (controller.NewClient on the
-// router's URL) or plain POST; either way the hop to the shard is a POST.
+// Router is the thin stateless front of a sharded control plane. It
+// serves the current map so clients can bootstrap and go shard-direct
+// (NewClient), fans relay registrations out to all shards, and sums their
+// stats and health. It serves no pair: every choose or report sent to it,
+// by POST or on a control stream, gets the gate's 307 naming the owning
+// shard, from a Gate whose ID no shard has.
 //
 // The router holds no decision state. Its one cross-shard responsibility
 // is the §4.6 budget percentile, the single global datum in the design:
@@ -30,157 +28,73 @@ import (
 // mixture of their CDF sketches, and pushes the fleet threshold back to
 // every shard.
 type Router struct {
-	cur  atomic.Pointer[Map]
+	gate *Gate // the router's map, and its answer to every pair
 	http *http.Client
 	reg  *obs.Registry
 
-	proxied   *obs.Counter
 	proxyErrs *obs.Counter
 	merges    *obs.Counter
 
-	streams *controller.StreamServer // inbound control streams
+	streams *controller.StreamServer // accepts the gate's control streams
 
 	mu       sync.Mutex
 	stopCh   chan struct{} // guarded by mu
 	loopDone chan struct{} // guarded by mu
 }
 
+// noShard is the router gate's shard ID. Map refuses negative IDs, so the
+// router owns no pair and its gate answers every message itself.
+const noShard = -1
+
 // NewRouter builds a router over the given starting map. reg may be nil
 // to skip metrics.
 func NewRouter(m *Map, reg *obs.Registry) *Router {
 	r := &Router{
-		// Proxy legs are LAN/WAN control RPCs like the client's own; a
-		// short hard timeout keeps a dead shard from pinning the router.
-		http: &http.Client{
-			Timeout: 5 * time.Second,
-			CheckRedirect: func(*http.Request, []*http.Request) error {
-				return http.ErrUseLastResponse
-			},
-		},
-		reg: reg,
+		// Fan-out and poll legs are LAN/WAN control RPCs like the client's
+		// own; a short hard timeout keeps a dead shard from pinning the
+		// router.
+		http: &http.Client{Timeout: 5 * time.Second},
+		reg:  reg,
 	}
-	r.streams = controller.NewStreamServer(r.serveMessage, nil)
-	r.cur.Store(m)
+	r.streams = controller.NewStreamServer(servesNoPair, nil)
+	r.gate = NewGate(noShard, r.streams, m, nil)
 	if reg != nil {
-		r.proxied = reg.Counter(obs.L("via_ring_proxied_total", "role", "router"))
 		r.proxyErrs = reg.Counter(obs.L("via_ring_proxy_errors_total", "role", "router"))
 		r.merges = reg.Counter(obs.L("via_ring_budget_merges_total", "role", "router"))
 		reg.GaugeFunc(obs.L("via_ring_router_map_epoch", "role", "router"), func() float64 {
-			return float64(r.cur.Load().MapEpoch)
+			return float64(r.gate.Current().MapEpoch)
 		})
 	}
 	return r
 }
 
-// Current returns the map the router is routing by.
-func (r *Router) Current() *Map { return r.cur.Load() }
-
-// Install adopts a newer-epoch map (same monotone rule as Gate.Install).
-func (r *Router) Install(m *Map) error {
-	for {
-		cur := r.cur.Load()
-		if m.MapEpoch <= cur.MapEpoch {
-			return errStaleEpoch(m.MapEpoch, cur.MapEpoch)
-		}
-		if r.cur.CompareAndSwap(cur, m) {
-			return nil
-		}
-	}
+// servesNoPair is the router's stream message function. The gate's check
+// answers every message before it, so it runs for none.
+func servesNoPair(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
+	return http.StatusInternalServerError, append(dst, "ring: the router serves no pair"...)
 }
 
-// Handler returns the router's HTTP surface.
+// Current returns the map the router is routing by.
+func (r *Router) Current() *Map { return r.gate.Current() }
+
+// Install adopts a newer-epoch map (Gate.Install's monotone rule: it is
+// the router gate's map).
+func (r *Router) Install(m *Map) error { return r.gate.Install(m) }
+
+// Handler returns the router's HTTP surface. Choose, report, control
+// streams and the map go to the router's gate.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET "+transport.ControlPath, r.streams)
-	mux.HandleFunc("POST /v1/choose", r.proxyPair)
-	mux.HandleFunc("POST /v1/report", r.proxyPair)
+	mux.Handle("GET "+transport.ControlPath, r.gate)
+	mux.Handle("POST /v1/choose", r.gate)
+	mux.Handle("POST /v1/report", r.gate)
+	mux.Handle("GET /v1/ring/map", r.gate)
 	mux.HandleFunc("POST /v1/relays/register", r.fanoutRegister)
 	mux.HandleFunc("GET /v1/relays", r.proxyFirst)
 	mux.HandleFunc("GET /v1/stats", r.sumStats)
-	mux.HandleFunc("GET /v1/ring/map", r.serveMap)
 	mux.HandleFunc("GET /v1/health", r.health)
 	mux.HandleFunc("GET /metrics", r.metrics)
 	return mux
-}
-
-// proxyPair forwards a POSTed choose/report to the pair's owning shard and
-// relays the shard's status and body verbatim.
-func (r *Router) proxyPair(w http.ResponseWriter, req *http.Request) {
-	body, ok := readProxied(w, req)
-	if !ok {
-		return
-	}
-	resp, status, err := r.forward(req.URL.Path, body)
-	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
-	relayResponse(w, resp)
-}
-
-// serveMessage is proxyPair for a control-stream message: the same hop,
-// with the shard's status and body returned as the response frame.
-func (r *Router) serveMessage(op transport.Op, body []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
-	path := op.Path()
-	if path == "" {
-		return http.StatusBadRequest, append(dst, "unknown control op"...)
-	}
-	// The stream reuses its body buffer for the next message, and net/http
-	// may still be writing a request body after Post returns.
-	resp, status, err := r.forward(path, bytes.Clone(body))
-	if err != nil {
-		return status, append(dst, err.Error()...)
-	}
-	defer resp.Body.Close() //vialint:ignore errwrap body read whole below; close failures have no recovery
-	n := len(dst)
-	if dst, err = transport.ReadBody(dst, resp.Body, resp.ContentLength); err != nil {
-		return http.StatusBadGateway, append(dst[:n], "ring: read shard reply: "+err.Error()...)
-	}
-	return resp.StatusCode, dst
-}
-
-// forward sends a choose/report body to its pair's owning shard, standby on
-// primary failure, and returns the shard's response. On failure it returns
-// the status to answer with instead: 400 for an unreadable pair, 502 when
-// no shard endpoint answered.
-func (r *Router) forward(path string, body []byte) (*http.Response, int, error) {
-	src, dst, err := peekPair(body)
-	if err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
-	}
-	m := r.cur.Load()
-	owner := m.OwnerShard(src, dst)
-	if r.proxied != nil {
-		r.proxied.Inc()
-	}
-	var lastErr error
-	for _, base := range shardTargets(owner) {
-		resp, err := r.http.Post(base+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		// 307 means the shard holds a newer map than the router: adopt it
-		// lazily by following the shard's answer for this request.
-		if resp.StatusCode == http.StatusTemporaryRedirect {
-			loc := resp.Header.Get("Location")
-			resp.Body.Close() //vialint:ignore errwrap redirect body is empty; the Location header is the payload
-			if loc == "" {
-				lastErr = fmt.Errorf("ring: shard %d redirected without a location", owner.ID)
-				continue
-			}
-			resp, err = r.http.Post(loc, "application/json", bytes.NewReader(body))
-			if err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		return resp, http.StatusOK, nil
-	}
-	if r.proxyErrs != nil {
-		r.proxyErrs.Inc()
-	}
-	return nil, http.StatusBadGateway, fmt.Errorf("ring: no shard reachable for pair: %w", lastErr)
 }
 
 // fanoutRegister mirrors a relay registration to every shard — the relay
@@ -191,7 +105,7 @@ func (r *Router) fanoutRegister(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	m := r.cur.Load()
+	m := r.gate.Current()
 	var firstErr error
 	okCount := 0
 	for _, s := range m.Shards {
@@ -231,7 +145,7 @@ func (r *Router) fanoutRegister(w http.ResponseWriter, req *http.Request) {
 // proxyFirst forwards a read to the first shard that answers 200 — used
 // for the relay directory, which fanoutRegister keeps replicated.
 func (r *Router) proxyFirst(w http.ResponseWriter, req *http.Request) {
-	m := r.cur.Load()
+	m := r.gate.Current()
 	var lastErr error
 	for _, s := range m.Shards {
 		for _, base := range shardTargets(s) {
@@ -255,7 +169,7 @@ func (r *Router) proxyFirst(w http.ResponseWriter, req *http.Request) {
 
 // sumStats merges every reachable shard's counters.
 func (r *Router) sumStats(w http.ResponseWriter, _ *http.Request) {
-	m := r.cur.Load()
+	m := r.gate.Current()
 	var sum transport.StatsResponse
 	for _, s := range m.Shards {
 		var st transport.StatsResponse
@@ -269,20 +183,9 @@ func (r *Router) sumStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, sum)
 }
 
-// serveMap hands the router's current map to bootstrapping clients.
-func (r *Router) serveMap(w http.ResponseWriter, _ *http.Request) {
-	data, err := r.cur.Load().EncodeJSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data) //vialint:ignore errwrap best-effort HTTP response write; the client observes any failure
-}
-
 // health answers OK when every shard has a reachable primary or standby.
 func (r *Router) health(w http.ResponseWriter, _ *http.Request) {
-	m := r.cur.Load()
+	m := r.gate.Current()
 	ok := true
 	relays := 0
 	for _, s := range m.Shards {
@@ -310,7 +213,8 @@ func (r *Router) metrics(w http.ResponseWriter, _ *http.Request) {
 type BudgetAggregate struct {
 	// Shards is how many shards answered the digest poll.
 	Shards int `json:"shards"`
-	// Warmed is how many of those had n >= 20 (a usable local threshold).
+	// Warmed is how many of those had n >= 20 (a usable local threshold)
+	// and a sketch to merge.
 	Warmed int `json:"warmed"`
 	// N is the fleet-wide benefit sample count (all answering shards).
 	N int64 `json:"n"`
@@ -332,7 +236,7 @@ type BudgetAggregate struct {
 // pairs; the mixture inverse keeps the global mass (e.g. the pile of
 // zero-benefit samples from unwarmed pairs) in view.
 func (r *Router) AggregateBudget() (BudgetAggregate, error) {
-	m := r.cur.Load()
+	m := r.gate.Current()
 	var agg BudgetAggregate
 	var warmed []transport.BudgetDigestResponse
 	for _, s := range m.Shards {
@@ -342,7 +246,7 @@ func (r *Router) AggregateBudget() (BudgetAggregate, error) {
 		}
 		agg.Shards++
 		agg.N += d.N
-		if d.N >= 20 {
+		if d.N >= 20 && d.P > 0 {
 			agg.Warmed++
 			warmed = append(warmed, d)
 		}
@@ -412,27 +316,9 @@ func (r *Router) stopLocked() {
 }
 
 // mergeThreshold computes the fleet benefit percentile from warmed shard
-// digests. When every digest carries a P² marker sketch, it inverts the
-// N-weighted mixture CDF at the target quantile by bisection; if any shard
-// reports no sketch (older digest format), it falls back to the N-weighted
-// mean of local thresholds.
+// digests, each carrying a P² marker sketch: it inverts the N-weighted
+// mixture CDF at the target quantile by bisection.
 func mergeThreshold(warmed []transport.BudgetDigestResponse) float64 {
-	sketched := true
-	for _, d := range warmed {
-		if d.P <= 0 || d.Pos[4] < 5 {
-			sketched = false
-			break
-		}
-	}
-	if !sketched {
-		var weighted float64
-		var n int64
-		for _, d := range warmed {
-			weighted += float64(d.N) * d.Threshold
-			n += d.N
-		}
-		return weighted / float64(n)
-	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	var total float64
 	for _, d := range warmed {
