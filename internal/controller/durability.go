@@ -35,6 +35,15 @@ type StatefulStrategy interface {
 	LoadState(r io.Reader) error
 }
 
+// stateCapturer is a StatefulStrategy that splits a capture in two: a
+// copy, which must run under walMu to stay aligned with the log, and an
+// encode, which need not. core.Via and core.Cached implement it. A
+// strategy without it (test fakes, decorators that forward only
+// SaveState) is captured whole by SaveState under walMu.
+type stateCapturer interface {
+	CaptureState() (func(io.Writer) error, error)
+}
+
 // WAL record types.
 const (
 	recChoose wal.Type = 1
@@ -369,33 +378,59 @@ func (s *Server) recoverFromWAL() error {
 	return nil
 }
 
-// captureSnapshotLocked serializes the controller snapshot payload at the
-// current applied LSN. Caller holds s.walMu, so no apply can slide in
-// between reading the LSN and capturing the state.
-func (s *Server) captureSnapshotLocked() (uint64, []byte, error) {
+// captureSnapshotLocked copies the controller snapshot state at the
+// current applied LSN and returns the encoder that serializes the payload.
+// Caller holds s.walMu, so no apply can slide in between reading the LSN
+// and copying the state. The encoder shares nothing with live state:
+// callers run it after releasing walMu, so requests are not held up by
+// the gob encodes.
+func (s *Server) captureSnapshotLocked() (uint64, func() ([]byte, error), error) {
 	stateful, ok := s.cfg.Strategy.(StatefulStrategy)
 	if !ok {
 		return 0, nil, fmt.Errorf("controller: strategy %q does not support snapshots", s.cfg.Strategy.Name())
 	}
-	var state bytes.Buffer
-	if err := stateful.SaveState(&state); err != nil {
-		return 0, nil, fmt.Errorf("controller: capture strategy state: %w", err)
+	var encodeState func(io.Writer) error
+	if c, ok := stateful.(stateCapturer); ok {
+		enc, err := c.CaptureState()
+		if err != nil {
+			return 0, nil, fmt.Errorf("controller: capture strategy state: %w", err)
+		}
+		encodeState = enc
+	} else {
+		var state bytes.Buffer
+		if err := stateful.SaveState(&state); err != nil {
+			return 0, nil, fmt.Errorf("controller: capture strategy state: %w", err)
+		}
+		encodeState = func(w io.Writer) error {
+			_, err := w.Write(state.Bytes())
+			return err
+		}
 	}
 	snap := ctrlSnapshot{
 		Version:   ctrlSnapshotVersion,
 		Term:      s.term.Load(),
 		BaseHours: s.lastTHours,
-		Strategy:  state.Bytes(),
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&snap); err != nil {
-		return 0, nil, fmt.Errorf("controller: encode snapshot: %w", err)
+	encode := func() ([]byte, error) {
+		var state bytes.Buffer
+		if err := encodeState(&state); err != nil {
+			return nil, fmt.Errorf("controller: encode strategy state: %w", err)
+		}
+		snap.Strategy = state.Bytes()
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(&snap); err != nil {
+			return nil, fmt.Errorf("controller: encode snapshot: %w", err)
+		}
+		return payload.Bytes(), nil
 	}
-	return s.appliedLSN.Load(), payload.Bytes(), nil
+	return s.appliedLSN.Load(), encode, nil
 }
 
 // Snapshot forces a durable snapshot now and truncates the WAL prefix it
-// covers. Returns the covered LSN and the snapshot size in bytes.
+// covers. Returns the covered LSN and the snapshot size in bytes. walMu is
+// held only to copy the state; the encode and the write run after, and a
+// crash before the write completes leaves the previous snapshot and the
+// whole log.
 func (s *Server) Snapshot() (uint64, int64, error) {
 	if s.wlog == nil {
 		return 0, 0, fmt.Errorf("controller: durability not enabled")
@@ -406,9 +441,13 @@ func (s *Server) Snapshot() (uint64, int64, error) {
 		return 0, 0, err
 	}
 	s.walMu.Lock()
-	lsn, payload, err := s.captureSnapshotLocked()
+	lsn, encode, err := s.captureSnapshotLocked()
 	s.sinceSnapshot = 0
 	s.walMu.Unlock()
+	if err != nil {
+		return 0, 0, err
+	}
+	payload, err := encode()
 	if err != nil {
 		return 0, 0, err
 	}

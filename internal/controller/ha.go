@@ -134,8 +134,12 @@ func (s *Server) handleWALSnapshot(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	s.walMu.Lock()
-	lsn, payload, err := s.captureSnapshotLocked()
+	lsn, encode, err := s.captureSnapshotLocked()
 	s.walMu.Unlock()
+	var payload []byte
+	if err == nil {
+		payload, err = encode()
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

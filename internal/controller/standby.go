@@ -205,22 +205,14 @@ func (s *Server) installSnapshot(lsn uint64, payload []byte) error {
 		return fmt.Errorf("controller: bootstrap snapshot version %d, want %d", snap.Version, ctrlSnapshotVersion)
 	}
 	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if err := stateful.LoadState(bytes.NewReader(snap.Strategy)); err != nil {
-		return fmt.Errorf("controller: install bootstrap state: %w", err)
-	}
-	// The local log's history is superseded; restart numbering in lockstep
-	// with the primary so future replicated records land at matching LSNs.
-	if err := s.wlog.Reset(lsn + 1); err != nil {
+	lsnLocal, encode, err := s.resetToSnapshotLocked(stateful, lsn, &snap)
+	s.walMu.Unlock()
+	if err != nil {
 		return err
 	}
-	s.term.Store(snap.Term)
-	s.lastTHours = snap.BaseHours
-	s.appliedLSN.Store(lsn)
-	s.sinceSnapshot = 0
 	// Persist the installed state locally too: a standby that crashes
 	// right now must not come back empty.
-	lsnLocal, data, err := s.captureSnapshotLocked()
+	data, err := encode()
 	if err != nil {
 		return err
 	}
@@ -229,6 +221,25 @@ func (s *Server) installSnapshot(lsn uint64, payload []byte) error {
 	}
 	s.mSnapshotBytes.Set(float64(len(data)))
 	return nil
+}
+
+// resetToSnapshotLocked loads a primary's snapshot covering lsn into the
+// strategy, restarts the local log after it, and captures the installed
+// state for the local snapshot. Caller holds s.walMu.
+func (s *Server) resetToSnapshotLocked(stateful StatefulStrategy, lsn uint64, snap *ctrlSnapshot) (uint64, func() ([]byte, error), error) {
+	if err := stateful.LoadState(bytes.NewReader(snap.Strategy)); err != nil {
+		return 0, nil, fmt.Errorf("controller: install bootstrap state: %w", err)
+	}
+	// The local log's history is superseded; restart numbering in lockstep
+	// with the primary so future replicated records land at matching LSNs.
+	if err := s.wlog.Reset(lsn + 1); err != nil {
+		return 0, nil, err
+	}
+	s.term.Store(snap.Term)
+	s.lastTHours = snap.BaseHours
+	s.appliedLSN.Store(lsn)
+	s.sinceSnapshot = 0
+	return s.captureSnapshotLocked()
 }
 
 // ingestReplicated appends one streamed record to the local WAL and

@@ -446,6 +446,18 @@ func (c *Cached) SaveState(w io.Writer) error {
 	return st.SaveState(w)
 }
 
+// CaptureState passes through to the inner strategy, so a snapshot of a
+// cache-wrapped Via still encodes outside the caller's lock.
+func (c *Cached) CaptureState() (func(io.Writer) error, error) {
+	st, ok := c.inner.(interface {
+		CaptureState() (func(io.Writer) error, error)
+	})
+	if !ok {
+		return nil, errNotStateful
+	}
+	return st.CaptureState()
+}
+
 // LoadState passes through to the inner strategy and drops every cached
 // decision — whatever was cached was computed against the old state.
 func (c *Cached) LoadState(r io.Reader) error {

@@ -81,7 +81,7 @@ type viaRepairPairRec struct {
 // exactly the state a pre-repair run had, so replay stays bit-identical.
 type viaState struct {
 	Version     int
-	History     []byte // history.Store.Save stream, embedded whole
+	History     []byte // history.Capture.Encode stream, embedded whole
 	CurEpoch    int
 	Pairs       []viaPairRec
 	HasBenefit  bool
@@ -107,15 +107,25 @@ type viaState struct {
 // concurrently with Choose/Observe; the captured state is a consistent
 // point-in-time cut.
 func (v *Via) SaveState(w io.Writer) error {
-	var hist bytes.Buffer
-	if err := v.store.Save(&hist); err != nil {
-		return fmt.Errorf("core: save history: %w", err)
+	encode, err := v.CaptureState()
+	if err != nil {
+		return err
 	}
+	return encode(w)
+}
+
+// CaptureState copies the strategy's complete decision state and returns
+// the encoder that writes it, byte for byte, as SaveState would have at
+// the moment of the copy. The copy is the part a caller must order
+// against Choose/Observe; the encoder shares nothing with the live
+// strategy, so a caller runs it after releasing whatever lock orders its
+// updates.
+func (v *Via) CaptureState() (func(io.Writer) error, error) {
+	hist := v.store.Capture()
 
 	v.mu.Lock()
 	st := viaState{
 		Version:         viaStateVersion,
-		History:         hist.Bytes(),
 		CurEpoch:        v.curEpoch,
 		HasBenefit:      v.benefit != nil,
 		SharedBenefit:   v.sharedBenefit,
@@ -134,17 +144,16 @@ func (v *Via) SaveState(w io.Writer) error {
 	for r, n := range v.relayUse {
 		st.RelayUse = append(st.RelayUse, viaRelayUseRec{Relay: r, Count: n})
 	}
-	sort.Slice(st.RelayUse, func(i, j int) bool { return st.RelayUse[i].Relay < st.RelayUse[j].Relay })
 	rngState, err := v.rng.State()
 	if err != nil {
 		v.mu.Unlock()
-		return fmt.Errorf("core: save rng: %w", err)
+		return nil, fmt.Errorf("core: save rng: %w", err)
 	}
 	st.RNG = rngState
 	repairRNGState, err := v.repairRNG.State()
 	if err != nil {
 		v.mu.Unlock()
-		return fmt.Errorf("core: save repair rng: %w", err)
+		return nil, fmt.Errorf("core: save repair rng: %w", err)
 	}
 	st.RepairRNG = repairRNGState
 	for gp, b := range v.repairPairs {
@@ -158,45 +167,69 @@ func (v *Via) SaveState(w io.Writer) error {
 		for s, a := range b.arms {
 			rec.Arms = append(rec.Arms, viaRepairArmRec{Scheme: s, Count: a.count, Sum: a.sum})
 		}
-		sort.Slice(rec.Arms, func(i, j int) bool { return rec.Arms[i].Scheme < rec.Arms[j].Scheme })
 		st.RepairPairs = append(st.RepairPairs, rec)
 	}
+	// Every pair's slices are cut from one backing array per field: a few
+	// large allocations under the lock instead of three per pair.
+	var nTopk, nCands, nArms int
+	for _, ps := range v.pairs {
+		nTopk, nCands, nArms = nTopk+len(ps.topk), nCands+len(ps.cands), nArms+len(ps.ucb.arms)
+	}
+	topk := make([]Candidate, nTopk)
+	cands := make([]netsim.Option, nCands)
+	arms := make([]viaArmRec, nArms)
+	st.Pairs = make([]viaPairRec, 0, len(v.pairs))
 	for gp, ps := range v.pairs {
+		nt, nc, na := len(ps.topk), len(ps.cands), len(ps.ucb.arms)
 		rec := viaPairRec{
 			A:         gp.a,
 			B:         gp.b,
 			TopkEpoch: ps.topkEpoch,
-			Topk:      append([]Candidate(nil), ps.topk...),
-			Cands:     append([]netsim.Option(nil), ps.cands...),
+			Topk:      topk[:nt:nt],
+			Cands:     cands[:nc:nc],
 			UCBT:      ps.ucb.t,
 			UCBMaxQ:   ps.ucb.maxQ,
+			Arms:      arms[:na:na],
 		}
+		topk, cands, arms = topk[nt:], cands[nc:], arms[na:]
+		copy(rec.Topk, ps.topk)
+		copy(rec.Cands, ps.cands)
 		// Arms are kept sorted by optionLess, so the byte stream is
 		// reproducible without re-sorting.
-		for _, a := range ps.ucb.arms {
-			rec.Arms = append(rec.Arms, viaArmRec{Opt: a.opt, Count: a.count, Sum: a.sum})
+		for i, a := range ps.ucb.arms {
+			rec.Arms[i] = viaArmRec{Opt: a.opt, Count: a.count, Sum: a.sum}
 		}
 		st.Pairs = append(st.Pairs, rec)
 	}
 	v.mu.Unlock()
 
-	sort.Slice(st.Pairs, func(i, j int) bool {
-		if st.Pairs[i].A != st.Pairs[j].A {
-			return st.Pairs[i].A < st.Pairs[j].A
+	return func(w io.Writer) error {
+		var buf bytes.Buffer
+		if err := hist.Encode(&buf); err != nil {
+			return fmt.Errorf("core: save history: %w", err)
 		}
-		return st.Pairs[i].B < st.Pairs[j].B
-	})
-	sort.Slice(st.RepairPairs, func(i, j int) bool {
-		if st.RepairPairs[i].A != st.RepairPairs[j].A {
-			return st.RepairPairs[i].A < st.RepairPairs[j].A
+		st.History = buf.Bytes()
+		sort.Slice(st.RelayUse, func(i, j int) bool { return st.RelayUse[i].Relay < st.RelayUse[j].Relay })
+		for _, rec := range st.RepairPairs {
+			sort.Slice(rec.Arms, func(i, j int) bool { return rec.Arms[i].Scheme < rec.Arms[j].Scheme })
 		}
-		return st.RepairPairs[i].B < st.RepairPairs[j].B
-	})
-
-	if err := gob.NewEncoder(w).Encode(&st); err != nil {
-		return fmt.Errorf("core: encode state: %w", err)
-	}
-	return nil
+		sort.Slice(st.Pairs, func(i, j int) bool {
+			if st.Pairs[i].A != st.Pairs[j].A {
+				return st.Pairs[i].A < st.Pairs[j].A
+			}
+			return st.Pairs[i].B < st.Pairs[j].B
+		})
+		sort.Slice(st.RepairPairs, func(i, j int) bool {
+			if st.RepairPairs[i].A != st.RepairPairs[j].A {
+				return st.RepairPairs[i].A < st.RepairPairs[j].A
+			}
+			return st.RepairPairs[i].B < st.RepairPairs[j].B
+		})
+		if err := gob.NewEncoder(w).Encode(&st); err != nil {
+			return fmt.Errorf("core: encode state: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // LoadState restores a SaveState capture into a freshly constructed Via

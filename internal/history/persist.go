@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/netsim"
 	"repro/internal/quality"
@@ -31,34 +32,65 @@ type snapshotEntry struct {
 	PNR     quality.PNR
 }
 
-// Save writes the store's full contents.
-func (s *Store) Save(w io.Writer) error {
-	var entries []snapshotEntry
-	for _, win := range s.Windows() {
-		s.EachOpt(win, func(pk PairKey, opt netsim.Option, a *Agg) {
-			entries = append(entries, snapshotEntry{
-				Window:  win,
-				A:       pk.A,
-				B:       pk.B,
-				Opt:     opt,
-				Metrics: a.Metrics,
-				PNR:     a.PNR,
-			})
-		})
+// Capture is a point-in-time copy of a Store's contents, written out by
+// Encode. It shares nothing with the store, so Encode may run while the
+// store keeps changing.
+type Capture struct {
+	entries []snapshotEntry // unordered; Encode sorts
+}
+
+// Capture copies every aggregate under one read lock. The copy is all a
+// caller that orders updates against the capture needs to hold its lock
+// for; ordering the entries is Encode's work.
+func (s *Store) Capture() Capture {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, wd := range s.windows {
+		n += len(wd.byOpt)
 	}
+	entries := make([]snapshotEntry, n)
+	i := 0
+	for win, wd := range s.windows {
+		for k, a := range wd.byOpt {
+			e := &entries[i] // filled in place: no temporary to copy
+			e.Window, e.A, e.B, e.Opt = win, k.pair.A, k.pair.B, k.opt
+			e.Metrics, e.PNR = a.Metrics, a.PNR
+			i++
+		}
+	}
+	return Capture{entries: entries}
+}
+
+// Encode writes the captured contents: a header, then the entries
+// ascending by window and in EachOpt's (pair, option) order within one,
+// so the bytes are a pure function of the contents.
+func (c Capture) Encode(w io.Writer) error {
+	sort.Slice(c.entries, func(i, j int) bool {
+		a, b := &c.entries[i], &c.entries[j]
+		switch {
+		case a.Window != b.Window:
+			return a.Window < b.Window
+		case a.A != b.A:
+			return a.A < b.A
+		case a.B != b.B:
+			return a.B < b.B
+		}
+		return optionLess(a.Opt, b.Opt)
+	})
 	enc := gob.NewEncoder(w)
-	if err := enc.Encode(snapshotHeader{Version: snapshotVersion, Entries: len(entries)}); err != nil {
+	if err := enc.Encode(snapshotHeader{Version: snapshotVersion, Entries: len(c.entries)}); err != nil {
 		return fmt.Errorf("history: encode header: %w", err)
 	}
-	for i := range entries {
-		if err := enc.Encode(&entries[i]); err != nil {
+	for i := range c.entries {
+		if err := enc.Encode(&c.entries[i]); err != nil {
 			return fmt.Errorf("history: encode entry %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// Load reads a snapshot produced by Save, merging it into the store
+// Load reads a snapshot produced by Capture.Encode, merging it into the store
 // (normally called on an empty store at startup).
 func (s *Store) Load(r io.Reader) error {
 	dec := gob.NewDecoder(r)

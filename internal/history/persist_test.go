@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"repro/internal/netsim"
@@ -15,7 +16,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	s.Add(5, 9, netsim.TransitOption(1, 2), 3, q(400, 0.05, 30))
 
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := s.Capture().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,7 +46,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveEmptyStore(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewStore().Save(&buf); err != nil {
+	if err := NewStore().Capture().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restored := NewStore()
@@ -61,7 +62,7 @@ func TestLoadMergesIntoExisting(t *testing.T) {
 	s := NewStore()
 	s.Add(1, 2, netsim.DirectOption(), 0, q(100, 0, 0))
 	var buf bytes.Buffer
-	s.Save(&buf)
+	s.Capture().Encode(&buf)
 
 	other := NewStore()
 	other.Add(1, 2, netsim.DirectOption(), 0, q(300, 0, 0))
@@ -91,7 +92,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 			s.Add(netsim.ASID(i%5), netsim.ASID(10+i%3), netsim.BounceOption(netsim.RelayID(i%4)), i%2, q(float64(50+i), 0.001, 2))
 		}
 		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
+		if err := s.Capture().Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return &buf
@@ -99,5 +100,63 @@ func TestSnapshotDeterministic(t *testing.T) {
 	a, b := mk(), mk()
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("snapshot bytes differ across identical stores")
+	}
+}
+
+// TestCaptureEncodesInEachOptOrder pins the stream's layout: a header,
+// then the entries window by window in EachOpt's order, so the bytes do
+// not depend on map order and stay those of every snapshot written.
+func TestCaptureEncodesInEachOptOrder(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < 60; i++ {
+		opt := netsim.BounceOption(netsim.RelayID(i % 4))
+		if i%3 == 0 {
+			opt = netsim.TransitOption(netsim.RelayID(i%5), netsim.RelayID(1+i%2))
+		}
+		s.Add(netsim.ASID(i%7), netsim.ASID(3+i%5), opt, 2-i%3, q(float64(50+i), 0.001*float64(i%4), 2))
+	}
+	var want bytes.Buffer
+	enc := gob.NewEncoder(&want)
+	var entries []snapshotEntry
+	for _, win := range s.Windows() {
+		s.EachOpt(win, func(pk PairKey, opt netsim.Option, a *Agg) {
+			entries = append(entries, snapshotEntry{Window: win, A: pk.A, B: pk.B, Opt: opt, Metrics: a.Metrics, PNR: a.PNR})
+		})
+	}
+	if err := enc.Encode(snapshotHeader{Version: snapshotVersion, Entries: len(entries)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range entries {
+		if err := enc.Encode(&entries[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got bytes.Buffer
+	if err := s.Capture().Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("Capture().Encode differs from the EachOpt-ordered stream")
+	}
+}
+
+// TestCaptureIsIsolated: what a Capture encodes is the store at the
+// moment of the capture, whatever is added afterwards.
+func TestCaptureIsIsolated(t *testing.T) {
+	s := NewStore()
+	s.Add(1, 2, netsim.DirectOption(), 0, q(100, 0.01, 5))
+	var before bytes.Buffer
+	if err := s.Capture().Encode(&before); err != nil {
+		t.Fatal(err)
+	}
+	c := s.Capture()
+	s.Add(1, 2, netsim.DirectOption(), 0, q(300, 0.02, 9))
+	s.Add(4, 5, netsim.BounceOption(1), 1, q(80, 0, 1))
+	var got bytes.Buffer
+	if err := c.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), before.Bytes()) {
+		t.Fatal("a capture saw adds made after it")
 	}
 }

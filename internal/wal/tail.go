@@ -20,8 +20,9 @@ var ErrTailLost = errors.New("wal: tail position lost")
 // the segment file open at its byte offset, so each Next costs O(new
 // records), not O(segment); it follows rotation into the next segment; and
 // it never forces an fsync: records at or below the durable LSN are in the
-// files by construction, and nothing beyond it is ever parsed, so bytes
-// the writer's buffer spilled early (or tore) are never delivered.
+// files by construction, and nothing beyond it is ever parsed, so bytes a
+// sync in progress has written (or half written) but not yet fsynced are
+// never delivered.
 //
 // A Tailer is for one goroutine. Any error is final: every later Next
 // returns it again.
@@ -155,7 +156,7 @@ func (t *Tailer) Close() {
 // record Data is only valid during the call. Stopping early: return a
 // non-nil error (it is passed through).
 //
-//vialint:ignore dettaint syncLocked samples the clock only to feed the fsync-latency histogram; the replayed record stream itself is a pure function of the log
+//vialint:ignore dettaint syncPending samples the clock only to feed the fsync-latency histogram; the replayed record stream itself is a pure function of the log
 func (l *Log) Replay(from uint64, fn func(lsn uint64, rec Record) error) error {
 	if err := l.Sync(); err != nil {
 		return err

@@ -83,9 +83,11 @@ func mustTail(t *testing.T, l *Log, from uint64) *Tailer {
 // log under it. Every case decides durability by hand (sync-per-append or
 // explicit Sync), so nothing depends on timing.
 func TestTailer(t *testing.T) {
+	gate := newDiskGate()
 	cases := []struct {
 		name string
 		opt  Options
+		gate *diskGate // nil: fsync is the file's own
 		run  func(t *testing.T, l *Log, dir string)
 	}{
 		{
@@ -217,32 +219,36 @@ func TestTailer(t *testing.T) {
 		{
 			name: "bytes past the durable LSN are never delivered",
 			opt:  neverSync(),
+			gate: gate,
 			run: func(t *testing.T, l *Log, dir string) {
 				appendThrough(t, l, 3)
 				if err := l.Sync(); err != nil {
 					t.Fatal(err)
 				}
-				// LSN 4 is small, LSN 5 overflows the writer's buffer: the file
-				// now holds all of 4 and a torn prefix of 5, neither durable.
+				// Stall a sync of LSNs 4 and 5 between its write and its
+				// fsync: the file holds both, neither is durable.
 				appendThrough(t, l, 4)
 				big := Record{Type: 9, Data: bytes.Repeat([]byte("x"), 6000)}
 				if _, err := l.Append(big); err != nil {
 					t.Fatal(err)
 				}
-				st, err := os.Stat(segmentPath(dir, 1))
+				synced := gate.stallSync(l)
+				// Tear LSN 5, as a reader racing the write would find it.
+				seg := segmentPath(dir, 1)
+				full, err := os.ReadFile(seg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				l.mu.Lock()
-				onDisk, appended := st.Size(), l.active
-				l.mu.Unlock()
-				frames3 := int64(3 * len(EncodeFrame(nil, tailRec(1))))
-				if onDisk <= frames3 || onDisk >= appended {
-					t.Fatalf("file holds %d bytes (3 durable records = %d, appended = %d); the test needs a spilled, torn suffix",
-						onDisk, frames3, appended)
+				frames3 := 3 * len(EncodeFrame(nil, tailRec(1)))
+				torn := len(full) - len(EncodeFrame(nil, big))/2
+				if torn <= frames3 {
+					t.Fatalf("file holds %d bytes (3 durable records = %d); the test needs a written, unsynced suffix", len(full), frames3)
+				}
+				if err := os.Truncate(seg, int64(torn)); err != nil {
+					t.Fatal(err)
 				}
 				tl := mustTail(t, l, 1)
-				got, err := drain(tl) // reads ahead over the spilled bytes
+				got, err := drain(tl) // reads ahead over the unsynced, torn bytes
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -250,7 +256,11 @@ func TestTailer(t *testing.T) {
 				if got, err = drain(tl); err != nil || len(got) != 0 {
 					t.Fatalf("delivered %d undurable records, err %v", len(got), err)
 				}
-				if err := l.Sync(); err != nil {
+				if err := os.WriteFile(seg, full, 0o644); err != nil { // the write completes
+					t.Fatal(err)
+				}
+				gate.release()
+				if err := <-synced; err != nil {
 					t.Fatal(err)
 				}
 				if got, err = drain(tl); err != nil {
@@ -258,7 +268,7 @@ func TestTailer(t *testing.T) {
 				}
 				wantRun(t, got[:1], 4, 4)
 				if len(got) != 2 || got[1].lsn != 5 || !bytes.Equal(got[1].frame, EncodeFrame(nil, big)) {
-					t.Fatalf("the record torn across the spill came back wrong (%d records)", len(got))
+					t.Fatalf("the record torn across the read-ahead came back wrong (%d records)", len(got))
 				}
 			},
 		},
@@ -297,7 +307,11 @@ func TestTailer(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Open(dir, tc.opt)
+			syncFile := (*os.File).Sync
+			if tc.gate != nil {
+				syncFile = tc.gate.sync
+			}
+			l, err := open(dir, tc.opt, syncFile)
 			if err != nil {
 				t.Fatal(err)
 			}

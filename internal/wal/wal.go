@@ -22,17 +22,29 @@
 // and truncated away — everything before it is intact by construction,
 // because records are written strictly append-only.
 //
-// Durability model. Append returns as soon as the record is in the OS
-// buffer; a committer goroutine flushes and fsyncs every SyncInterval
-// (group commit), so the crash-loss window is bounded by the interval, not
-// paid per request. Sync forces a flush for callers that need a floor
-// (snapshots, tests). Readers — boot replay, the standby stream — only see
-// records up to the durable LSN, so a replica can never apply a record the
-// primary could still lose.
+// Durability model. Append encodes the record into a log-owned pending
+// buffer and returns: it makes no syscall, and the record is neither in
+// the file nor in the OS yet. A committer goroutine syncs every
+// SyncInterval (group commit): under the log's lock it swaps the pending
+// buffer out, then writes it to the active segment and fsyncs with the
+// lock released, so appends keep landing in the other buffer while the
+// disk works, and only then publishes the durable LSN. A process or an OS
+// crash therefore loses at most the records appended in the last
+// SyncInterval plus the sync in flight; nothing acknowledged as durable
+// is lost. Sync forces one for callers that need a floor (snapshots,
+// promotion, tests). Past a fixed pending bound, Append syncs inline —
+// backpressure when the disk stalls. Readers — boot replay, the standby
+// stream — only see records up to the durable LSN, so a replica can never
+// apply a record the primary could still lose.
+//
+// A failed write or fsync is sticky. After a failed fsync the kernel may
+// already have marked the lost pages clean, so a retry can succeed without
+// the data ever reaching the disk; the log therefore records the first
+// failure, never advances the durable LSN again, and returns the error
+// from every later Append, Sync and Close.
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -127,9 +139,10 @@ func DecodeFrame(b []byte) (Record, int, error) {
 // Options tunes a Log. The zero value gives production defaults.
 type Options struct {
 	// SyncInterval is the group-commit window: how long an acknowledged
-	// append may sit in OS buffers before it is fsynced. 0 means the 2ms
-	// default; negative means fsync synchronously on every append (tests
-	// and strict-durability callers).
+	// append may sit in the log's pending buffer, in process memory,
+	// before a sync writes and fsyncs it — the crash-loss window. 0 means
+	// the 2ms default; negative means write and fsync synchronously on
+	// every append (tests and strict-durability callers).
 	SyncInterval time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this size
 	// (default 8 MiB), bounding both replay batch size and the granularity
@@ -156,24 +169,43 @@ type segment struct {
 	path  string
 }
 
+// maxPending bounds the pending buffer. An Append that finds this much
+// still unsynced syncs inline first: if the disk stalls, appenders wait
+// for it instead of buffering without limit.
+const maxPending = 1 << 20
+
 // Log is the append-only record log. Safe for concurrent use.
+//
+// Lock order: syncMu, then mu. mu guards the in-memory log; Append takes
+// only mu, and no write or fsync of appended records runs under it.
+// syncMu serialises every sync against the others and against whatever
+// swaps or closes the active file (rotation, Reset, Close) or removes
+// segments (TruncateBefore), so the file a sync writes outside mu stays
+// the active one until the sync is done.
 type Log struct {
 	dir string
 	opt Options
 
+	syncMu sync.Mutex
+
 	mu       sync.Mutex
 	segs     []segment     // guarded by mu — closed segments plus the active one, ascending by first
-	f        *os.File      // guarded by mu — active segment file
-	w        *bufio.Writer // guarded by mu
+	f        *os.File      // guarded by mu — active segment file; replaced only with syncMu also held
+	pending  []byte        // guarded by mu — encoded frames not yet written to f
+	spare    []byte        // guarded by mu — the buffer the last sync wrote, reused as the next pending (nil while a sync writes it)
 	next     uint64        // guarded by mu — LSN the next append receives
-	active   int64         // guarded by mu — bytes written to the active segment
-	dirty    bool          // guarded by mu — unsynced appends pending
+	active   int64         // guarded by mu — bytes appended to the active segment, pending included
 	durable  uint64        // guarded by mu — highest fsynced LSN
+	failed   error         // guarded by mu — first failed write or fsync; sticky
 	gen      uint64        // guarded by mu — bumped by Reset, so a Tailer notices the log was replaced under it
 	notify   chan struct{} // guarded by mu — closed and replaced when durable advances
 	closed   bool          // guarded by mu
 	syncStop chan struct{}
 	syncDone chan struct{}
+
+	// syncFile makes written bytes durable: (*os.File).Sync, or a test's
+	// stall or failure.
+	syncFile func(*os.File) error
 
 	mAppends *obs.Counter
 	mFsync   *obs.Histogram
@@ -184,6 +216,11 @@ type Log struct {
 // Corruption in the middle of the log (not at the tail) is an error — that
 // is lost data, not a torn write, and must not be silently skipped.
 func Open(dir string, opt Options) (*Log, error) {
+	return open(dir, opt, (*os.File).Sync)
+}
+
+// open is Open with the fsync step supplied.
+func open(dir string, opt Options, syncFile func(*os.File) error) (*Log, error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
@@ -195,6 +232,7 @@ func Open(dir string, opt Options) (*Log, error) {
 		notify:   make(chan struct{}),
 		syncStop: make(chan struct{}),
 		syncDone: make(chan struct{}),
+		syncFile: syncFile,
 	}
 	m := opt.Metrics
 	l.mAppends = m.Counter("via_wal_appends_total")
@@ -259,7 +297,6 @@ func (l *Log) recoverLocked(segs []segment) error {
 			return fmt.Errorf("wal: stat active segment: %w", err)
 		}
 		l.f = f
-		l.w = bufio.NewWriter(f)
 		l.active = st.Size()
 	}
 	l.durable = l.next - 1 // everything recovered from disk is durable
@@ -329,85 +366,149 @@ func (l *Log) openSegmentLocked(first uint64) error {
 	}
 	l.segs = append(l.segs, segment{first: first, path: f.Name()})
 	l.f = f
-	l.w = bufio.NewWriter(f)
 	l.active = 0
 	return nil
 }
 
-// Append writes one record and returns its LSN. The record is durable once
-// the group-commit window closes (or immediately with SyncInterval < 0).
+// Append adds one record and returns its LSN. It encodes the record into
+// the pending buffer and makes no syscall; the record is durable once the
+// next sync completes (before Append returns with SyncInterval < 0). A
+// full segment, a full pending buffer and strict mode take appendSync.
 func (l *Log) Append(rec Record) (uint64, error) {
-	frame := EncodeFrame(nil, rec)
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("wal: append on closed log")
+	if l.opt.SyncInterval > 0 && l.active < l.opt.SegmentBytes && len(l.pending) < maxPending {
+		lsn, err := l.appendLocked(rec)
+		l.mu.Unlock()
+		return lsn, err
 	}
-	if l.active >= l.opt.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
+	l.mu.Unlock()
+	return l.appendSync(rec)
+}
+
+// appendLocked encodes rec into the pending buffer and numbers it. Caller
+// holds l.mu.
+func (l *Log) appendLocked(rec Record) (uint64, error) {
+	if err := l.usableLocked(); err != nil {
+		return 0, err
 	}
-	if _, err := l.w.Write(frame); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
+	n := len(l.pending)
+	l.pending = EncodeFrame(l.pending, rec)
 	lsn := l.next
 	l.next++
-	l.active += int64(len(frame))
-	l.dirty = true
+	l.active += int64(len(l.pending) - n)
 	l.mAppends.Inc()
+	return lsn, nil
+}
+
+// usableLocked reports why the log takes no more appends, if it does not.
+// Caller holds l.mu.
+func (l *Log) usableLocked() error {
+	if l.closed {
+		return fmt.Errorf("wal: append on closed log")
+	}
+	return l.failed
+}
+
+// appendSync is Append's synchronous path, under syncMu: it rotates a
+// full segment or drains a full pending buffer before appending, and in
+// strict mode syncs the record before returning.
+func (l *Log) appendSync(rec Record) (uint64, error) {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	err := l.usableLocked()
+	rotate, drain := l.active >= l.opt.SegmentBytes, len(l.pending) >= maxPending
+	l.mu.Unlock()
+	switch {
+	case err != nil:
+		return 0, err
+	case rotate:
+		err = l.rotate()
+	case drain:
+		err = l.syncPending()
+	}
+	if err != nil {
+		return 0, err
+	}
+	l.mu.Lock()
+	lsn, err := l.appendLocked(rec)
+	l.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	if l.opt.SyncInterval < 0 {
-		if err := l.syncLocked(); err != nil {
+		if err := l.syncPending(); err != nil {
 			return 0, err
 		}
 	}
 	return lsn, nil
 }
 
-// rotateLocked seals the active segment and starts a new one. Caller holds
-// l.mu.
-func (l *Log) rotateLocked() error {
-	if err := l.syncLocked(); err != nil {
+// rotate seals the active segment and starts a new one. Caller holds
+// l.syncMu. Once the segment is full every append waits on syncMu, so
+// after syncPending nothing is pending for the sealed file.
+func (l *Log) rotate() error {
+	if err := l.syncPending(); err != nil {
 		return err
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: close sealed segment: %w", err)
 	}
 	return l.openSegmentLocked(l.next)
 }
 
-// syncLocked flushes buffered appends and fsyncs the active segment,
-// advancing the durable LSN and waking tailers. Caller holds l.mu.
-func (l *Log) syncLocked() error {
-	if !l.dirty {
-		return nil
+// syncPending makes every appended record durable. Under l.mu it swaps
+// the pending buffer for the spare one; with l.mu released it writes the
+// swapped bytes to the active segment and fsyncs; then it publishes the
+// durable LSN and wakes tailers. Appends go on meanwhile. A failure is
+// recorded as the log's sticky error. Caller holds l.syncMu, which keeps
+// l.f the active file until the sync is done.
+func (l *Log) syncPending() error {
+	l.mu.Lock()
+	if l.failed != nil || len(l.pending) == 0 {
+		err := l.failed
+		l.mu.Unlock()
+		return err
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+	buf, f, upto := l.pending, l.f, l.next-1
+	l.pending, l.spare = l.spare[:0], nil
+	l.mu.Unlock()
+
+	_, err := f.Write(buf)
+	if err != nil {
+		err = fmt.Errorf("wal: write: %w", err)
+	} else {
+		start := time.Now()
+		if err = l.syncFile(f); err != nil {
+			err = fmt.Errorf("wal: fsync: %w", err)
+		} else {
+			l.mFsync.Observe(time.Since(start).Seconds())
+		}
 	}
-	start := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.spare = buf[:0]
+	if err != nil {
+		l.failed = err
+		return err
 	}
-	l.mFsync.Observe(time.Since(start).Seconds())
-	l.dirty = false
-	l.durable = l.next - 1
+	l.durable = upto
 	close(l.notify)
 	l.notify = make(chan struct{})
 	return nil
 }
 
-// Sync forces buffered appends to disk now.
+// Sync makes every record appended so far durable now.
 func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	return l.syncLocked()
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	return l.syncPending()
 }
 
-// committer is the group-commit goroutine: it fsyncs pending appends every
+// committer is the group-commit goroutine: it syncs pending appends every
 // SyncInterval.
 func (l *Log) committer() {
 	defer close(l.syncDone)
@@ -419,10 +520,10 @@ func (l *Log) committer() {
 			return
 		case <-tick.C:
 		}
-		l.mu.Lock()
-		//vialint:ignore errwrap a failed periodic fsync surfaces on the next Append/Sync/Close; the committer has no caller to return to
-		_ = l.syncLocked()
-		l.mu.Unlock()
+		l.syncMu.Lock()
+		//vialint:ignore errwrap a failed sync becomes the log's sticky error, which every later Append, Sync and Close returns; the committer has no caller to return to
+		_ = l.syncPending()
+		l.syncMu.Unlock()
 	}
 }
 
@@ -502,19 +603,25 @@ func frameRecord(frame []byte) Record {
 
 // TruncateBefore removes whole segments every one of whose records has
 // LSN < keep — called after a snapshot at keep-1 makes them redundant. The
-// active segment is never removed.
+// active segment is never removed. The files are removed, and the
+// directory synced, with l.mu released; syncMu keeps a concurrent Reset
+// from reusing a removed name meanwhile.
 func (l *Log) TruncateBefore(keep uint64) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	removed := 0
+	var drop []segment
 	for len(l.segs) > 1 && l.segs[1].first <= keep {
-		if err := os.Remove(l.segs[0].path); err != nil {
+		drop = append(drop, l.segs[0])
+		l.segs = l.segs[1:]
+	}
+	l.mu.Unlock()
+	for _, s := range drop {
+		if err := os.Remove(s.path); err != nil {
 			return fmt.Errorf("wal: remove truncated segment: %w", err)
 		}
-		l.segs = l.segs[1:]
-		removed++
 	}
-	if removed > 0 {
+	if len(drop) > 0 {
 		return syncDir(l.dir)
 	}
 	return nil
@@ -527,13 +634,15 @@ func (l *Log) Reset(next uint64) error {
 	if next == 0 {
 		return fmt.Errorf("wal: reset to LSN 0 (LSNs are 1-based)")
 	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("wal: reset on closed log")
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: reset flush: %w", err)
+	if l.failed != nil {
+		return l.failed
 	}
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: reset close active: %w", err)
@@ -544,17 +653,18 @@ func (l *Log) Reset(next uint64) error {
 		}
 	}
 	l.segs = nil
+	l.pending = l.pending[:0] // superseded along with the files
 	l.gen++
 	l.next = next
 	l.durable = next - 1
-	l.dirty = false
 	if err := l.openSegmentLocked(next); err != nil {
 		return err
 	}
 	return syncDir(l.dir)
 }
 
-// Close flushes, fsyncs, and closes the log.
+// Close syncs what is pending and closes the log. A log whose sync failed
+// returns that failure here too.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -568,9 +678,11 @@ func (l *Log) Close() error {
 		close(l.syncStop)
 		<-l.syncDone
 	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	err := l.syncPending()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.syncLocked()
 	if cerr := l.f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("wal: close active segment: %w", cerr)
 	}

@@ -2,10 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -423,4 +427,233 @@ func TestConcurrentAppend(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// diskGate is a syncFile seam whose fsync a test can stall: after hold,
+// the next fsync announces itself and waits for release.
+type diskGate struct {
+	held    atomic.Bool
+	entered chan struct{}
+	free    chan struct{}
+}
+
+func newDiskGate() *diskGate {
+	return &diskGate{entered: make(chan struct{}), free: make(chan struct{})}
+}
+
+func (g *diskGate) hold()    { g.held.Store(true) }
+func (g *diskGate) wait()    { <-g.entered }
+func (g *diskGate) release() { g.free <- struct{}{} }
+
+func (g *diskGate) sync(f *os.File) error {
+	if g.held.CompareAndSwap(true, false) {
+		g.entered <- struct{}{}
+		<-g.free
+	}
+	return f.Sync()
+}
+
+// stallSync starts a Sync and returns once it has written its bytes and
+// is held in fsync; the channel yields Sync's result after release.
+func (g *diskGate) stallSync(l *Log) <-chan error {
+	g.hold()
+	done := make(chan error, 1)
+	go func() { done <- l.Sync() }()
+	g.wait()
+	return done
+}
+
+// TestAppendDoesNotWaitForFsync: while the committer's fsync is stalled,
+// Append still returns and numbers records, but neither DurableLSN nor a
+// Tailer moves until the fsync completes.
+func TestAppendDoesNotWaitForFsync(t *testing.T) {
+	gate := newDiskGate()
+	l, err := open(t.TempDir(), Options{SyncInterval: time.Millisecond}, gate.sync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close() //vialint:ignore errwrap test cleanup
+	gate.hold()
+	mustAppend(t, l, 1, "first")
+	gate.wait() // the committer swapped LSN 1 out and is in fsync
+
+	const more = 200
+	appended := make(chan error, 1)
+	go func() {
+		for i := 0; i < more; i++ {
+			if _, err := l.Append(Record{Type: 1, Data: []byte("during fsync")}); err != nil {
+				appended <- err
+				return
+			}
+		}
+		appended <- nil
+	}()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Append blocked behind a stalled fsync")
+	}
+	if got := l.LastLSN(); got != 1+more {
+		t.Fatalf("LastLSN = %d, want %d", got, 1+more)
+	}
+	if got := l.DurableLSN(); got != 0 {
+		t.Fatalf("DurableLSN = %d while the fsync is stalled, want 0", got)
+	}
+	tl := mustTail(t, l, 1)
+	if got, err := drain(tl); err != nil || len(got) != 0 {
+		t.Fatalf("tailer delivered %d records before the fsync completed, err %v", len(got), err)
+	}
+
+	notify := l.DurableNotify()
+	gate.release()
+	<-notify
+	if got := l.DurableLSN(); got < 1 {
+		t.Fatalf("DurableLSN = %d after the fsync completed", got)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.DurableLSN(); got != 1+more {
+		t.Fatalf("DurableLSN = %d after Sync, want %d", got, 1+more)
+	}
+	if got, err := drain(tl); err != nil || len(got) != 1+more {
+		t.Fatalf("tailer delivered %d records after Sync, want %d (err %v)", len(got), 1+more, err)
+	}
+}
+
+// TestSyncFailureIsSticky: once an fsync fails, the pages it covered may
+// be gone even though a retry would succeed, so the log never reports them
+// durable and every later Append, Sync and Close returns the failure.
+func TestSyncFailureIsSticky(t *testing.T) {
+	eio := errors.New("injected EIO")
+	var failNext atomic.Bool
+	failOnce := func(f *os.File) error {
+		if failNext.Swap(false) {
+			return eio
+		}
+		return f.Sync()
+	}
+	l, err := open(t.TempDir(), neverSync(), failOnce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, l, 1, "durable")
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, l, 1, "lost")
+	failNext.Store(true)
+	if err := l.Sync(); !errors.Is(err, eio) {
+		t.Fatalf("Sync err %v, want the injected failure", err)
+	}
+	// The seam would succeed now; the log must not let it.
+	if err := l.Sync(); !errors.Is(err, eio) {
+		t.Fatalf("second Sync err %v, want the first failure again", err)
+	}
+	if _, err := l.Append(Record{Type: 1, Data: []byte("after")}); !errors.Is(err, eio) {
+		t.Fatalf("Append err %v, want the sync failure", err)
+	}
+	if got := l.DurableLSN(); got != 1 {
+		t.Fatalf("DurableLSN = %d, want 1: the failed sync's record is not durable", got)
+	}
+	if err := l.Close(); !errors.Is(err, eio) {
+		t.Fatalf("Close err %v, want the sync failure", err)
+	}
+}
+
+// TestPendingBoundSyncsInline: with no committer tick in sight, an Append
+// that finds maxPending bytes unsynced writes and fsyncs them itself.
+func TestPendingBoundSyncsInline(t *testing.T) {
+	l, err := Open(t.TempDir(), neverSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close() //vialint:ignore errwrap test cleanup
+	rec := Record{Type: 1, Data: bytes.Repeat([]byte("p"), 1000)}
+	frame := uint64(len(EncodeFrame(nil, rec)))
+	perBound := (maxPending + frame - 1) / frame // appends that fill the bound
+	for i := uint64(0); i <= perBound; i++ {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.DurableLSN(); got != perBound {
+		t.Fatalf("DurableLSN = %d, want %d: the append past the bound must sync what was pending", got, perBound)
+	}
+	l.mu.Lock()
+	pending := len(l.pending)
+	l.mu.Unlock()
+	if pending != int(frame) {
+		t.Fatalf("%d bytes pending after the inline sync, want one frame (%d)", pending, frame)
+	}
+}
+
+// TestAppendDoesNotAllocate: in steady state Append encodes into the
+// log's own buffers, which syncs hand back and forth.
+func TestAppendDoesNotAllocate(t *testing.T) {
+	l, err := Open(t.TempDir(), neverSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close() //vialint:ignore errwrap test cleanup
+	rec := Record{Type: 1, Data: bytes.Repeat([]byte("r"), 200)}
+	const runs = 400
+	for round := 0; round < 2; round++ { // grow both buffers
+		for i := 0; i <= runs; i++ {
+			if _, err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Append allocates %v times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkAppendPaced is one appender at a fixed rate (one 200-byte
+// record every 20µs) while the committer syncs every 2ms, as a served
+// controller appends. blocked_frac is the share of wall time spent inside
+// Append; a committer that held the append lock across fsync shows up
+// there and in the tail.
+func BenchmarkAppendPaced(b *testing.B) {
+	l, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close() //vialint:ignore errwrap benchmark cleanup
+	rec := Record{Type: 1, Data: bytes.Repeat([]byte("r"), 200)}
+	const pace = 20 * time.Microsecond
+	lat := make([]time.Duration, b.N)
+	var blocked time.Duration
+	b.ResetTimer()
+	start := time.Now()
+	next := start
+	for i := 0; i < b.N; i++ {
+		for time.Now().Before(next) {
+		}
+		next = next.Add(pace)
+		t0 := time.Now()
+		if _, err := l.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+		lat[i] = time.Since(t0)
+		blocked += lat[i]
+	}
+	wall := time.Since(start)
+	b.StopTimer()
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	b.ReportMetric(blocked.Seconds()/wall.Seconds(), "blocked_frac")
+	b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds()), "p99_ns")
+	b.ReportMetric(float64(lat[len(lat)*999/1000].Nanoseconds()), "p99.9_ns")
 }
