@@ -22,7 +22,7 @@ COVER_FLOOR ?= 75.0
 # -timings prints load + per-analyzer wall time to stderr).
 VIALINT_FLAGS ?=
 
-.PHONY: verify build vet fmt-check mod-check lint lint-fast test race short fuzz chaos chaos-ha chaos-repair soak loss-sweep bench bench-json bench-choose bench-smoke choose-smoke bench-vet cover
+.PHONY: verify build vet fmt-check mod-check lint lint-fast test race short fuzz chaos chaos-ha chaos-repair soak loss-sweep bench-json bench-choose bench-smoke choose-smoke bench-vet cover
 
 verify: build vet fmt-check lint test race
 
@@ -137,10 +137,6 @@ soak:
 # plus the per-regime repair bandit's learned choices.
 loss-sweep:
 	$(GO) run ./cmd/viabench losssweep
-
-# Go benchmark suite (per-figure testing.B benchmarks).
-bench:
-	$(GO) test -run=NONE -bench=. -benchmem .
 
 # Benchmark-regression harness: replays the experiment suite sequentially
 # (per-experiment ns/op + allocs/op) and in parallel (suite wall clock /

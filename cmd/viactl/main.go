@@ -114,8 +114,6 @@ func serveCmd(args []string) int {
 		"comma-separated repair arms offered to the per-pair bandit, e.g. none,nack,red,fec-4 (empty = repair selection off)")
 	repairBudget := fs.Float64("repair-budget", 0,
 		"cap on the talk-time fraction of redundant repair bandwidth per pair (0 = default 0.25, >= 1 = uncapped)")
-	cacheTTL := fs.Float64("cache-ttl", 0,
-		"decision-cache TTL in virtual hours (0 = no cache); incompatible with -wal, whose replay must re-execute every decision")
 	timescale := fs.Float64("timescale", 0, "virtual hours per wall second (0 = real time)")
 	seed := fs.Uint64("seed", 1, "strategy seed")
 	relayTTL := fs.Duration("relay-ttl", 0, "expire relays whose heartbeat lapsed this long (0 = never)")
@@ -149,14 +147,6 @@ func serveCmd(args []string) int {
 	if (*ringMapFile == "") != (*ringShard < 0) {
 		log.Fatal("-ring-map and -ring-shard go together (a shard needs both the map and its own ID)")
 	}
-	if *cacheTTL > 0 && *walDir != "" {
-		// WAL replay reproduces state by re-executing every choose record
-		// against the strategy; a cache in front would serve some of those
-		// from cached decisions (the cache itself is not persisted), the
-		// inner algorithm's RNG would advance differently live vs replay,
-		// and recovery would diverge. Cache at the client tier instead.
-		log.Fatal("-cache-ttl and -wal are mutually exclusive (cached decisions would break replay determinism)")
-	}
 
 	reg := obs.NewRegistry()
 	cfg := core.DefaultViaConfig(m)
@@ -167,18 +157,8 @@ func serveCmd(args []string) int {
 		cfg.RepairSchemes = strings.Split(*repairSchemes, ",")
 		cfg.RepairOverheadBudget = *repairBudget
 	}
-	strat := core.NewVia(cfg, nil)
-
-	var serveStrat core.Strategy = strat
-	if *cacheTTL > 0 {
-		cached := core.NewCached(strat, *cacheTTL)
-		cached.RegisterMetrics(reg)
-		serveStrat = cached
-		fmt.Printf("decision cache enabled (ttl %.2gh, %d pairs max)\n", *cacheTTL, core.DefaultCacheMaxPairs)
-	}
-
 	ccfg := controller.Config{
-		Strategy:        serveStrat,
+		Strategy:        core.NewVia(cfg, nil),
 		TimeScale:       *timescale,
 		RelayTTL:        *relayTTL,
 		Metrics:         reg,

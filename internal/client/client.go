@@ -366,7 +366,7 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 
 	session := a.newSession()
 	scheme := spec.Repair
-	// Session token (wire v3): lets relays identify this call's frames by
+	// Session token: lets relays identify this call's frames by
 	// token rather than source address, so the call survives a mid-call
 	// NAT rebind (DESIGN.md §17).
 	tok := a.newToken()

@@ -705,26 +705,11 @@ func (s *Server) report(body, dst []byte) (int, []byte) {
 	return appendReply(dst, transport.ReportResponse{OK: true})
 }
 
-// unwrapVia peels decorator strategies (the decision cache) down to the
-// underlying Via algorithm, if that is what is running.
-func unwrapVia(strat core.Strategy) (*core.Via, bool) {
-	for {
-		switch v := strat.(type) {
-		case *core.Via:
-			return v, true
-		case *core.Cached:
-			strat = v.Inner()
-		default:
-			return nil, false
-		}
-	}
-}
-
 // handleTopK exposes the strategy's pruned candidate set for a pair — the
 // operator's window into why calls route where they do. Only available when
-// the strategy is (or wraps) the full Via algorithm.
+// the strategy is the full Via algorithm.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	via, ok := unwrapVia(s.cfg.Strategy)
+	via, ok := s.cfg.Strategy.(*core.Via)
 	if !ok {
 		http.Error(w, "strategy does not expose top-k", http.StatusNotFound)
 		return

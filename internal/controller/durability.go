@@ -37,9 +37,8 @@ type StatefulStrategy interface {
 
 // stateCapturer is a StatefulStrategy that splits a capture in two: a
 // copy, which must run under walMu to stay aligned with the log, and an
-// encode, which need not. core.Via and core.Cached implement it. A
-// strategy without it (test fakes, decorators that forward only
-// SaveState) is captured whole by SaveState under walMu.
+// encode, which need not. core.Via implements it. A strategy without it
+// (test fakes) is captured whole by SaveState under walMu.
 type stateCapturer interface {
 	CaptureState() (func(io.Writer) error, error)
 }
@@ -304,7 +303,7 @@ func (s *Server) applyRecordLocked(rec wal.Record) error {
 		// the shared gate. A record logged by a Via controller but replayed
 		// into a non-Via strategy is a config change, and the config is the
 		// source of truth — skip it.
-		if via, ok := unwrapVia(s.cfg.Strategy); ok {
+		if via, ok := s.cfg.Strategy.(*core.Via); ok {
 			via.SetSharedBudgetThreshold(r.N, r.Threshold)
 		}
 	default:
@@ -331,35 +330,56 @@ func DescribeRecord(rec wal.Record) string {
 	}
 }
 
+// decodeSnapshot decodes a controller snapshot payload and checks its
+// version. It touches no server state, so callers may run it before
+// taking walMu.
+func decodeSnapshot(payload []byte) (*ctrlSnapshot, error) {
+	var snap ctrlSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
+		return nil, fmt.Errorf("controller: decode snapshot: %w", err)
+	}
+	if snap.Version != ctrlSnapshotVersion {
+		return nil, fmt.Errorf("controller: snapshot version %d, want %d", snap.Version, ctrlSnapshotVersion)
+	}
+	return &snap, nil
+}
+
+// restoreSnapshotLocked loads snap, which covers lsn, into the strategy
+// and restores the term, the virtual clock and the applied LSN. Caller
+// holds s.walMu.
+func (s *Server) restoreSnapshotLocked(lsn uint64, snap *ctrlSnapshot) error {
+	stateful, ok := s.cfg.Strategy.(StatefulStrategy)
+	if !ok {
+		return fmt.Errorf("controller: strategy %q cannot restore state", s.cfg.Strategy.Name())
+	}
+	if err := stateful.LoadState(bytes.NewReader(snap.Strategy)); err != nil {
+		return fmt.Errorf("controller: restore strategy state: %w", err)
+	}
+	s.term.Store(snap.Term)
+	s.lastTHours = snap.BaseHours
+	s.appliedLSN.Store(lsn)
+	return nil
+}
+
 // recoverFromWAL restores the latest snapshot and replays the WAL tail.
 // Runs once, from Open, before the server accepts decision traffic — but
 // it mutates walMu-guarded state, so it holds the (uncontended) lock.
 func (s *Server) recoverFromWAL() error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	stateful, _ := s.cfg.Strategy.(StatefulStrategy)
 	from := uint64(1)
 	lsn, payload, ok, err := wal.LatestSnapshot(snapDir(s.cfg.WALDir))
 	if err != nil {
 		return err
 	}
 	if ok {
-		if stateful == nil {
-			return fmt.Errorf("controller: snapshot present but strategy %q cannot restore state", s.cfg.Strategy.Name())
+		snap, err := decodeSnapshot(payload)
+		if err != nil {
+			return err
 		}
-		var snap ctrlSnapshot
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-			return fmt.Errorf("controller: decode snapshot: %w", err)
+		if err := s.restoreSnapshotLocked(lsn, snap); err != nil {
+			return err
 		}
-		if snap.Version != ctrlSnapshotVersion {
-			return fmt.Errorf("controller: snapshot version %d, want %d", snap.Version, ctrlSnapshotVersion)
-		}
-		if err := stateful.LoadState(bytes.NewReader(snap.Strategy)); err != nil {
-			return fmt.Errorf("controller: restore strategy state: %w", err)
-		}
-		s.term.Store(snap.Term)
-		s.lastTHours = snap.BaseHours
-		s.appliedLSN.Store(lsn)
 		from = lsn + 1
 	}
 	replayed := 0

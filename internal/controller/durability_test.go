@@ -179,11 +179,15 @@ func TestOpenFreshAndReadiness(t *testing.T) {
 }
 
 // TestOpenRejectsStatelessStrategy: durability without snapshot support is
-// a configuration error, caught at Open.
+// a configuration error, caught at Open. The decision cache is one such
+// strategy: replay re-executes every decision, which a cache would skip.
 func TestOpenRejectsStatelessStrategy(t *testing.T) {
-	_, err := Open(Config{Strategy: &recordingStrategy{}, WALDir: t.TempDir()})
-	if err == nil {
-		t.Fatal("Open accepted a strategy that cannot snapshot")
+	via := core.NewVia(core.DefaultViaConfig(quality.RTT), nil)
+	for _, strat := range []core.Strategy{&recordingStrategy{}, core.NewCached(via, 1)} {
+		_, err := Open(Config{Strategy: strat, WALDir: t.TempDir()})
+		if err == nil || !strings.Contains(err.Error(), "does not implement StatefulStrategy") {
+			t.Errorf("Open(%s) = %v, want the StatefulStrategy refusal", strat.Name(), err)
+		}
 	}
 }
 

@@ -110,42 +110,32 @@ func TestDurableRepairReplayBitIdentical(t *testing.T) {
 // TestRepairSchemeFlowsThroughHTTP: the negotiated scheme round-trips the
 // wire, and a strategy without repair support degrades to no scheme.
 func TestRepairSchemeFlowsThroughHTTP(t *testing.T) {
-	// The decision cache (viactl -cache-ttl) must not hide the repair
-	// extension of the strategy it wraps.
-	for _, tc := range []struct {
-		name string
-		wrap func(*core.Via) core.Strategy
-	}{
-		{"via", func(v *core.Via) core.Strategy { return v }},
-		{"cached", func(v *core.Via) core.Strategy { return core.NewCached(v, 1) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.DefaultViaConfig(quality.Loss)
-			cfg.RepairSchemes = []string{"none", "nack"}
-			s := New(Config{Strategy: tc.wrap(core.NewVia(cfg, nil)), TimeScale: 3600})
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-			c := NewClient(ts.URL)
+	t.Run("via", func(t *testing.T) {
+		cfg := core.DefaultViaConfig(quality.Loss)
+		cfg.RepairSchemes = []string{"none", "nack"}
+		s := New(Config{Strategy: core.NewVia(cfg, nil), TimeScale: 3600})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		c := NewClient(ts.URL)
 
-			opt, scheme, err := c.ChooseWithRepair(1, 2, testCands(), []string{"nack", "none"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scheme != "nack" && scheme != "none" {
-				t.Errorf("scheme = %q, want one of the offered", scheme)
-			}
-			if err := c.ReportRepair(1, 2, opt, scheme, 60, synthMetrics(0, opt)); err != nil {
-				t.Fatal(err)
-			}
+		opt, scheme, err := c.ChooseWithRepair(1, 2, testCands(), []string{"nack", "none"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scheme != "nack" && scheme != "none" {
+			t.Errorf("scheme = %q, want one of the offered", scheme)
+		}
+		if err := c.ReportRepair(1, 2, opt, scheme, 60, synthMetrics(0, opt)); err != nil {
+			t.Fatal(err)
+		}
 
-			// No offer → no scheme, even with a repair-capable strategy.
-			_, scheme, err = c.ChooseWithRepair(1, 2, testCands(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scheme != "" {
-				t.Errorf("unoffered scheme = %q, want empty", scheme)
-			}
-		})
-	}
+		// No offer → no scheme, even with a repair-capable strategy.
+		_, scheme, err = c.ChooseWithRepair(1, 2, testCands(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scheme != "" {
+			t.Errorf("unoffered scheme = %q, want empty", scheme)
+		}
+	})
 }

@@ -21,15 +21,16 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
 // handleBudgetDigest serves this shard's §4.6 benefit-percentile digest
-// for cross-shard aggregation. 404 when the strategy is not (or does not
-// wrap) the full Via algorithm — there is nothing to aggregate.
+// for cross-shard aggregation. 404 when the strategy is not the full Via
+// algorithm — there is nothing to aggregate.
 func (s *Server) handleBudgetDigest(w http.ResponseWriter, _ *http.Request) {
-	via, ok := unwrapVia(s.cfg.Strategy)
+	via, ok := s.cfg.Strategy.(*core.Via)
 	if !ok {
 		http.Error(w, "strategy does not expose a budget digest", http.StatusNotFound)
 		return
@@ -64,7 +65,7 @@ func (s *Server) handleBudgetMerged(w http.ResponseWriter, r *http.Request) {
 // the strategy sees the new gate, so log order remains apply order and
 // replayed gate decisions match live ones.
 func (s *Server) applyBudget(n int64, threshold float64) error {
-	via, ok := unwrapVia(s.cfg.Strategy)
+	via, ok := s.cfg.Strategy.(*core.Via)
 	if !ok {
 		return fmt.Errorf("controller: strategy %q has no budget gate", s.cfg.Strategy.Name())
 	}

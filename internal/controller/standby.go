@@ -2,10 +2,8 @@ package controller
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net/http"
@@ -193,19 +191,12 @@ func (r *standbyRunner) bootstrapFromSnapshot() error {
 // installSnapshot replaces the server's state with a primary-sent snapshot
 // covering lsn.
 func (s *Server) installSnapshot(lsn uint64, payload []byte) error {
-	stateful, ok := s.cfg.Strategy.(StatefulStrategy)
-	if !ok {
-		return fmt.Errorf("controller: strategy %q cannot restore state", s.cfg.Strategy.Name())
-	}
-	var snap ctrlSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return fmt.Errorf("controller: decode bootstrap snapshot: %w", err)
-	}
-	if snap.Version != ctrlSnapshotVersion {
-		return fmt.Errorf("controller: bootstrap snapshot version %d, want %d", snap.Version, ctrlSnapshotVersion)
+	snap, err := decodeSnapshot(payload)
+	if err != nil {
+		return err
 	}
 	s.walMu.Lock()
-	lsnLocal, encode, err := s.resetToSnapshotLocked(stateful, lsn, &snap)
+	lsnLocal, encode, err := s.resetToSnapshotLocked(lsn, snap)
 	s.walMu.Unlock()
 	if err != nil {
 		return err
@@ -223,21 +214,18 @@ func (s *Server) installSnapshot(lsn uint64, payload []byte) error {
 	return nil
 }
 
-// resetToSnapshotLocked loads a primary's snapshot covering lsn into the
-// strategy, restarts the local log after it, and captures the installed
-// state for the local snapshot. Caller holds s.walMu.
-func (s *Server) resetToSnapshotLocked(stateful StatefulStrategy, lsn uint64, snap *ctrlSnapshot) (uint64, func() ([]byte, error), error) {
-	if err := stateful.LoadState(bytes.NewReader(snap.Strategy)); err != nil {
-		return 0, nil, fmt.Errorf("controller: install bootstrap state: %w", err)
+// resetToSnapshotLocked loads a primary's snapshot covering lsn, restarts
+// the local log after it, and captures the installed state for the local
+// snapshot. Caller holds s.walMu.
+func (s *Server) resetToSnapshotLocked(lsn uint64, snap *ctrlSnapshot) (uint64, func() ([]byte, error), error) {
+	if err := s.restoreSnapshotLocked(lsn, snap); err != nil {
+		return 0, nil, err
 	}
 	// The local log's history is superseded; restart numbering in lockstep
 	// with the primary so future replicated records land at matching LSNs.
 	if err := s.wlog.Reset(lsn + 1); err != nil {
 		return 0, nil, err
 	}
-	s.term.Store(snap.Term)
-	s.lastTHours = snap.BaseHours
-	s.appliedLSN.Store(lsn)
 	s.sinceSnapshot = 0
 	return s.captureSnapshotLocked()
 }

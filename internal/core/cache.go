@@ -35,13 +35,10 @@ package core
 // relays in the correct order.
 
 import (
-	"errors"
-	"io"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/quality"
 )
 
@@ -177,9 +174,6 @@ func NewCachedBounded(inner Strategy, ttlHours float64, maxPairs int) *Cached {
 
 // Name implements Strategy.
 func (c *Cached) Name() string { return c.inner.Name() + "+cache" }
-
-// Inner exposes the wrapped strategy (controller diagnostics unwrap it).
-func (c *Cached) Inner() Strategy { return c.inner }
 
 // PairMix is the one hash of a group pair: the pair is ordered (min, max)
 // first, so both call directions mix to the same value. The decision
@@ -399,79 +393,6 @@ func (c *Cached) sum(f func(*cacheShard) int64) int64 {
 	return n
 }
 
-// errNotStateful reports a state call on a cache whose inner strategy
-// has no serializable state.
-var errNotStateful = errors.New("core: cached inner strategy does not implement Save/LoadState")
-
-// Reset drops every cached decision (all shards, all pairs). Counters
-// are preserved — Reset is a state event, not a new cache.
-func (c *Cached) Reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.slots = nil
-		sh.table.Store(nil)
-		sh.mu.Unlock()
-	}
-}
-
-// ChooseRepair implements RepairStrategy by passing through to the inner
-// strategy, so a cache-wrapped Via still co-selects repair schemes. Repair
-// choices are not cached; an inner strategy without repair selection
-// answers "no repair".
-func (c *Cached) ChooseRepair(call Call, opt netsim.Option, schemes []string) string {
-	rs, ok := c.inner.(RepairStrategy)
-	if !ok {
-		return ""
-	}
-	return rs.ChooseRepair(call, opt, schemes)
-}
-
-// ObserveRepair implements RepairStrategy by passing through to the inner
-// strategy, if it selects repair schemes.
-func (c *Cached) ObserveRepair(call Call, opt netsim.Option, scheme string, m quality.Metrics) {
-	if rs, ok := c.inner.(RepairStrategy); ok {
-		rs.ObserveRepair(call, opt, scheme, m)
-	}
-}
-
-// SaveState passes through to the inner strategy, so a cache-wrapped Via
-// still satisfies the controller's StatefulStrategy. The cache itself is
-// deliberately not persisted: it is derivable state with a TTL.
-func (c *Cached) SaveState(w io.Writer) error {
-	st, ok := c.inner.(interface{ SaveState(io.Writer) error })
-	if !ok {
-		return errNotStateful
-	}
-	return st.SaveState(w)
-}
-
-// CaptureState passes through to the inner strategy, so a snapshot of a
-// cache-wrapped Via still encodes outside the caller's lock.
-func (c *Cached) CaptureState() (func(io.Writer) error, error) {
-	st, ok := c.inner.(interface {
-		CaptureState() (func(io.Writer) error, error)
-	})
-	if !ok {
-		return nil, errNotStateful
-	}
-	return st.CaptureState()
-}
-
-// LoadState passes through to the inner strategy and drops every cached
-// decision — whatever was cached was computed against the old state.
-func (c *Cached) LoadState(r io.Reader) error {
-	st, ok := c.inner.(interface{ LoadState(io.Reader) error })
-	if !ok {
-		return errNotStateful
-	}
-	if err := st.LoadState(r); err != nil {
-		return err
-	}
-	c.Reset()
-	return nil
-}
-
 // HitRate reports the fraction of decisions served from the cache — the
 // controller-load reduction of §7.
 func (c *Cached) HitRate() float64 {
@@ -480,19 +401,4 @@ func (c *Cached) HitRate() float64 {
 		return 0
 	}
 	return float64(h) / float64(h+m)
-}
-
-// RegisterMetrics exposes the cache's counters on a registry. The cache
-// keeps its own per-shard atomics on the hot path; the registry reads
-// them lazily at exposition time, so telemetry costs the hot path
-// nothing.
-func (c *Cached) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("via_decision_cache_hits_total", c.Hits)
-	reg.CounterFunc("via_decision_cache_misses_total", c.Misses)
-	reg.CounterFunc("via_decision_cache_evictions_total", c.Evictions)
-	reg.CounterFunc("via_decision_cache_invalidations_total", c.Invalidations)
-	reg.GaugeFunc("via_decision_cache_entries", func() float64 { return float64(c.Len()) })
 }

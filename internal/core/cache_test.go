@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/quality"
 )
 
@@ -132,26 +131,6 @@ func TestCachedSweepDropsExpired(t *testing.T) {
 	c.Sweep(4)
 	if n := c.Len(); n != 1 {
 		t.Errorf("len after sweep = %d, want 1", n)
-	}
-}
-
-func TestCachedRegisterMetrics(t *testing.T) {
-	inner := &countingStrategy{}
-	c := NewCached(inner, 10)
-	reg := obs.NewRegistry()
-	c.RegisterMetrics(reg)
-	cands := []netsim.Option{netsim.DirectOption()}
-	c.Choose(Call{Src: 1, Dst: 2, THours: 0}, cands)
-	c.Choose(Call{Src: 1, Dst: 2, THours: 1}, cands)
-	snap := reg.Snapshot()
-	if snap["via_decision_cache_hits_total"] != 1 {
-		t.Errorf("hits metric = %v, want 1", snap["via_decision_cache_hits_total"])
-	}
-	if snap["via_decision_cache_misses_total"] != 1 {
-		t.Errorf("misses metric = %v, want 1", snap["via_decision_cache_misses_total"])
-	}
-	if snap["via_decision_cache_entries"] != 1 {
-		t.Errorf("entries metric = %v, want 1", snap["via_decision_cache_entries"])
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"repro/internal/netsim"
@@ -132,60 +131,46 @@ func TestViaStateRejectsGarbage(t *testing.T) {
 // TestCaptureStateMatchesSaveState: the encoder CaptureState returns
 // writes the bytes SaveState wrote at the moment of the capture, however
 // the strategy moves on before the encoder runs — for a Via that has
-// decided, observed and co-selected repair, and for the cache around one.
+// decided, observed and co-selected repair.
 func TestCaptureStateMatchesSaveState(t *testing.T) {
-	warm := func() *Via {
-		v := NewVia(DefaultViaConfig(quality.RTT), nil)
-		env := newFakeEnv(7)
-		for i := 0; i < 900; i++ {
-			c := Call{Src: netsim.ASID(3 + i%5), Dst: netsim.ASID(9 + i%7), THours: 48 * float64(i) / 900, DurationSec: 60}
-			opt := v.Choose(c, env.options())
-			m := env.sample(opt)
-			scheme := v.ChooseRepair(c, opt, []string{"none", "nack", "fec-4"})
-			v.Observe(c, opt, m)
-			v.ObserveRepair(c, opt, scheme, m)
+	s := NewVia(DefaultViaConfig(quality.RTT), nil)
+	env := newFakeEnv(7)
+	for i := 0; i < 900; i++ {
+		c := Call{Src: netsim.ASID(3 + i%5), Dst: netsim.ASID(9 + i%7), THours: 48 * float64(i) / 900, DurationSec: 60}
+		opt := s.Choose(c, env.options())
+		m := env.sample(opt)
+		scheme := s.ChooseRepair(c, opt, []string{"none", "nack", "fec-4"})
+		s.Observe(c, opt, m)
+		s.ObserveRepair(c, opt, scheme, m)
+	}
+	t.Run("via", func(t *testing.T) {
+		var want bytes.Buffer
+		if err := s.SaveState(&want); err != nil {
+			t.Fatal(err)
 		}
-		return v
-	}
-	via := warm()
-	cases := map[string]interface {
-		Strategy
-		SaveState(io.Writer) error
-		CaptureState() (func(io.Writer) error, error)
-	}{
-		"via":    via,
-		"cached": NewCached(warm(), 0.5),
-	}
-	for name, s := range cases {
-		t.Run(name, func(t *testing.T) {
-			var want bytes.Buffer
-			if err := s.SaveState(&want); err != nil {
-				t.Fatal(err)
-			}
-			encode, err := s.CaptureState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			env := newFakeEnv(8)
-			for i := 0; i < 300; i++ { // new pairs, new windows, new arms
-				c := Call{Src: netsim.ASID(20 + i%9), Dst: netsim.ASID(40 + i%4), THours: 48 + 30*float64(i)/300}
-				opt := s.Choose(c, env.options())
-				s.Observe(c, opt, env.sample(opt))
-			}
-			var got bytes.Buffer
-			if err := encode(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatal("the captured encoder wrote different bytes from SaveState at capture time")
-			}
-			var moved bytes.Buffer
-			if err := s.SaveState(&moved); err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Equal(moved.Bytes(), want.Bytes()) {
-				t.Fatal("the strategy did not move on; the test proves nothing")
-			}
-		})
-	}
+		encode, err := s.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := newFakeEnv(8)
+		for i := 0; i < 300; i++ { // new pairs, new windows, new arms
+			c := Call{Src: netsim.ASID(20 + i%9), Dst: netsim.ASID(40 + i%4), THours: 48 + 30*float64(i)/300}
+			opt := s.Choose(c, env.options())
+			s.Observe(c, opt, env.sample(opt))
+		}
+		var got bytes.Buffer
+		if err := encode(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatal("the captured encoder wrote different bytes from SaveState at capture time")
+		}
+		var moved bytes.Buffer
+		if err := s.SaveState(&moved); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(moved.Bytes(), want.Bytes()) {
+			t.Fatal("the strategy did not move on; the test proves nothing")
+		}
+	})
 }

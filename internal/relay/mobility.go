@@ -7,7 +7,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Mid-call mobility (DESIGN.md §17). Wire-v3 frames carry an opaque
+// Mid-call mobility (DESIGN.md §17). Every frame carries an opaque
 // per-endpoint session token, so the relay can recognize "same call,
 // new source address" when a NAT rebind or WiFi↔LTE handover changes an
 // endpoint's 5-tuple mid-call. The first address a token appears from is

@@ -124,7 +124,7 @@ func (n *Node) Addr() net.Addr { return n.conn.LocalAddr() }
 // Serve forwards frames until the connection is closed. It returns nil on
 // orderly shutdown. The frame, output buffer, and next-hop address are
 // hoisted out of the loop so the steady-state forwarding path — including
-// repair traffic (v2 frames, NACK/FEC kinds, retransmits) — performs zero
+// repair traffic (repair bytes, NACK/FEC kinds, retransmits) — performs zero
 // heap allocations per packet.
 func (n *Node) Serve() error {
 	buf := make([]byte, 64*1024)

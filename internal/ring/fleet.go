@@ -32,12 +32,11 @@ type FleetConfig struct {
 	// (every shard primary and standby gets its own). Required; must
 	// implement controller.StatefulStrategy.
 	NewStrategy func() core.Strategy
-	// TimeScale, LeaseTimeout, AutoPromote, Clock pass through to each
-	// shard's controller.Config.
-	TimeScale    float64
-	LeaseTimeout time.Duration
-	AutoPromote  bool
-	Clock        func() time.Time
+	// TimeScale and Clock pass through to each shard's
+	// controller.Config. Standbys run the default lease and are promoted
+	// only by PromoteShardStandby.
+	TimeScale float64
+	Clock     func() time.Time
 	// Metrics is shared across shards, gates, and the router. Optional.
 	Metrics *obs.Registry
 	// BudgetEvery starts the router's §4.6 aggregation loop at this
@@ -246,8 +245,6 @@ func (f *Fleet) shardConfig(walDir, standbyOf string) controller.Config {
 		WALDir:        walDir,
 		SnapshotEvery: -1,
 		StandbyOf:     standbyOf,
-		LeaseTimeout:  f.cfg.LeaseTimeout,
-		AutoPromote:   f.cfg.AutoPromote && standbyOf != "",
 		Clock:         f.cfg.Clock,
 	}
 }

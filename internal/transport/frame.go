@@ -20,33 +20,19 @@ import (
 	"net"
 )
 
-// layout is one wire header shape. Every frame starts magic(2) session(8)
-// kind(1); a repair-scheme byte and a TokenLen-byte session token follow
-// where the layout has them, then the route.
-type layout struct {
-	magic  uint16
-	repair bool
-	token  bool
-}
+// frameMagic ("VC") opens every frame. The header is magic(2) session(8)
+// kind(1) repair(1) token(TokenLen); the route follows (DESIGN.md §17).
+const frameMagic = 0x5643
 
-// layouts is the header-layout table Marshal and Unmarshal both read.
-// Marshal emits the smallest layout that carries the frame's nonzero
-// fields, so a call that negotiates no repair scheme and no token produces
-// the bytes a build that knows neither produces, and a repair-only call
-// the bytes of a pre-token build; Unmarshal zeroes what a layout lacks.
-var layouts = [...]layout{
-	{magic: 0x5641},                            // "VA", wire v1
-	{magic: 0x5642, repair: true},              // "VB", wire v2
-	{magic: 0x5643, repair: true, token: true}, // "VC", wire v3 (DESIGN.md §17)
-}
+// headerLen is the size of the fixed frame header.
+const headerLen = 12 + TokenLen
 
-// TokenLen is the size of the opaque per-call session token carried by
-// wire v3 frames. 128 bits: unguessable by an off-path attacker, cheap
-// to compare.
+// TokenLen is the size of the opaque per-call session token every frame
+// carries. 128 bits: unguessable by an off-path attacker, cheap to compare.
 const TokenLen = 16
 
 // Token is the opaque per-call session token. The zero value means "no
-// token" and keeps the frame on wire v1/v2.
+// token".
 type Token [TokenLen]byte
 
 // IsZero reports whether the token is unset.
@@ -66,12 +52,10 @@ type Frame struct {
 	Session uint64
 	Kind    uint8 // application-defined payload discriminator
 	// Repair is the loss-repair scheme byte (rtp.Scheme wire form). Zero
-	// means plain forwarding; nonzero values ride the v2 header. Relays
-	// forward it opaquely.
+	// means plain forwarding. Relays forward it opaquely.
 	Repair uint8
-	// Token is the opaque mobility token (wire v3). Zero means the call
-	// did not negotiate one; relays then fall back to address-pinned
-	// behavior and Marshal stays on v1/v2.
+	// Token is the opaque mobility token. Zero means the call did not
+	// negotiate one; relays then fall back to address-pinned behavior.
 	Token Token
 	// Route holds the remaining forwarding targets. The packet's next stop
 	// is Route[0]; a relay pops it and sends the rest onward. Empty means
@@ -187,28 +171,16 @@ func (f *Frame) ReplyAddrs() []*net.UDPAddr {
 	return out
 }
 
-// Marshal appends the frame's wire form to dst: the layout's header (see
-// layouts), then nRoute(1) route(6·n) nReply(1) reply(6·n) payload.
+// Marshal appends the frame's wire form to dst: the header, then
+// nRoute(1) route(6·n) nReply(1) reply(6·n) payload.
 func (f *Frame) Marshal(dst []byte) []byte {
-	var l *layout
-	for i := range layouts {
-		if l = &layouts[i]; (l.token || f.Token.IsZero()) && (l.repair || f.Repair == 0) {
-			break
-		}
-	}
-	var h [12 + TokenLen]byte
-	binary.BigEndian.PutUint16(h[0:2], l.magic)
+	var h [headerLen]byte
+	binary.BigEndian.PutUint16(h[0:2], frameMagic)
 	binary.BigEndian.PutUint64(h[2:10], f.Session)
 	h[10] = f.Kind
-	n := 11
-	if l.repair {
-		h[n] = f.Repair
-		n++
-	}
-	if l.token {
-		n += copy(h[n:], f.Token[:])
-	}
-	dst = append(dst, h[:n]...)
+	h[11] = f.Repair
+	copy(h[12:], f.Token[:])
+	dst = append(dst, h[:]...)
 	dst = appendHops(dst, f.Route)
 	dst = appendHops(dst, f.Reply)
 	return append(dst, f.Payload...)
@@ -224,38 +196,19 @@ func appendHops(dst []byte, hops []Addr) []byte {
 	return dst
 }
 
-// Unmarshal decodes a frame of any layout. Payload aliases buf; Route and
-// Reply alias the frame's internal backing array, so decoding performs no
-// heap allocation — see the Frame doc about copying.
+// Unmarshal decodes a frame; a datagram without frameMagic is ErrFrame.
+// Payload aliases buf; Route and Reply alias the frame's internal backing
+// array, so decoding performs no heap allocation — see the Frame doc about
+// copying.
 func (f *Frame) Unmarshal(buf []byte) error {
-	if len(buf) < 12 {
-		return ErrFrame
-	}
-	magic := binary.BigEndian.Uint16(buf[0:2])
-	var l *layout
-	for i := range layouts {
-		if layouts[i].magic == magic {
-			l = &layouts[i]
-			break
-		}
-	}
-	if l == nil {
+	if len(buf) < headerLen || binary.BigEndian.Uint16(buf[0:2]) != frameMagic {
 		return ErrFrame
 	}
 	f.Session = binary.BigEndian.Uint64(buf[2:10])
 	f.Kind = buf[10]
-	f.Repair, f.Token = 0, Token{}
-	off := 11
-	if l.repair {
-		f.Repair = buf[off]
-		off++
-	}
-	if l.token {
-		if len(buf) < off+TokenLen {
-			return ErrFrame
-		}
-		off += copy(f.Token[:], buf[off:])
-	}
+	f.Repair = buf[11]
+	copy(f.Token[:], buf[12:headerLen])
+	off := headerLen
 	var err error
 	if f.Route, off, err = f.parseHops(buf, off, 0); err != nil {
 		return err

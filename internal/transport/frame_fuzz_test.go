@@ -33,13 +33,13 @@ func FuzzFrameUnmarshal(f *testing.F) {
 	routed.Payload = []byte("rr")
 	wire := routed.Marshal(nil)
 	f.Add(wire)
-	f.Add(wire[:11]) // truncated header
-	f.Add(wire[:13]) // header but truncated route
-	f.Add([]byte{})  // empty datagram
+	f.Add(wire[:11])          // truncated header
+	f.Add(wire[:headerLen+1]) // header but truncated route
+	f.Add([]byte{})           // empty datagram
 	f.Add([]byte("not a frame at all"))
 	// Claimed route longer than the buffer, and over MaxHops.
 	bad := append([]byte(nil), wire...)
-	bad[11] = 200
+	bad[headerLen] = 200
 	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -29,7 +29,7 @@ func FuzzFrameV3Unmarshal(f *testing.F) {
 	keepalive.Token = Token{0xff}
 	f.Add(keepalive.Marshal(nil))
 
-	// v3 magic glued onto a v1-length body.
+	// A retired "VA" magic on an otherwise valid frame.
 	short := append([]byte(nil), wire...)
 	short[1] = 0x41
 	f.Add(short)

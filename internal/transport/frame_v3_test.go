@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"net"
 	"testing"
 )
 
@@ -13,32 +14,89 @@ func testToken(b byte) Token {
 	return t
 }
 
-func TestFrameV3RoundTrip(t *testing.T) {
-	f := Frame{Session: 42, Kind: KindMedia, Repair: 0x21, Token: testToken(0x40), Payload: []byte("media")}
-	if err := f.SetRoute(v2Addrs(t, 2)); err != nil {
+func testAddrs(t *testing.T, n int) []*net.UDPAddr {
+	t.Helper()
+	out := make([]*net.UDPAddr, n)
+	for i := range out {
+		out[i] = &net.UDPAddr{IP: net.IPv4(10, 0, 0, byte(i+1)), Port: 7000 + i}
+	}
+	return out
+}
+
+// routedFrame builds a frame with nRoute forward hops and nReply reply hops.
+func routedFrame(t *testing.T, f Frame, nRoute, nReply int) Frame {
+	t.Helper()
+	if err := f.SetRoute(testAddrs(t, nRoute)); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetReply(v2Addrs(t, 1)); err != nil {
+	if err := f.SetReply(testAddrs(t, nReply)); err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+func checkRoundTrip(t *testing.T, f Frame) {
+	t.Helper()
 	wire := f.Marshal(nil)
 	if wire[0] != 0x56 || wire[1] != 0x43 {
-		t.Fatalf("magic = %x %x, want v3", wire[0], wire[1])
+		t.Fatalf("magic = %x %x, want VC", wire[0], wire[1])
 	}
 	var g Frame
 	if err := g.Unmarshal(wire); err != nil {
 		t.Fatal(err)
 	}
 	if g.Session != f.Session || g.Kind != f.Kind || g.Repair != f.Repair ||
-		g.Token != f.Token || len(g.Route) != 2 || len(g.Reply) != 1 ||
-		string(g.Payload) != "media" {
+		g.Token != f.Token || len(g.Route) != len(f.Route) || len(g.Reply) != len(f.Reply) ||
+		!bytes.Equal(g.Payload, f.Payload) {
 		t.Errorf("round trip mismatch: %+v", g)
+	}
+	if g.Route[1].Port != 7001 || g.Reply[len(g.Reply)-1] != f.Reply[len(f.Reply)-1] {
+		t.Errorf("hop ports: %+v %+v", g.Route, g.Reply)
 	}
 }
 
+// checkTruncated requires every strict prefix shorter than the full fixed
+// part (header, route count, route hops, reply count) to be rejected.
+func checkTruncated(t *testing.T, f Frame) {
+	t.Helper()
+	wire := f.Marshal(nil)
+	for n := 0; n < headerLen+1+len(f.Route)*netipLen+1; n++ {
+		var g Frame
+		if err := g.Unmarshal(wire[:n]); err == nil {
+			t.Errorf("truncated at %d decoded", n)
+		}
+	}
+}
+
+func checkUnmarshalNoAlloc(t *testing.T, f Frame) {
+	t.Helper()
+	wire := f.Marshal(nil)
+	var g Frame
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := g.Unmarshal(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Unmarshal allocates %v per frame", allocs)
+	}
+}
+
+func TestFrameV3RoundTrip(t *testing.T) {
+	checkRoundTrip(t, routedFrame(t, Frame{Session: 42, Kind: KindMedia, Repair: 0x21, Token: testToken(0x40), Payload: []byte("media")}, 2, 1))
+}
+
+// The FrameV2 tests cover the tokenless shape the retired "VB" header
+// carried: a repair byte and no token. It now rides the one header with a
+// zero token.
+
+func TestFrameV2RoundTrip(t *testing.T) {
+	checkRoundTrip(t, routedFrame(t, Frame{Session: 42, Kind: KindFEC, Repair: 0x84, Payload: []byte("parity")}, 2, 3))
+}
+
 func TestFrameV3RepairZeroStillV3(t *testing.T) {
-	// A token without a repair scheme must still ride v3 (the repair byte
-	// is carried as zero), not silently drop the token to stay on v1.
+	// A token without a repair scheme rides the same header, the repair
+	// byte carried as zero.
 	f := Frame{Session: 3, Kind: KindKeepalive, Token: testToken(1)}
 	wire := f.Marshal(nil)
 	if wire[0] != 0x56 || wire[1] != 0x43 {
@@ -53,67 +111,20 @@ func TestFrameV3RepairZeroStillV3(t *testing.T) {
 	}
 }
 
-func TestFrameWireUnchangedWhenNoToken(t *testing.T) {
-	// Token-less frames must stay byte-identical to what a v2-era build
-	// emits — both the v1 (no repair) and v2 (repair) shapes — so legacy
-	// peers that never negotiate a token interoperate unchanged.
-	for _, repair := range []uint8{0, 0x84} {
-		f := Frame{Session: 7, Kind: KindMedia, Repair: repair, Payload: []byte("x")}
-		if err := f.SetRoute(v2Addrs(t, 1)); err != nil {
-			t.Fatal(err)
-		}
-		wire := f.Marshal(nil)
-		wantMagic := byte(0x41)
-		if repair != 0 {
-			wantMagic = 0x42
-		}
-		if wire[0] != 0x56 || wire[1] != wantMagic {
-			t.Fatalf("repair %d: magic = %x %x", repair, wire[0], wire[1])
-		}
-		var g Frame
-		if err := g.Unmarshal(wire); err != nil {
-			t.Fatal(err)
-		}
-		if !g.Token.IsZero() {
-			t.Errorf("repair %d: decode invented token %x", repair, g.Token)
-		}
-	}
+func TestFrameV3Truncated(t *testing.T) {
+	checkTruncated(t, routedFrame(t, Frame{Session: 1, Kind: KindMedia, Token: testToken(9), Payload: []byte("pay")}, 1, 0))
 }
 
-func TestFrameV3Truncated(t *testing.T) {
-	f := Frame{Session: 1, Kind: KindMedia, Token: testToken(9), Payload: []byte("pay")}
-	if err := f.SetRoute(v2Addrs(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	wire := f.Marshal(nil)
-	// Header is 13+TokenLen bytes plus one route hop plus the reply count:
-	// every strict prefix shorter than the full fixed part must be rejected.
-	for n := 0; n < 13+TokenLen+netipLen+1; n++ {
-		var g Frame
-		if err := g.Unmarshal(wire[:n]); err == nil {
-			t.Errorf("truncated at %d decoded", n)
-		}
-	}
+func TestFrameV2Truncated(t *testing.T) {
+	checkTruncated(t, Frame{Session: 1, Kind: KindNack, Repair: 1, Payload: []byte("nack")})
 }
 
 func TestFrameV3UnmarshalNoAlloc(t *testing.T) {
-	f := Frame{Session: 9, Kind: KindMedia, Repair: 2, Token: testToken(3), Payload: make([]byte, 160)}
-	if err := f.SetRoute(v2Addrs(t, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.SetReply(v2Addrs(t, 2)); err != nil {
-		t.Fatal(err)
-	}
-	wire := f.Marshal(nil)
-	var g Frame
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := g.Unmarshal(wire); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("v3 Unmarshal allocates %v per frame", allocs)
-	}
+	checkUnmarshalNoAlloc(t, routedFrame(t, Frame{Session: 9, Kind: KindMedia, Repair: 2, Token: testToken(3), Payload: make([]byte, 160)}, 2, 2))
+}
+
+func TestFrameUnmarshalNoAlloc(t *testing.T) {
+	checkUnmarshalNoAlloc(t, routedFrame(t, Frame{Session: 9, Kind: KindMedia, Repair: 2, Payload: make([]byte, 160)}, 2, 3))
 }
 
 func TestPathChallengeRoundTrip(t *testing.T) {

@@ -67,18 +67,22 @@ func TestFrameRejectsGarbage(t *testing.T) {
 		func() []byte { // bad hop count
 			g := Frame{Session: 1}
 			w := g.Marshal(nil)
-			w[11] = 200
+			w[headerLen] = 200
 			return w
 		}(),
 		func() []byte { // truncated route
 			g := Frame{Session: 1}
 			g.SetRoute([]*net.UDPAddr{udp("1.2.3.4", 5)})
-			return g.Marshal(nil)[:14]
+			return g.Marshal(nil)[:headerLen+2]
 		}(),
+		// The retired "VA" and "VB" headers: session 7, one hop to
+		// 10.0.0.1:7000, no reply hops, payload "x".
+		{0x56, 0x41, 0, 0, 0, 0, 0, 0, 0, 7, KindMedia, 1, 10, 0, 0, 1, 0x1b, 0x58, 0, 'x'},
+		{0x56, 0x42, 0, 0, 0, 0, 0, 0, 0, 7, KindMedia, 0x84, 1, 10, 0, 0, 1, 0x1b, 0x58, 0, 'x'},
 	}
 	for i, c := range cases {
-		if err := f.Unmarshal(c); err == nil {
-			t.Errorf("case %d accepted garbage", i)
+		if err := f.Unmarshal(c); err != ErrFrame {
+			t.Errorf("case %d: err = %v, want ErrFrame", i, err)
 		}
 	}
 }
