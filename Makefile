@@ -146,8 +146,8 @@ bench-json:
 	$(GO) run ./cmd/viabench -seed $(BENCH_SEED) -calls $(BENCH_CALLS) bench
 
 # Choose-throughput harness: zipf-skewed pair population hammering
-# Choose at N goroutines, uncached and cache-wrapped, writing
-# BENCH_2.json. Commit the refreshed baseline when the hot path changes.
+# Via's uncached Choose at N goroutines, writing BENCH_2.json. Commit
+# the refreshed baseline when the hot path changes.
 bench-choose:
 	$(GO) run ./cmd/viabench choose
 
@@ -159,8 +159,8 @@ bench-smoke:
 		-benchout bench-ci-current.json -baseline BENCH_ci.json -tolerance 0.25 bench
 
 # CI gate for the decision hot path: a reduced choose run compared
-# against the committed BENCH_2.json on the machine-independent
-# invariants (cached allocs/op, hit rate, cached/uncached speedup).
+# against the committed BENCH_2.json on its machine-independent
+# invariant (uncached allocs/op).
 choose-smoke:
 	$(GO) run ./cmd/viabench -choose-ops 400000 \
 		-benchout choose-ci-current.json -baseline BENCH_2.json -tolerance 0.25 choose

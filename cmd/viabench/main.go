@@ -8,7 +8,7 @@
 //	viabench [flags] fig18          run the loopback deployment (§5.5)
 //	viabench [flags] chaos          run the fault-injection benchmark
 //	viabench [flags] bench          benchmark-regression harness (BENCH_<seed>.json)
-//	viabench [flags] choose         Choose-throughput harness (BENCH_2.json)
+//	viabench [flags] choose         uncached Choose-throughput harness (BENCH_2.json)
 //	viabench [flags] soak           shard-chaos soak (ring fleet under faults)
 //	viabench -list                  list experiment names
 //
@@ -113,7 +113,7 @@ func run() int {
 		fmt.Printf("%-8s %s\n", "fig18", "real-networking deployment (§5.5)")
 		fmt.Printf("%-8s %s\n", "chaos", "fault-injection benchmark (relay death + controller flap)")
 		fmt.Printf("%-8s %s\n", "bench", "benchmark-regression harness (writes BENCH_<seed>.json)")
-		fmt.Printf("%-8s %s\n", "choose", "Choose-throughput + tail-latency harness (writes BENCH_2.json)")
+		fmt.Printf("%-8s %s\n", "choose", "in-process Via Choose throughput + tail latency, uncached (writes BENCH_2.json)")
 		fmt.Printf("%-8s %s\n", "soak", "shard-chaos soak (ring fleet under kill/promote/rebalance)")
 		return 0
 	}
@@ -363,7 +363,7 @@ func runChoose(cfg benchharness.ChooseConfig, out, baseline string, tolerance fl
 }
 
 // chooseSummaryLine renders the one-line markdown result for the CI job
-// summary: ops/s and tail latency per variant plus the cache speedup.
+// summary: ops/s and tail latency per variant.
 func chooseSummaryLine(rep *benchharness.ChooseReport) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "**choose** pairs=%d goroutines=%d GOMAXPROCS=%d:", rep.Pairs, rep.Goroutines, rep.GOMAXPROCS)
@@ -371,7 +371,6 @@ func chooseSummaryLine(rep *benchharness.ChooseReport) string {
 		fmt.Fprintf(&sb, " %s=%.2fM ops/s (p50=%s p99=%s p99.9=%s)", v.Variant, v.OpsPerSec/1e6,
 			time.Duration(v.P50Ns), time.Duration(v.P99Ns), time.Duration(v.P999Ns))
 	}
-	fmt.Fprintf(&sb, " cache speedup %.1fx", rep.CacheSpeedup)
 	return sb.String()
 }
 

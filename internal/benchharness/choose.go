@@ -4,24 +4,17 @@ package benchharness
 // decision engine answer, and at what tail latency? The experiment suite
 // (benchharness.go) measures whole-figure replay cost; this file measures
 // the production question behind ROADMAP's "~1M Choose/s per core": a
-// call floor hammering Choose on a zipf-skewed pair population, with a
-// trickle of Observe reports invalidating cached decisions, exactly the
-// §7 deployment shape (client decision caches in front of the full
-// history → tomography → top-k → UCB pipeline).
+// call floor hammering Via's full history → tomography → top-k → UCB
+// pipeline in-process on a zipf-skewed pair population, with a trickle of
+// Observe reports moving the state it decides from.
 //
-// Two variants run over the identical workload:
-//
-//   - uncached: every Choose walks the full Via decision pipeline;
-//   - cached:   Via wrapped in core.NewCached — steady state is the
-//     epoch-guarded hot path, with each Observe bumping its pair's epoch
-//     so a fraction of decisions recompute.
+// One variant runs, "uncached": every Choose walks the full Via decision
+// pipeline, as the served controller does.
 //
 // The committed baseline (BENCH_2.json) gates regressions in CI. Raw
-// ops/s is machine-dependent, so ChooseCompare checks the
-// machine-independent invariants: allocs/op on the cached path (zero in
-// steady state, and deterministic for a fixed config), the cache hit
-// rate (a workload property), and the cached/uncached speedup ratio
-// (cancels host speed; it collapses if the cache or the hot path rots).
+// ops/s is machine-dependent, so ChooseCompare checks only the
+// machine-independent invariant: allocs/op (near zero in steady state,
+// and deterministic for a fixed config).
 
 import (
 	"fmt"
@@ -51,15 +44,14 @@ type ChooseConfig struct {
 	// ZipfS is the pair-popularity skew (1.1 ≈ realistic call floor:
 	// a few hot country/AS pairs carry most traffic).
 	ZipfS float64
-	// TTLHours is the decision-cache TTL for the cached variant.
-	TTLHours float64
 	// ObserveEvery issues one Observe per this many Chooses on each
 	// goroutine (0 disables reports during the measured phase). Each
-	// report bumps its pair's cache epoch, so this sets the steady-state
-	// miss pressure.
+	// report feeds the pair's history and bandit, so the measured
+	// decisions run against moving state.
 	ObserveEvery int
 	// Warmup is the number of unmeasured Choose+Observe rounds that train
-	// the strategy (fills history, builds the predictor, warms the cache).
+	// the strategy (fills history, builds the predictor and the per-pair
+	// top-k lists).
 	Warmup int
 	// GOMAXPROCS, when positive, overrides the runtime parallelism for
 	// the run (restored after).
@@ -79,7 +71,6 @@ func DefaultChooseConfig() ChooseConfig {
 		Goroutines:    4,
 		Ops:           2_000_000,
 		ZipfS:         1.1,
-		TTLHours:      1,
 		ObserveEvery:  200,
 		Warmup:        200_000,
 	}
@@ -87,15 +78,13 @@ func DefaultChooseConfig() ChooseConfig {
 
 // ChooseVariantStat is one variant's measured throughput and tail.
 type ChooseVariantStat struct {
-	Variant     string  `json:"variant"` // "uncached" | "cached"
+	Variant     string  `json:"variant"` // "uncached"
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	WallNs      int64   `json:"wall_ns"`
 	P50Ns       int64   `json:"p50_ns"`
 	P99Ns       int64   `json:"p99_ns"`
 	P999Ns      int64   `json:"p999_ns"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// HitRate is the decision-cache hit rate (cached variant only).
-	HitRate float64 `json:"hit_rate,omitempty"`
 }
 
 // ChooseReport is the persisted BENCH_2.json schema.
@@ -113,14 +102,11 @@ type ChooseReport struct {
 	Note         string              `json:"note,omitempty"`
 	CreatedUTC   string              `json:"created_utc"`
 	Variants     []ChooseVariantStat `json:"variants"`
-	// CacheSpeedup is cached ops/s ÷ uncached ops/s: the value of the
-	// decision cache, independent of host speed.
-	CacheSpeedup float64 `json:"cache_speedup"`
 }
 
-// chooseWorkload is the precomputed, read-only call population shared by
-// both variants: pair endpoints, per-pair candidate sets, per-pair truth
-// metrics, and a zipf-skewed pair index table the goroutines walk.
+// chooseWorkload is the precomputed, read-only call population: pair
+// endpoints, per-pair candidate sets, per-pair truth metrics, and a
+// zipf-skewed pair index table the goroutines walk.
 type chooseWorkload struct {
 	srcs, dsts []netsim.ASID
 	cands      [][]netsim.Option
@@ -245,9 +231,9 @@ func runChooseVariant(cfg ChooseConfig, w *chooseWorkload, strat core.Strategy, 
 			off := g * (mask + 1) / cfg.Goroutines
 			buf := samples[g]
 			// Countdown counters, not modulos: a non-constant integer
-			// division on every op would cost as much as the cache hit
-			// being measured. Goroutines start desynchronized so samples
-			// and reports don't cluster on the same ops.
+			// division on every op would be a visible share of the
+			// decision being measured. Goroutines start desynchronized so
+			// samples and reports don't cluster on the same ops.
 			sampleCt := 1 + g*sampleEvery/cfg.Goroutines
 			obsCt := 0
 			if cfg.ObserveEvery > 0 {
@@ -319,9 +305,8 @@ func newChooseVia(cfg ChooseConfig) *core.Via {
 	return core.NewVia(vc, nil)
 }
 
-// RunChoose executes the choose-throughput mode: warm up and measure the
-// uncached strategy, then the cache-wrapped strategy, over the identical
-// workload.
+// RunChoose executes the choose-throughput mode: warm up Via on the
+// workload, then measure it.
 func RunChoose(cfg ChooseConfig) (*ChooseReport, error) {
 	logf := cfg.Logf
 	if logf == nil {
@@ -357,37 +342,13 @@ func RunChoose(cfg ChooseConfig) (*ChooseReport, error) {
 	un := runChooseVariant(cfg, w, bare, "uncached")
 	rep.Variants = append(rep.Variants, un)
 	logf("[choose: uncached %.0f ops/s p50=%dns p99=%dns]", un.OpsPerSec, un.P50Ns, un.P99Ns)
-
-	logf("[choose: warmup cached]")
-	cached := core.NewCached(newChooseVia(cfg), cfg.TTLHours)
-	chooseWarmup(cfg, w, cached)
-	logf("[choose: measuring cached]")
-	// Hit rate over the measured window only: warmup deliberately churns
-	// the cache (virtual time ramps through ~49 TTLs), and folding those
-	// misses in would understate the steady state being measured.
-	h0, m0 := cached.Hits(), cached.Misses()
-	ca := runChooseVariant(cfg, w, cached, "cached")
-	if dh, dm := cached.Hits()-h0, cached.Misses()-m0; dh+dm > 0 {
-		ca.HitRate = float64(dh) / float64(dh+dm)
-	}
-	rep.Variants = append(rep.Variants, ca)
-	logf("[choose: cached %.0f ops/s p50=%dns p99=%dns hit=%.3f]", ca.OpsPerSec, ca.P50Ns, ca.P99Ns, ca.HitRate)
-
-	if un.OpsPerSec > 0 {
-		rep.CacheSpeedup = ca.OpsPerSec / un.OpsPerSec
-	}
 	return rep, nil
 }
 
 // ChooseCompare gates a current run against the committed baseline using
-// machine-independent checks only:
-//
-//   - cached-path allocs/op must not grow beyond tol (absolute slack of
-//     0.05 allocs/op absorbs measurement noise from the runtime itself);
-//   - the cache hit rate is a workload property and must stay within tol
-//     of the baseline;
-//   - the cached/uncached speedup ratio must not collapse below
-//     (1-tol)× baseline — host speed cancels in the ratio.
+// machine-independent checks only: each baseline variant's allocs/op must
+// not grow beyond tol (absolute slack of 0.05 allocs/op absorbs
+// measurement noise from the runtime itself).
 func ChooseCompare(cur, base *ChooseReport, tol float64) ([]string, error) {
 	if cur.Seed != base.Seed || cur.Pairs != base.Pairs || cur.ObserveEvery != base.ObserveEvery {
 		return nil, fmt.Errorf("benchharness: choose baseline mismatch: baseline (seed=%d pairs=%d observe=%d), current (seed=%d pairs=%d observe=%d)",
@@ -406,14 +367,6 @@ func ChooseCompare(cur, base *ChooseReport, tol float64) ([]string, error) {
 			regressions = append(regressions, fmt.Sprintf(
 				"%s: allocs/op %.3f -> %.3f (tolerance %.0f%%)", name, b.AllocsPerOp, c.AllocsPerOp, 100*tol))
 		}
-		if name == "cached" && b.HitRate > 0 && c.HitRate < b.HitRate*(1-tol) {
-			regressions = append(regressions, fmt.Sprintf(
-				"cached: hit rate %.3f -> %.3f (tolerance %.0f%%)", b.HitRate, c.HitRate, 100*tol))
-		}
-	}
-	if base.CacheSpeedup > 0 && cur.CacheSpeedup < base.CacheSpeedup*(1-tol) {
-		regressions = append(regressions, fmt.Sprintf(
-			"cache speedup %.1fx -> %.1fx (tolerance %.0f%%)", base.CacheSpeedup, cur.CacheSpeedup, 100*tol))
 	}
 	return regressions, nil
 }

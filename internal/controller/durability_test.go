@@ -179,15 +179,14 @@ func TestOpenFreshAndReadiness(t *testing.T) {
 }
 
 // TestOpenRejectsStatelessStrategy: durability without snapshot support is
-// a configuration error, caught at Open. The decision cache is one such
-// strategy: replay re-executes every decision, which a cache would skip.
+// a configuration error, caught at Open. Replay re-executes every decision
+// against the strategy, so one that cannot save and load its state could
+// not be recovered.
 func TestOpenRejectsStatelessStrategy(t *testing.T) {
-	via := core.NewVia(core.DefaultViaConfig(quality.RTT), nil)
-	for _, strat := range []core.Strategy{&recordingStrategy{}, core.NewCached(via, 1)} {
-		_, err := Open(Config{Strategy: strat, WALDir: t.TempDir()})
-		if err == nil || !strings.Contains(err.Error(), "does not implement StatefulStrategy") {
-			t.Errorf("Open(%s) = %v, want the StatefulStrategy refusal", strat.Name(), err)
-		}
+	strat := &recordingStrategy{}
+	_, err := Open(Config{Strategy: strat, WALDir: t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), "does not implement StatefulStrategy") {
+		t.Errorf("Open(%s) = %v, want the StatefulStrategy refusal", strat.Name(), err)
 	}
 }
 

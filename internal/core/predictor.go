@@ -20,8 +20,9 @@ import (
 
 // BackboneSource supplies inter-relay performance for a time bucket. The
 // provider operates the backbone and has this telemetry (§3.2); in
-// simulation netsim.World implements it, in the testbed the controller's
-// own relay-to-relay probes do.
+// simulation netsim.World implements it. The served path (viactl, the
+// testbed, fig18) has no backbone source, so there backbone links are
+// tomography unknowns.
 type BackboneSource interface {
 	BackboneMetrics(r1, r2 netsim.RelayID, window int) quality.Metrics
 }

@@ -197,7 +197,7 @@ func (r *Registry) GaugeFunc(name string, f func() float64) {
 
 // CounterFunc registers a callback counter evaluated at exposition time —
 // the bridge for components that already keep their own monotonic atomics
-// (the decision cache's hit/miss counts) and must not pay a second atomic
+// (a relay's or client's event counts) and must not pay a second atomic
 // add on the hot path to mirror them into a Counter. The callback must be
 // monotonic. Replace semantics mirror GaugeFunc: re-registering a name
 // swaps the callback, so a rebuilt component rebinds cleanly. Nil

@@ -25,8 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"repro/internal/core"
 )
 
 // Shard is one controller shard's position in the map: its identity and
@@ -73,12 +71,21 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
+// PairMix is the one hash of a group pair: the pair is ordered (min, max)
+// first, so both call directions mix to the same value.
+func PairMix(a, b int32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(uint32(a))*0x9e3779b97f4a7c15 ^ uint64(uint32(b))*0x2545f4914f6cdd1d
+}
+
 // PairHash places a pair on the ring. Both call directions land on the
-// same point (core.PairMix orders the pair first), with a finalizer on top
-// of the shared mix so consecutive group IDs spread across the whole ring
-// rather than clustering.
+// same point (PairMix orders the pair first), with a finalizer on top of
+// the mix so consecutive group IDs spread across the whole ring rather
+// than clustering.
 func PairHash(src, dst int32) uint64 {
-	return mix64(core.PairMix(src, dst))
+	return mix64(PairMix(src, dst))
 }
 
 // NewMap builds an epoch-1 map over the given shards. vnodes <= 0 means

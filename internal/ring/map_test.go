@@ -25,6 +25,28 @@ func TestMapOwnershipIsCanonical(t *testing.T) {
 	}
 }
 
+// TestPairHashPinned pins PairHash to recorded values. Ownership is a
+// function of these hashes, so a change to PairMix or the finalizer would
+// send an upgraded ring's pairs to shards that do not hold their history.
+func TestPairHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		src, dst int32
+		want     uint64
+	}{
+		{1, 2, 0xdb0157e2dd81e4da},
+		{2, 1, 0xdb0157e2dd81e4da},
+		{-1, 7, 0x2b62c77560677e03},
+		{7, -1, 0x2b62c77560677e03},
+		{-2147483648, 2147483647, 0xf3a688a349bf0c2d},
+		{149, 3, 0x1923b346ee7e8706},
+		{1000000, 42, 0xcd68151d9703ca43},
+	} {
+		if got := PairHash(c.src, c.dst); got != c.want {
+			t.Errorf("PairHash(%d, %d) = %#x, want %#x", c.src, c.dst, got, c.want)
+		}
+	}
+}
+
 func TestMapOwnershipDeterministicAcrossBuilders(t *testing.T) {
 	// Two independently built maps over the same shard set (different
 	// insertion order) must agree on every owner.

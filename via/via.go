@@ -78,8 +78,6 @@ type (
 	Result = sim.Result
 	// BackboneSource supplies inter-relay telemetry to the predictor.
 	BackboneSource = core.BackboneSource
-	// Cached is a strategy wrapper with a per-pair decision cache (§7).
-	Cached = core.Cached
 )
 
 // Metric identifiers.
@@ -176,22 +174,6 @@ func NewPredictOnly(m Metric, bb BackboneSource) Strategy {
 // prediction or pruning.
 func NewExploreOnly(m Metric, epsilon float64, seed uint64) Strategy {
 	return core.NewExploreOnly(m, epsilon, seed)
-}
-
-// NewCached wraps a strategy with a per-pair decision cache (TTL in hours):
-// the §7 client-side caching that trades decision staleness for controller
-// load. Entries are also invalidated early when a report for their pair is
-// observed through the cache (epoch invalidation), so the cache is at most
-// one report stale.
-func NewCached(inner Strategy, ttlHours float64) *core.Cached {
-	return core.NewCached(inner, ttlHours)
-}
-
-// NewCachedBounded is NewCached with an explicit bound on the number of
-// cached pairs (full shards evict expired entries first, then the
-// nearest-expiry decision).
-func NewCachedBounded(inner Strategy, ttlHours float64, maxPairs int) *core.Cached {
-	return core.NewCachedBounded(inner, ttlHours, maxPairs)
 }
 
 // NewSimulator builds the §5.1 trace-driven simulator for a world.

@@ -91,19 +91,3 @@ func TestExperimentRegistryThroughFacade(t *testing.T) {
 		t.Error("unknown experiment accepted")
 	}
 }
-
-func TestScalingWrappersThroughFacade(t *testing.T) {
-	cached := via.NewCached(via.NewSelector(via.DefaultSelectorConfig(via.RTT), nil), 2)
-	call := via.Call{Src: 1, Dst: 2, THours: 0.1}
-	cands := []via.Option{via.DirectOption(), via.BounceOption(1)}
-	opt1 := cached.Choose(call, cands)
-	call.THours = 0.5
-	opt2 := cached.Choose(call, cands)
-	if opt1 != opt2 {
-		t.Errorf("cached decision changed within TTL: %v vs %v", opt1, opt2)
-	}
-	if cached.HitRate() != 0.5 {
-		t.Errorf("hit rate = %v", cached.HitRate())
-	}
-	cached.Observe(call, opt2, via.Metrics{RTTMs: 100})
-}
