@@ -81,7 +81,8 @@ short:
 	$(GO) test -short ./...
 
 # Short fuzz sessions over the byte-level decoders fed by crash-recovery
-# and the wire: the media frame, the WAL frame, the loss-repair payloads
+# and the wire: the media frame, the WAL frame and the open-time segment
+# scan (held to the whole-buffer frame decoder), the loss-repair payloads
 # (FEC parity packets and NACK requests), and — differentially against
 # encoding/json — the hand-written JSON codecs of the hot control messages,
 # the hot WAL records and the ring's pair peek; and the control stream's
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFrameV3Unmarshal -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzPathChallengeParse -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME) ./internal/wal/
+	$(GO) test -run=NONE -fuzz=FuzzWALRecover -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=NONE -fuzz=FuzzFECDecode -fuzztime=$(FUZZTIME) ./internal/rtp/
 	$(GO) test -run=NONE -fuzz=FuzzNACKParse -fuzztime=$(FUZZTIME) ./internal/rtp/
 	$(GO) test -run=NONE -fuzz=FuzzControlCodec -fuzztime=$(FUZZTIME) ./internal/transport/

@@ -189,8 +189,11 @@ func New(cfg Config) *Server {
 // restores the latest snapshot, replays the log tail (reaching the exact
 // state of the pre-crash process), and then either assumes the primary
 // role under a fresh term or — when cfg.StandbyOf is set — starts tailing
-// that primary as a warm standby. Callers must Close the server to release
-// the WAL.
+// that primary as a warm standby. What the restart cost goes to
+// cfg.Metrics: via_controller_recovery_seconds (wall time of the WAL open,
+// snapshot restore and replay) and via_controller_recovery_records
+// (records replayed behind the snapshot). Callers must Close the server to
+// release the WAL.
 func Open(cfg Config) (*Server, error) {
 	if cfg.WALDir == "" {
 		return nil, fmt.Errorf("controller: Open requires WALDir")
@@ -199,6 +202,7 @@ func Open(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("controller: strategy %q does not implement StatefulStrategy; durability needs snapshot support", cfg.Strategy.Name())
 	}
 	s := newServer(cfg)
+	start := time.Now()
 	wlog, err := wal.Open(cfg.WALDir, wal.Options{
 		SyncInterval: cfg.WALSyncInterval,
 		SegmentBytes: cfg.WALSegmentBytes,
@@ -208,10 +212,13 @@ func Open(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.wlog = wlog
-	if err := s.recoverFromWAL(); err != nil {
+	replayed, err := s.recoverFromWAL()
+	if err != nil {
 		wlog.Close() //vialint:ignore errwrap error path; the recovery failure is already being returned
 		return nil, err
 	}
+	cfg.Metrics.Gauge("via_controller_recovery_seconds").Set(time.Since(start).Seconds())
+	cfg.Metrics.Gauge("via_controller_recovery_records").Set(float64(replayed))
 	// Algorithm time resumes from the newest restored record.
 	s.walMu.Lock()
 	restored := s.lastTHours

@@ -361,24 +361,25 @@ func (s *Server) restoreSnapshotLocked(lsn uint64, snap *ctrlSnapshot) error {
 	return nil
 }
 
-// recoverFromWAL restores the latest snapshot and replays the WAL tail.
-// Runs once, from Open, before the server accepts decision traffic — but
-// it mutates walMu-guarded state, so it holds the (uncontended) lock.
-func (s *Server) recoverFromWAL() error {
+// recoverFromWAL restores the latest snapshot and replays the WAL tail,
+// returning the number of records replayed. Runs once, from Open, before
+// the server accepts decision traffic — but it mutates walMu-guarded
+// state, so it holds the (uncontended) lock.
+func (s *Server) recoverFromWAL() (int, error) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	from := uint64(1)
 	lsn, payload, ok, err := wal.LatestSnapshot(snapDir(s.cfg.WALDir))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if ok {
 		snap, err := decodeSnapshot(payload)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if err := s.restoreSnapshotLocked(lsn, snap); err != nil {
-			return err
+			return 0, err
 		}
 		from = lsn + 1
 	}
@@ -392,10 +393,10 @@ func (s *Server) recoverFromWAL() error {
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("controller: wal replay: %w", err)
+		return 0, fmt.Errorf("controller: wal replay: %w", err)
 	}
 	s.sinceSnapshot = replayed
-	return nil
+	return replayed, nil
 }
 
 // captureSnapshotLocked copies the controller snapshot state at the

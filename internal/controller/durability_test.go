@@ -178,6 +178,57 @@ func TestOpenFreshAndReadiness(t *testing.T) {
 	}
 }
 
+// TestOpenReportsRecovery: a restart publishes what it cost — the records
+// replayed behind the latest snapshot, and the wall time taken.
+func TestOpenReportsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	open := func(reg *obs.Registry) *Server {
+		t.Helper()
+		s, err := Open(Config{
+			Strategy:        core.NewVia(core.DefaultViaConfig(quality.RTT), nil),
+			TimeScale:       3600,
+			WALDir:          dir,
+			WALSyncInterval: -1,
+			SnapshotEvery:   -1, // only the forced snapshot below
+			Clock:           clk.Now,
+			Metrics:         reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := open(nil)
+	ts := httptest.NewServer(s.Handler())
+	c := NewClient(ts.URL)
+	drive20(t, clk, c)
+	covered, _, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive20(t, clk, c)
+	after := s.AppliedLSN() - covered
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after < 40 {
+		t.Fatalf("%d records after the snapshot; 20 calls log at least 40", after)
+	}
+
+	reg := obs.NewRegistry()
+	s2 := open(reg)
+	defer s2.Close()
+	m := reg.Snapshot()
+	if got := m["via_controller_recovery_records"]; got != float64(after) {
+		t.Fatalf("via_controller_recovery_records = %v, want the %d records logged after the snapshot", got, after)
+	}
+	if got := m["via_controller_recovery_seconds"]; got <= 0 {
+		t.Fatalf("via_controller_recovery_seconds = %v, want > 0", got)
+	}
+}
+
 // TestOpenRejectsStatelessStrategy: durability without snapshot support is
 // a configuration error, caught at Open. Replay re-executes every decision
 // against the strategy, so one that cannot save and load its state could

@@ -88,6 +88,10 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		sent = lsn
 		return nil
 	}
+	// One heartbeat timer, re-armed at every wake-up.
+	var zero [8]byte
+	hb := time.NewTimer(s.cfg.HeartbeatInterval)
+	defer hb.Stop()
 	for {
 		// Snapshot the notify channel BEFORE reading durable: records that
 		// land between the read and the wait then still close this channel.
@@ -104,20 +108,23 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		} else {
 			s.mStreamLag.Set(0)
 		}
-		hb := time.NewTimer(s.cfg.HeartbeatInterval)
 		select {
 		case <-r.Context().Done():
-			hb.Stop()
 			return
 		case <-notify:
-			hb.Stop()
+			if !hb.Stop() {
+				select { // fired unread: drain it before re-arming
+				case <-hb.C:
+				default:
+				}
+			}
 		case <-hb.C:
-			var zero [8]byte
 			if _, err := w.Write(zero[:]); err != nil {
 				return
 			}
 			fl.Flush()
 		}
+		hb.Reset(s.cfg.HeartbeatInterval)
 	}
 }
 

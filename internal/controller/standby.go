@@ -37,6 +37,11 @@ type standbyRunner struct {
 
 	lastContact atomic.Int64 // unix nanos of the last byte from the primary
 
+	// The stream's read window and frame buffer, reused across records
+	// and lease windows. Only the run goroutine touches them.
+	br    *bufio.Reader
+	frame []byte
+
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -49,6 +54,7 @@ func newStandbyRunner(s *Server, primary string) *standbyRunner {
 		primary:   primary,
 		stream:    &http.Client{Timeout: window},
 		bootstrap: &http.Client{Timeout: max(window, 30*time.Second)},
+		br:        bufio.NewReaderSize(nil, 1<<16),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -135,10 +141,10 @@ func (r *standbyRunner) streamOnce() error {
 		return fmt.Errorf("controller: wal stream returned %s", resp.Status)
 	}
 
-	br := bufio.NewReaderSize(resp.Body, 1<<16)
+	r.br.Reset(resp.Body)
 	var hdr [8]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
 			return err // window closed or connection dropped
 		}
 		r.touch()
@@ -146,7 +152,8 @@ func (r *standbyRunner) streamOnce() error {
 		if lsn == 0 {
 			continue // heartbeat
 		}
-		rec, err := wal.ReadFrame(br)
+		var rec wal.Record
+		rec, r.frame, err = wal.ReadFrameBuf(r.br, r.frame)
 		if err != nil {
 			return err
 		}

@@ -16,13 +16,17 @@ import (
 var ErrTailLost = errors.New("wal: tail position lost")
 
 // Tailer is a cursor over a Log's durable records — the package's one read
-// path, behind both Replay and the standby replication stream. It keeps
+// path, behind both Replay and the standby replication stream. Opened at
+// LSN from, it seeks to the segment's last mark at or below from, so the
+// first Next reads about one mark interval (markEvery bytes) of frames it
+// does not deliver, wherever in the segment from lies; after that it keeps
 // the segment file open at its byte offset, so each Next costs O(new
-// records), not O(segment); it follows rotation into the next segment; and
-// it never forces an fsync: records at or below the durable LSN are in the
-// files by construction, and nothing beyond it is ever parsed, so bytes a
-// sync in progress has written (or half written) but not yet fsynced are
-// never delivered.
+// records), not O(segment). It reads through one readWindow-sized buffered
+// reader and one frame buffer, both reused; it follows rotation into the
+// next segment; and it never forces an fsync: records at or below the
+// durable LSN are in the files by construction, and nothing beyond it is
+// ever parsed, so bytes a sync in progress has written (or half written)
+// but not yet fsynced are never delivered.
 //
 // A Tailer is for one goroutine. Any error is final: every later Next
 // returns it again.
@@ -47,7 +51,7 @@ func (l *Log) Tail(from uint64) (*Tailer, error) {
 	if first := l.segs[0].first; from < first {
 		return nil, fmt.Errorf("%w: tail from %d: records before %d were truncated away", ErrTailLost, from, first)
 	}
-	return &Tailer{l: l, gen: l.gen, next: from, r: bufio.NewReaderSize(nil, 1<<16)}, nil
+	return &Tailer{l: l, gen: l.gen, next: from, r: bufio.NewReaderSize(nil, readWindow)}, nil
 }
 
 // tailPosition locates LSN next for a tailer opened at generation gen: the
@@ -99,8 +103,10 @@ func (t *Tailer) advance(fn func(lsn uint64, frame []byte) error) error {
 				return err
 			}
 		}
-		// A tail opened mid-segment reads (and verifies) its way to from
-		// once; from then on at == next and every frame read is delivered.
+		// A tail opened mid-segment starts at the last mark at or below
+		// from and reads (and verifies) its way to from once — about
+		// markEvery bytes at most; from then on at == next and every frame
+		// read is delivered.
 		for t.at <= limit {
 			frame, err := readFrame(t.r, t.buf)
 			if err == io.EOF {
@@ -123,14 +129,20 @@ func (t *Tailer) advance(fn func(lsn uint64, frame []byte) error) error {
 	}
 }
 
-// open switches the reader to the start of seg.
+// open switches the reader to seg, at the segment's last mark at or below
+// the next LSN to deliver.
 func (t *Tailer) open(seg segment) error {
 	t.closeFile()
 	f, err := os.Open(seg.path)
 	if err != nil {
 		return fmt.Errorf("wal: open segment for tail: %w", err)
 	}
-	t.f, t.segFirst, t.at = f, seg.first, seg.first
+	m := seg.seek(t.next)
+	if _, err := f.Seek(m.off, io.SeekStart); err != nil {
+		f.Close() //vialint:ignore errwrap read-only file; the seek failure is already being returned
+		return fmt.Errorf("wal: seek segment for tail: %w", err)
+	}
+	t.f, t.segFirst, t.at = f, seg.first, m.lsn
 	t.r.Reset(f)
 	return nil
 }
@@ -152,9 +164,11 @@ func (t *Tailer) Close() {
 
 // Replay invokes fn for every durable record with LSN in [from, durable],
 // in order, after forcing pending appends to disk so that is the whole log
-// — the read-everything contract of boot recovery and record export. fn's
-// record Data is only valid during the call. Stopping early: return a
-// non-nil error (it is passed through).
+// — the read-everything contract of boot recovery and record export. It is
+// one Tailer's first Next, so its cost is the records delivered plus at
+// most one mark interval: replaying the tail behind a snapshot does not
+// read the segment from its start. fn's record Data is only valid during
+// the call. Stopping early: return a non-nil error (it is passed through).
 //
 //vialint:ignore dettaint syncPending samples the clock only to feed the fsync-latency histogram; the replayed record stream itself is a pure function of the log
 func (l *Log) Replay(from uint64, fn func(lsn uint64, rec Record) error) error {

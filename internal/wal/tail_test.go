@@ -476,3 +476,55 @@ func TestTailerFollowsConcurrentAppends(t *testing.T) {
 		t.Fatalf("only %d segments; the tail was meant to cross many rotations", n)
 	}
 }
+
+// TestTailerSeeksToMark is the cost of opening a tail, where
+// TestTailerCostIsPerNewRecord is the cost of following one: a tail
+// opened at LSN 16000 starts at the segment's last mark at or below it and
+// decodes at most one mark interval of frames before its first delivery —
+// on the live log, whose marks its syncs noted, and on the reopened log,
+// whose marks the open-time scan noted.
+func TestTailerSeeksToMark(t *testing.T) {
+	const from, hi = 16000, 16200
+	dir := t.TempDir()
+	l, err := Open(dir, neverSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendThrough(t, l, hi)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Frames only grow with the LSN's digits, so the first is the shortest.
+	interval := uint64(markEvery/len(EncodeFrame(nil, tailRec(1))) + 1)
+	check := func(name string, l *Log) {
+		tl := mustTail(t, l, from)
+		seg, _, err := l.tailPosition(tl.gen, tl.next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg.first != 1 {
+			t.Fatalf("%s: LSN %d is in the segment starting at %d; the test needs one segment", name, from, seg.first)
+		}
+		if err := tl.open(seg); err != nil {
+			t.Fatal(err)
+		}
+		if tl.at > from || from-tl.at > interval {
+			t.Fatalf("%s: tail at %d opens at LSN %d: %d frames to decode, want ≤ %d", name, from, tl.at, from-tl.at, interval)
+		}
+		got, err := drain(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRun(t, got, from, hi)
+	}
+	check("live", l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, neverSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close() //vialint:ignore errwrap test cleanup
+	check("reopened", l2)
+}

@@ -22,6 +22,18 @@
 // and truncated away — everything before it is intact by construction,
 // because records are written strictly append-only.
 //
+// Reading through a window. Nothing that reads the log holds a segment in
+// memory. Open scans each segment through one 64 KiB buffered reader,
+// checking each frame's CRC as its bytes pass through; a length prefix
+// claiming more bytes than the file has left is a torn tail, found before
+// anything is read or allocated for it. Every other read — boot replay,
+// the standby stream — is a Tailer (tail.go) with a window of the same
+// size. A sparse in-memory index of (LSN, byte offset) marks, one about
+// every 64 KiB of each segment, filled by the open-time scan and by each
+// sync as it publishes the durable LSN, lets a tail opened at LSN k seek
+// near k instead of reading its segment from byte 0. The marks live with
+// their segment, so TruncateBefore and Reset drop them with the files.
+//
 // Durability model. Append encodes the record into a log-owned pending
 // buffer and returns: it makes no syscall, and the record is neither in
 // the file nor in the OS yet. A committer goroutine syncs every
@@ -45,6 +57,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -167,6 +180,56 @@ func (o Options) withDefaults() Options {
 type segment struct {
 	first uint64 // LSN of the segment's first record
 	path  string
+	// marks is the segment's sparse index, ascending: one mark about every
+	// markEvery bytes, noted by the open-time scan and by each sync as it
+	// publishes the durable LSN. The segment's start, (first, 0), is
+	// implicit. Appended to under Log.mu only; a copy of the slice header
+	// taken under mu stays valid to read after it is released.
+	marks []mark
+}
+
+// mark locates one record in its segment: the frame of LSN lsn starts at
+// byte off.
+type mark struct {
+	lsn uint64
+	off int64
+}
+
+// markEvery spaces a segment's marks. A tail opened mid-segment seeks to
+// the last mark at or below its start, so it reads and verifies at most
+// about this many bytes of frames it does not deliver.
+const markEvery = 64 << 10
+
+// readWindow sizes the buffered reader of every segment read — the
+// open-time scan and each Tailer — and so bounds the memory a read holds
+// beyond the frame it delivers.
+const readWindow = 64 << 10
+
+// lastMark returns the byte offset of the segment's last mark: 0, its
+// start, when it has none.
+func (s *segment) lastMark() int64 {
+	if n := len(s.marks); n > 0 {
+		return s.marks[n-1].off
+	}
+	return 0
+}
+
+// note adds a mark for the frame of LSN lsn at byte off when that frame
+// starts at least markEvery past the segment's last mark.
+func (s *segment) note(lsn uint64, off int64) {
+	if off-s.lastMark() >= markEvery {
+		s.marks = append(s.marks, mark{lsn: lsn, off: off})
+	}
+}
+
+// seek returns the last mark at or below LSN lsn, the segment's start when
+// none is.
+func (s *segment) seek(lsn uint64) mark {
+	i := sort.Search(len(s.marks), func(i int) bool { return s.marks[i].lsn > lsn })
+	if i == 0 {
+		return mark{lsn: s.first}
+	}
+	return s.marks[i-1]
 }
 
 // maxPending bounds the pending buffer. An Append that finds this much
@@ -269,9 +332,10 @@ func (l *Log) recoverLocked(segs []segment) error {
 	if len(segs) > 0 {
 		l.next = segs[0].first
 	}
-	for i, s := range segs {
-		last := i == len(segs)-1
-		n, err := recoverSegment(s.path, last)
+	r := bufio.NewReaderSize(nil, readWindow)
+	for i := range segs {
+		s := &segs[i]
+		n, err := recoverSegment(r, s, i == len(segs)-1)
 		if err != nil {
 			return fmt.Errorf("wal: recover %s: %w", filepath.Base(s.path), err)
 		}
@@ -325,32 +389,83 @@ func listSegments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// recoverSegment counts the valid records in a segment. For the last (tail)
-// segment, an invalid suffix is truncated away — the torn-write case; for
-// any other segment it is an error.
-func recoverSegment(path string, tail bool) (int, error) {
-	buf, err := os.ReadFile(path)
+// recoverSegment counts the valid records in a segment and notes its
+// marks. For the last (tail) segment, an invalid suffix is truncated away —
+// the torn-write case; for any other segment it is an error.
+func recoverSegment(r *bufio.Reader, seg *segment, tail bool) (int, error) {
+	f, err := os.Open(seg.path)
 	if err != nil {
-		return 0, fmt.Errorf("read segment: %w", err)
+		return 0, fmt.Errorf("open segment: %w", err)
 	}
-	n, off := 0, 0
-	for off < len(buf) {
-		_, adv, err := DecodeFrame(buf[off:])
-		if err != nil {
-			if !tail {
-				return 0, fmt.Errorf("record %d at offset %d: %w", n, off, err)
-			}
-			// Torn or corrupt tail: drop it. Records are append-only, so
-			// everything before the bad frame is complete.
-			if terr := os.Truncate(path, int64(off)); terr != nil {
-				return 0, fmt.Errorf("truncate torn tail: %w", terr)
-			}
-			return n, nil
-		}
-		off += adv
-		n++
+	defer f.Close() //vialint:ignore errwrap read-only file; the scan's read errors are what matter
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("stat segment: %w", err)
+	}
+	r.Reset(f)
+	n, off, err := scanSegment(r, st.Size(), seg)
+	switch {
+	case err == nil:
+		return n, nil
+	case !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt):
+		return 0, err // the file could not be read: no verdict on its bytes
+	case !tail:
+		return 0, fmt.Errorf("record %d at offset %d: %w", n, off, err)
+	}
+	// Torn or corrupt tail: drop it. Records are append-only, so
+	// everything before the bad frame is complete.
+	if terr := os.Truncate(seg.path, off); terr != nil {
+		return 0, fmt.Errorf("truncate torn tail: %w", terr)
 	}
 	return n, nil
+}
+
+// scanSegment reads a segment of size bytes through r, noting seg's marks
+// as it goes, up to its end or its first invalid frame. It returns the
+// number of valid frames, the offset just past the last of them, and the
+// invalid frame's verdict, as DecodeFrame would give it over the whole
+// file: ErrTruncated when the file ends inside the frame — a length prefix
+// claiming more bytes than are left included, before any of them is read —
+// and ErrCorrupt when it fails validation. The CRC is taken over r's
+// window as the payload passes through it, so no frame is ever held whole.
+// Any other error is a failed read.
+func scanSegment(r *bufio.Reader, size int64, seg *segment) (int, int64, error) {
+	n, off := 0, int64(0)
+	for off < size {
+		if size-off < frameHeaderLen {
+			return n, off, ErrTruncated
+		}
+		hdr, err := r.Peek(frameHeaderLen)
+		if err != nil {
+			return n, off, fmt.Errorf("read segment: %w", err)
+		}
+		payloadLen := int64(binary.BigEndian.Uint32(hdr[0:4]))
+		want := binary.BigEndian.Uint32(hdr[4:8])
+		if payloadLen == 0 || payloadLen > MaxRecordBytes {
+			return n, off, fmt.Errorf("%w: payload length %d", ErrCorrupt, payloadLen)
+		}
+		if payloadLen > size-off-frameHeaderLen {
+			return n, off, ErrTruncated
+		}
+		r.Discard(frameHeaderLen) // buffered by the Peek: cannot fail
+		crc := uint32(0)
+		for left := payloadLen; left > 0; {
+			chunk, err := r.Peek(int(min(left, int64(r.Size()))))
+			if err != nil {
+				return n, off, fmt.Errorf("read segment: %w", err)
+			}
+			crc = crc32.Update(crc, castagnoli, chunk)
+			r.Discard(len(chunk)) // buffered by the Peek: cannot fail
+			left -= int64(len(chunk))
+		}
+		if crc != want {
+			return n, off, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+		}
+		seg.note(seg.first+uint64(n), off)
+		off += frameHeaderLen + payloadLen
+		n++
+	}
+	return n, off, nil
 }
 
 func segmentPath(dir string, first uint64) string {
@@ -461,10 +576,11 @@ func (l *Log) rotate() error {
 
 // syncPending makes every appended record durable. Under l.mu it swaps
 // the pending buffer for the spare one; with l.mu released it writes the
-// swapped bytes to the active segment and fsyncs; then it publishes the
-// durable LSN and wakes tailers. Appends go on meanwhile. A failure is
-// recorded as the log's sticky error. Caller holds l.syncMu, which keeps
-// l.f the active file until the sync is done.
+// swapped bytes to the active segment, fsyncs, and finds the marks among
+// the frames written; then it publishes the durable LSN with those marks
+// and wakes tailers. Appends go on meanwhile. A failure is recorded as the
+// log's sticky error. Caller holds l.syncMu, which keeps l.f the active
+// file, and the last of l.segs its segment, until the sync is done.
 func (l *Log) syncPending() error {
 	l.mu.Lock()
 	if l.failed != nil || len(l.pending) == 0 {
@@ -473,6 +589,10 @@ func (l *Log) syncPending() error {
 		return err
 	}
 	buf, f, upto := l.pending, l.f, l.next-1
+	// Syncs run one at a time and each publishes everything it swapped, so
+	// buf starts at the record after the durable LSN, at the offset the
+	// active segment had before buf was appended.
+	lsn, base, last := l.durable+1, l.active-int64(len(buf)), l.segs[len(l.segs)-1].lastMark()
 	l.pending, l.spare = l.spare[:0], nil
 	l.mu.Unlock()
 
@@ -487,6 +607,16 @@ func (l *Log) syncPending() error {
 			l.mFsync.Observe(time.Since(start).Seconds())
 		}
 	}
+	var marks []mark // about one per markEvery bytes written: most syncs find none
+	if err == nil {
+		for i := 0; i < len(buf); i += frameHeaderLen + int(binary.BigEndian.Uint32(buf[i:])) {
+			if off := base + int64(i); off-last >= markEvery {
+				marks = append(marks, mark{lsn: lsn, off: off})
+				last = off
+			}
+			lsn++
+		}
+	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -496,6 +626,8 @@ func (l *Log) syncPending() error {
 		return err
 	}
 	l.durable = upto
+	active := &l.segs[len(l.segs)-1]
+	active.marks = append(active.marks, marks...)
 	close(l.notify)
 	l.notify = make(chan struct{})
 	return nil
@@ -561,11 +693,19 @@ func (l *Log) DurableNotify() <-chan struct{} {
 // HTTP tail of the primary's log. io.EOF at a frame boundary means a clean
 // end; a partial frame is ErrTruncated.
 func ReadFrame(r io.Reader) (Record, error) {
-	frame, err := readFrame(r, nil)
+	rec, _, err := ReadFrameBuf(r, nil)
+	return rec, err
+}
+
+// ReadFrameBuf is ReadFrame reading into buf, grown when too small. It
+// returns the buffer to pass to the next call, so a reader of many frames
+// allocates only for the largest; the record's Data aliases that buffer.
+func ReadFrameBuf(r io.Reader, buf []byte) (Record, []byte, error) {
+	frame, err := readFrame(r, buf)
 	if err != nil {
-		return Record{}, err
+		return Record{}, buf, err
 	}
-	return frameRecord(frame), nil
+	return frameRecord(frame), frame, nil
 }
 
 // readFrame is the package's one stream decoder: it reads a frame from r
@@ -613,6 +753,7 @@ func (l *Log) TruncateBefore(keep uint64) error {
 	var drop []segment
 	for len(l.segs) > 1 && l.segs[1].first <= keep {
 		drop = append(drop, l.segs[0])
+		l.segs[0] = segment{} // the backing array outlives the reslice: release the marks now
 		l.segs = l.segs[1:]
 	}
 	l.mu.Unlock()
