@@ -86,7 +86,8 @@ short:
 # (FEC parity packets and NACK requests), and — differentially against
 # encoding/json — the hand-written JSON codecs of the hot control messages,
 # the hot WAL records and the ring's pair peek; and the control stream's
-# frame readers, server and client side.
+# frame readers, server and client side; and the relay's per-datagram
+# step, over arbitrary datagrams from IPv4, 4-in-6, IPv6 and zero sources.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFrameUnmarshal -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzFrameV3Unmarshal -fuzztime=$(FUZZTIME) ./internal/transport/
@@ -99,6 +100,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWALRecordCodec -fuzztime=$(FUZZTIME) ./internal/controller/
 	$(GO) test -run=NONE -fuzz=FuzzPeekPair -fuzztime=$(FUZZTIME) ./internal/ring/
 	$(GO) test -run=NONE -fuzz=FuzzControlStream -fuzztime=$(FUZZTIME) ./internal/controller/
+	$(GO) test -run=NONE -fuzz=FuzzRelayForward -fuzztime=$(FUZZTIME) ./internal/relay/
 
 # Coverage with a floor: writes coverage.out (CI archives it) and fails
 # below COVER_FLOOR percent total statement coverage.

@@ -346,11 +346,14 @@ func walDumpCmd(args []string) int {
 }
 
 // dumpSegment prints one segment's records, starting the LSN count at the
-// segment's base. Reports whether it hit a torn/corrupt frame.
+// segment's base, through one reused frame buffer. Reports whether it hit
+// a torn/corrupt frame.
 func dumpSegment(f *os.File, lsn, from uint64, n *int) bool {
 	r := bufio.NewReader(f)
+	var buf []byte
 	for {
-		rec, err := wal.ReadFrame(r)
+		rec, next, err := wal.ReadFrameBuf(r, buf)
+		buf = next
 		if errors.Is(err, io.EOF) {
 			return false
 		}

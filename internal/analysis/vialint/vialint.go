@@ -55,7 +55,7 @@ func dettaintConfig() dettaint.Config {
 		roots[p] = nil // every function
 	}
 	roots["repro/internal/wal"] = []string{
-		"DecodeFrame", "ReadFrame", "(*Log).Replay", "(*Log).Tail", "(*Tailer).Next",
+		"DecodeFrame", "ReadFrameBuf", "(*Log).Replay", "(*Log).Tail", "(*Tailer).Next",
 		"ListSnapshots", "ReadSnapshot", "LatestSnapshot",
 	}
 	return dettaint.Config{

@@ -203,7 +203,7 @@ func TestWALStreamEndsWhenLogIsReset(t *testing.T) {
 	if _, err := io.ReadFull(resp.Body, hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wal.ReadFrame(resp.Body); err != nil {
+	if _, _, err := wal.ReadFrameBuf(resp.Body, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The stream is caught up and parked. Replace the log under it, then

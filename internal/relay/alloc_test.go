@@ -2,6 +2,7 @@ package relay
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // discardConn is a PacketConn that swallows writes — it isolates the
-// relay's own forwarding cost from socket behavior.
+// relay's own forwarding cost from socket behavior. It has the AddrPort
+// methods, as *net.UDPConn does, so the relay uses it without an adapter.
 type discardConn struct {
 	writes    int64
 	bytes     int64
@@ -19,10 +21,19 @@ type discardConn struct {
 }
 
 func (d *discardConn) ReadFrom(b []byte) (int, net.Addr, error) { select {} }
+func (d *discardConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
+	select {}
+}
 func (d *discardConn) WriteTo(b []byte, addr net.Addr) (int, error) {
+	return d.record(b, addr.(*net.UDPAddr).Port)
+}
+func (d *discardConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
+	return d.record(b, int(addr.Port()))
+}
+func (d *discardConn) record(b []byte, port int) (int, error) {
 	d.writes++
 	d.bytes += int64(len(b))
-	d.lastPort = addr.(*net.UDPAddr).Port
+	d.lastPort = port
 	if f := &d.scratch; f.Unmarshal(b) == nil && f.Kind == transport.KindPathChallenge {
 		d.challenge = append([]byte(nil), f.Payload...)
 	}
@@ -65,12 +76,11 @@ func TestForwardZeroAlloc(t *testing.T) {
 
 	out := make([]byte, 0, 64*1024)
 	var f transport.Frame
-	next := &net.UDPAddr{IP: make(net.IP, 4)}
 	// Warm up: create the session entry and size the buffers.
-	n.handle(wire, src, &out, &f, next)
+	n.handle(wire, src.AddrPort(), &out, &f)
 
 	allocs := testing.AllocsPerRun(500, func() {
-		n.handle(wire, src, &out, &f, next)
+		n.handle(wire, src.AddrPort(), &out, &f)
 	})
 	if allocs != 0 {
 		t.Errorf("forwarding allocates %v per packet, want 0", allocs)
@@ -104,11 +114,10 @@ func TestForwardZeroAllocV3(t *testing.T) {
 
 	out := make([]byte, 0, 64*1024)
 	var f transport.Frame
-	next := &net.UDPAddr{IP: make(net.IP, 4)}
-	n.handle(wire, src, &out, &f, next) // warm up: session + token binding
+	n.handle(wire, src.AddrPort(), &out, &f) // warm up: session + token binding
 
 	allocs := testing.AllocsPerRun(500, func() {
-		n.handle(wire, src, &out, &f, next)
+		n.handle(wire, src.AddrPort(), &out, &f)
 	})
 	if allocs != 0 {
 		t.Errorf("v3 forwarding allocates %v per packet, want 0", allocs)
@@ -118,12 +127,12 @@ func TestForwardZeroAllocV3(t *testing.T) {
 	// final hop still names src is then re-pinned to src2 on every packet,
 	// and that path must not allocate either.
 	src2 := &net.UDPAddr{IP: net.IPv4(10, 9, 0, 2), Port: 4002}
-	n.handle(wire, src2, &out, &f, next) // draws the challenge
+	n.handle(wire, src2.AddrPort(), &out, &f) // draws the challenge
 	if conn.challenge == nil {
 		t.Fatal("no challenge written for the new source address")
 	}
 	resp := transport.Frame{Session: f3.Session, Kind: transport.KindPathResponse, Token: f3.Token, Payload: conn.challenge}
-	n.handle(resp.Marshal(nil), src2, &out, &f, next)
+	n.handle(resp.Marshal(nil), src2.AddrPort(), &out, &f)
 	if n.Migrations() != 1 {
 		t.Fatalf("migrations = %d, want 1", n.Migrations())
 	}
@@ -133,9 +142,9 @@ func TestForwardZeroAllocV3(t *testing.T) {
 	}
 	revWire := rev.Marshal(nil)
 	peer := &net.UDPAddr{IP: net.IPv4(10, 9, 0, 9), Port: 4009}
-	n.handle(revWire, peer, &out, &f, next)
+	n.handle(revWire, peer.AddrPort(), &out, &f)
 	allocs = testing.AllocsPerRun(500, func() {
-		n.handle(revWire, peer, &out, &f, next)
+		n.handle(revWire, peer.AddrPort(), &out, &f)
 	})
 	if allocs != 0 {
 		t.Errorf("re-pinned final-hop delivery allocates %v per packet, want 0", allocs)
@@ -155,13 +164,12 @@ func BenchmarkForwardRepairFrame(b *testing.B) {
 	src := &net.UDPAddr{IP: net.IPv4(10, 9, 0, 1), Port: 4000}
 	out := make([]byte, 0, 64*1024)
 	var f transport.Frame
-	next := &net.UDPAddr{IP: make(net.IP, 4)}
-	n.handle(wire, src, &out, &f, next)
+	n.handle(wire, src.AddrPort(), &out, &f)
 
 	b.ReportAllocs()
 	b.SetBytes(int64(len(wire)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.handle(wire, src, &out, &f, next)
+		n.handle(wire, src.AddrPort(), &out, &f)
 	}
 }

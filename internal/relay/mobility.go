@@ -1,7 +1,7 @@
 package relay
 
 import (
-	"net"
+	"net/netip"
 	"time"
 
 	"repro/internal/transport"
@@ -80,9 +80,9 @@ func (ss *session) end(tok transport.Token) *endpoint {
 // endpoints and decides whether a path challenge or drain nudge is owed.
 // Nothing here allocates, which keeps handle's noalloc promise. Caller
 // holds n.mu.
-func (n *Node) observeLocked(ss *session, tok transport.Token, src net.Addr, now time.Time, draining bool) mobilityActions {
+func (n *Node) observeLocked(ss *session, tok transport.Token, src netip.AddrPort, now time.Time, draining bool) mobilityActions {
 	var act mobilityActions
-	k, ok := transport.AddrFrom(src)
+	k, ok := transport.AddrFromAddrPort(src)
 	if !ok {
 		return act
 	}
@@ -164,7 +164,7 @@ func (e *endpoint) movedFrom(old transport.Addr) {
 // consume handles frames addressed to the relay itself (empty forward
 // route): keepalives and path responses. Anything else with an exhausted
 // route is misrouted, as before.
-func (n *Node) consume(f *transport.Frame, src net.Addr, size int) {
+func (n *Node) consume(f *transport.Frame, src netip.AddrPort, size int) {
 	switch f.Kind {
 	case transport.KindKeepalive:
 		n.handleKeepalive(f, src, size)
@@ -179,7 +179,7 @@ func (n *Node) consume(f *transport.Frame, src net.Addr, size int) {
 // but alive call must not be evicted — and runs the same token
 // observation as data frames, so a keepalive from a rebound address
 // starts path validation without waiting for media.
-func (n *Node) handleKeepalive(f *transport.Frame, src net.Addr, size int) {
+func (n *Node) handleKeepalive(f *transport.Frame, src netip.AddrPort, size int) {
 	n.mu.Lock()
 	ss, act := n.touchLocked(f, src, size, time.Now())
 	n.mu.Unlock()
@@ -195,9 +195,9 @@ func (n *Node) handleKeepalive(f *transport.Frame, src net.Addr, size int) {
 // handlePathResponse validates an echoed challenge — it must match the
 // outstanding (session, token, address, nonce) — and on success re-pins
 // the endpoint's return path to the responding address.
-func (n *Node) handlePathResponse(f *transport.Frame, src net.Addr) {
+func (n *Node) handlePathResponse(f *transport.Frame, src netip.AddrPort) {
 	var c transport.PathChallenge
-	k, ok := transport.AddrFrom(src)
+	k, ok := transport.AddrFromAddrPort(src)
 	if err := c.Unmarshal(f.Payload); err != nil || c.Token != f.Token || f.Token.IsZero() || !ok {
 		n.pathFail.Add(1)
 		return
@@ -224,19 +224,19 @@ func (n *Node) handlePathResponse(f *transport.Frame, src net.Addr) {
 
 // sendMobility emits the challenge and/or drain nudge decided under the
 // lock. Cold path: runs only on address change or during drain.
-func (n *Node) sendMobility(session uint64, tok transport.Token, dst net.Addr, act mobilityActions) {
+func (n *Node) sendMobility(session uint64, tok transport.Token, dst netip.AddrPort, act mobilityActions) {
 	if act.challenge {
 		c := transport.PathChallenge{Nonce: act.nonce, Token: tok}
 		f := transport.Frame{Session: session, Kind: transport.KindPathChallenge, Token: tok}
 		f.Payload = c.Marshal(make([]byte, 0, transport.PathChallengeLen))
 		//vialint:ignore errwrap best-effort UDP: a lost challenge is retransmitted by the next frame from the new address
-		_, _ = n.conn.WriteTo(f.Marshal(nil), dst)
+		_, _ = n.conn.WriteToUDPAddrPort(f.Marshal(nil), dst)
 		n.challenges.Add(1)
 	}
 	if act.nudge {
 		f := transport.Frame{Session: session, Kind: transport.KindDrain, Token: tok}
 		//vialint:ignore errwrap best-effort UDP: drain nudges repeat once per drainNudgeEvery while traffic flows
-		_, _ = n.conn.WriteTo(f.Marshal(nil), dst)
+		_, _ = n.conn.WriteToUDPAddrPort(f.Marshal(nil), dst)
 		n.drainNudges.Add(1)
 	}
 }
@@ -269,7 +269,7 @@ func (n *Node) SetDraining(d bool) {
 	}
 	n.mu.Unlock()
 	for _, t := range targets {
-		n.sendMobility(t.session, t.tok, t.addr.UDPAddr(), mobilityActions{nudge: true})
+		n.sendMobility(t.session, t.tok, t.addr.AddrPort(), mobilityActions{nudge: true})
 	}
 }
 

@@ -45,19 +45,18 @@ func TestKeepaliveRefreshesIdleTTL(t *testing.T) {
 
 	out := make([]byte, 0, 4096)
 	var f transport.Frame
-	next := &net.UDPAddr{IP: make(net.IP, 4)}
 	src := &net.UDPAddr{IP: net.IPv4(10, 9, 0, 1), Port: 4000}
 
 	// Two sessions: 1 keeps sending keepalives, 2 goes silent.
-	n.handle(repairWire(t), src, &out, &f, next) // session 0xFEED (the control)
+	n.handle(repairWire(t), src.AddrPort(), &out, &f) // session 0xFEED (the control)
 	ka := transport.Frame{Session: 0xBEEF, Kind: transport.KindKeepalive}
-	n.handle(ka.Marshal(nil), src, &out, &f, next) // creates session 0xBEEF
+	n.handle(ka.Marshal(nil), src.AddrPort(), &out, &f) // creates session 0xBEEF
 
 	// Stay silent for several TTLs on 0xFEED while 0xBEEF keepalives.
 	kaWire := ka.Marshal(nil)
 	for i := 0; i < 8; i++ {
 		time.Sleep(20 * time.Millisecond)
-		n.handle(kaWire, src, &out, &f, next)
+		n.handle(kaWire, src.AddrPort(), &out, &f)
 	}
 
 	n.mu.Lock()

@@ -6,16 +6,24 @@
 // selection intelligence of their own: all smarts live in the controller
 // and clients (§4.4: "the relays in Skype were only designed to forward
 // traffic").
+//
+// A datagram's source and next hop travel as netip.AddrPort values, from
+// the socket read to the send: a relay on a *net.UDPConn or a wan.Shaper
+// forwards without allocating. A conn without their value-address
+// methods is served through one adapter, addrport.Adapt, on the same
+// forwarding loop.
 package relay
 
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/addrport"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -36,7 +44,7 @@ const (
 // Node is one relay.
 type Node struct {
 	id   netsim.RelayID
-	conn net.PacketConn
+	conn addrport.Conn
 
 	packets atomic.Int64
 	bytes   atomic.Int64
@@ -86,11 +94,13 @@ type session struct {
 }
 
 // New builds a relay node on an already-bound PacketConn (which may be a
-// wan.Shaper for impaired testbeds).
+// wan.Shaper for impaired testbeds). A conn without the value-address
+// methods of *net.UDPConn is adapted (addrport.Adapt); it forwards the
+// same, at the cost of its own ReadFrom.
 func New(id netsim.RelayID, conn net.PacketConn) *Node {
 	return &Node{
 		id:       id,
-		conn:     conn,
+		conn:     addrport.Adapt(conn),
 		sessions: make(map[uint64]*session),
 		// Challenge nonces only need to be unpredictable to an off-path
 		// attacker (the 128-bit token is the real secret); a time-seeded
@@ -122,17 +132,17 @@ func (n *Node) ID() netsim.RelayID { return n.id }
 func (n *Node) Addr() net.Addr { return n.conn.LocalAddr() }
 
 // Serve forwards frames until the connection is closed. It returns nil on
-// orderly shutdown. The frame, output buffer, and next-hop address are
-// hoisted out of the loop so the steady-state forwarding path — including
-// repair traffic (repair bytes, NACK/FEC kinds, retransmits) — performs zero
-// heap allocations per packet.
+// orderly shutdown. The frame and output buffer are hoisted out of the
+// loop, and a datagram's source and next hop travel as netip.AddrPort
+// values, so the steady-state forwarding path — including repair traffic
+// (repair bytes, NACK/FEC kinds, retransmits) — performs zero heap
+// allocations per packet on a *net.UDPConn or a wan.Shaper.
 func (n *Node) Serve() error {
 	buf := make([]byte, 64*1024)
 	out := make([]byte, 0, 64*1024)
 	var f transport.Frame
-	next := &net.UDPAddr{IP: make(net.IP, 4)}
 	for {
-		sz, src, err := n.conn.ReadFrom(buf)
+		sz, src, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
@@ -145,12 +155,18 @@ func (n *Node) Serve() error {
 			}
 			return err
 		}
-		n.handle(buf[:sz], src, &out, &f, next)
+		n.handle(buf[:sz], src, &out, &f)
 	}
 }
 
+// handle is the per-datagram step: one datagram read from src is
+// consumed, dropped, or forwarded to its next hop. The source is unmapped
+// first, so an IPv4 peer read on a dual-stack socket compares equal to the
+// IPv4 hops that routes carry.
+//
 //via:noalloc
-func (n *Node) handle(pkt []byte, src net.Addr, out *[]byte, f *transport.Frame, next *net.UDPAddr) {
+func (n *Node) handle(pkt []byte, src netip.AddrPort, out *[]byte, f *transport.Frame) {
+	src = netip.AddrPortFrom(src.Addr().Unmap(), src.Port())
 	if err := f.Unmarshal(pkt); err != nil {
 		n.dropped.Add(1)
 		return
@@ -190,9 +206,8 @@ func (n *Node) handle(pkt []byte, src net.Addr, out *[]byte, f *transport.Frame,
 	n.packets.Add(1)
 	n.bytes.Add(int64(len(pkt)))
 	*out = f.Marshal((*out)[:0])
-	hop.Into(next)
 	//vialint:ignore errwrap best-effort UDP forwarding: a failed send is equivalent to loss, which the media layer absorbs
-	_, _ = n.conn.WriteTo(*out, next)
+	_, _ = n.conn.WriteToUDPAddrPort(*out, hop.AddrPort())
 
 	if act.challenge || act.nudge {
 		n.sendMobility(f.Session, f.Token, src, act)
@@ -206,7 +221,7 @@ func (n *Node) handle(pkt []byte, src net.Addr, out *[]byte, f *transport.Frame,
 // back), charge size bytes, refresh the idle deadline, and run the token's
 // mobility observation. The once-per-session allocation lives here, off
 // handle's per-packet path. Caller holds n.mu.
-func (n *Node) touchLocked(f *transport.Frame, src net.Addr, size int, now time.Time) (*session, mobilityActions) {
+func (n *Node) touchLocked(f *transport.Frame, src netip.AddrPort, size int, now time.Time) (*session, mobilityActions) {
 	draining := n.draining.Load()
 	ss := n.sessions[f.Session]
 	if ss == nil {

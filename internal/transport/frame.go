@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 )
 
 // frameMagic ("VC") opens every frame. The header is magic(2) session(8)
@@ -108,27 +109,28 @@ func AddrFrom(a net.Addr) (Addr, bool) {
 	if !ok {
 		return Addr{}, false
 	}
-	ip4 := u.IP.To4()
-	if ip4 == nil {
+	return AddrFromAddrPort(u.AddrPort())
+}
+
+// AddrFromAddrPort converts a value address. An IPv4-mapped IPv6 address
+// (what a dual-stack socket reports for an IPv4 peer) converts to its IPv4
+// form; any other non-IPv4 address reports false.
+func AddrFromAddrPort(ap netip.AddrPort) (Addr, bool) {
+	ip := ap.Addr().Unmap()
+	if !ip.Is4() {
 		return Addr{}, false
 	}
-	return Addr{IP: [4]byte(ip4), Port: uint16(u.Port)}, true
+	return Addr{IP: ip.As4(), Port: ap.Port()}, true
+}
+
+// AddrPort returns a as a value address, which *net.UDPConn sends to
+// without allocating.
+func (a Addr) AddrPort() netip.AddrPort {
+	return netip.AddrPortFrom(netip.AddrFrom4(a.IP), a.Port)
 }
 
 // UDPAddr returns a as a newly allocated sendable address.
-func (a Addr) UDPAddr() *net.UDPAddr {
-	u := new(net.UDPAddr)
-	a.Into(u)
-	return u
-}
-
-// Into overwrites u with a, reusing u's IP backing storage: a forwarding
-// loop that keeps one *net.UDPAddr allocates nothing per packet.
-func (a Addr) Into(u *net.UDPAddr) {
-	u.IP = append(u.IP[:0], a.IP[:]...)
-	u.Port = int(a.Port)
-	u.Zone = ""
-}
+func (a Addr) UDPAddr() *net.UDPAddr { return net.UDPAddrFromAddrPort(a.AddrPort()) }
 
 // SetRoute assigns the forward route from UDP addresses.
 func (f *Frame) SetRoute(addrs []*net.UDPAddr) error {

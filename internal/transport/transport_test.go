@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"testing/quick"
 
@@ -114,13 +115,20 @@ func TestAddrRoundTrip(t *testing.T) {
 	if back := w.UDPAddr(); back.String() != a.String() {
 		t.Errorf("round trip: %s vs %s", back, a)
 	}
-	// Into reuses the target's storage and overwrites every field.
-	into := &net.UDPAddr{IP: make(net.IP, 4), Port: 1, Zone: "eth0"}
-	if allocs := testing.AllocsPerRun(100, func() { w.Into(into) }); allocs != 0 {
-		t.Errorf("Into allocates %v", allocs)
+	// The value form round-trips without allocating, and a 4-in-6
+	// spelling of the same peer converts to the same Addr.
+	var ap netip.AddrPort
+	if allocs := testing.AllocsPerRun(100, func() { ap = w.AddrPort() }); allocs != 0 {
+		t.Errorf("AddrPort allocates %v", allocs)
 	}
-	if into.String() != a.String() {
-		t.Errorf("Into: %s vs %s", into, a)
+	if ap.String() != a.String() {
+		t.Errorf("AddrPort: %s vs %s", ap, a)
+	}
+	if back, ok := AddrFromAddrPort(ap); !ok || back != w {
+		t.Errorf("AddrFromAddrPort(%s) = %v, %v", ap, back, ok)
+	}
+	if back, ok := AddrFromAddrPort(netip.MustParseAddrPort("[::ffff:203.0.113.9]:12345")); !ok || back != w {
+		t.Errorf("4-in-6 peer converts to %v, %v; want %v", back, ok, w)
 	}
 	// Comparable: equal addresses are one map key, a port apart is two.
 	w2, _ := AddrFrom(udp("203.0.113.9", 12346))

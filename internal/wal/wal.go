@@ -689,17 +689,12 @@ func (l *Log) DurableNotify() <-chan struct{} {
 	return l.notify
 }
 
-// ReadFrame reads one frame from a stream — a segment file or a standby's
-// HTTP tail of the primary's log. io.EOF at a frame boundary means a clean
-// end; a partial frame is ErrTruncated.
-func ReadFrame(r io.Reader) (Record, error) {
-	rec, _, err := ReadFrameBuf(r, nil)
-	return rec, err
-}
-
-// ReadFrameBuf is ReadFrame reading into buf, grown when too small. It
-// returns the buffer to pass to the next call, so a reader of many frames
-// allocates only for the largest; the record's Data aliases that buffer.
+// ReadFrameBuf reads one frame from a stream — a segment file or a
+// standby's HTTP tail of the primary's log — into buf, grown when too
+// small. io.EOF at a frame boundary means a clean end; a partial frame is
+// ErrTruncated. It returns the buffer to pass to the next call, so a
+// reader of many frames allocates only for the largest; the record's Data
+// aliases that buffer.
 func ReadFrameBuf(r io.Reader, buf []byte) (Record, []byte, error) {
 	frame, err := readFrame(r, buf)
 	if err != nil {

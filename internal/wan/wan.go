@@ -4,15 +4,25 @@
 // testbed (§5.5) runs clients, relays, and the controller on loopback and
 // uses this shaper in place of the real WAN, with link parameters derived
 // from the same synthetic world model as the trace-driven experiments.
+//
+// Like *net.UDPConn, a Shaper reads and writes value addresses (it is an
+// addrport.Conn): ReadFromUDPAddrPort and WriteToUDPAddrPort are the real
+// paths, and ReadFrom and WriteTo convert onto them. Its per-destination
+// tables are keyed by netip.AddrPort, so an unimpaired write through a
+// shaper allocates nothing, and a delayed datagram keeps its destination
+// by value however the caller reuses its address. A wrapped conn without
+// the value-address methods goes through addrport.Adapt.
 package wan
 
 import (
 	"math"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/addrport"
 	"repro/internal/stats"
 )
 
@@ -31,7 +41,8 @@ type LinkParams struct {
 }
 
 // geState is the per-destination Gilbert-Elliott chain: lossless in the
-// good state, total loss in bad, stepped once per datagram under s.mu.
+// good state, total loss in bad, stepped once per datagram under s.mu. A
+// destination's chain starts good, the zero value.
 type geState struct {
 	bad bool
 }
@@ -64,17 +75,17 @@ func (g *geState) step(p LinkParams, rng *stats.RNG) bool {
 // blackholed destination silently eats every datagram (the packet-level
 // failure a dead route produces), per destination or for all traffic.
 type Shaper struct {
-	conn net.PacketConn
+	conn addrport.Conn
 
 	mu        sync.Mutex
-	links     map[string]LinkParams // guarded by mu
-	def       LinkParams            // guarded by mu
-	blackhole map[string]bool       // guarded by mu
-	blackAll  bool                  // guarded by mu
-	bursts    map[string]*geState   // guarded by mu
-	rng       *stats.RNG            // guarded by mu
-	closed    bool                  // guarded by mu
-	retired   bool                  // guarded by mu
+	links     map[netip.AddrPort]LinkParams // guarded by mu
+	def       LinkParams                    // guarded by mu
+	blackhole map[netip.AddrPort]bool       // guarded by mu
+	blackAll  bool                          // guarded by mu
+	bursts    map[netip.AddrPort]geState    // guarded by mu
+	rng       *stats.RNG                    // guarded by mu
+	closed    bool                          // guarded by mu
+	retired   bool                          // guarded by mu
 	pending   sync.WaitGroup
 
 	faultDrops atomic.Int64
@@ -86,19 +97,38 @@ type Shaper struct {
 // through unimpaired.
 func Wrap(conn net.PacketConn, seed uint64) *Shaper {
 	return &Shaper{
-		conn:      conn,
-		links:     make(map[string]LinkParams),
-		blackhole: make(map[string]bool),
-		bursts:    make(map[string]*geState),
+		conn:      addrport.Adapt(conn),
+		links:     make(map[netip.AddrPort]LinkParams),
+		blackhole: make(map[netip.AddrPort]bool),
+		bursts:    make(map[netip.AddrPort]geState),
 		rng:       stats.NewRNG(seed).Split("wan"),
 	}
+}
+
+// key is the table key of a destination: unmapped, so an IPv4 peer
+// spelled as a 16-byte net.IP or read on a dual-stack socket is one
+// destination.
+func key(dst netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(dst.Addr().Unmap(), dst.Port())
+}
+
+// parseKey is key for the string form the setters take: a UDP address's
+// String(), as netip.ParseAddrPort reads it. A string that does not parse
+// names no destination and reports false.
+func parseKey(dst string) (netip.AddrPort, bool) {
+	ap, err := netip.ParseAddrPort(dst)
+	return key(ap), err == nil
 }
 
 // SetLink configures impairment for datagrams sent to dst (addr.String()
 // form).
 func (s *Shaper) SetLink(dst string, p LinkParams) {
+	k, ok := parseKey(dst)
+	if !ok {
+		return
+	}
 	s.mu.Lock()
-	s.links[dst] = p
+	s.links[k] = p
 	s.mu.Unlock()
 }
 
@@ -112,11 +142,15 @@ func (s *Shaper) SetDefault(p LinkParams) {
 // SetBlackhole turns the fault-injection blackhole for dst on or off:
 // while on, every datagram to dst is silently dropped.
 func (s *Shaper) SetBlackhole(dst string, on bool) {
+	k, ok := parseKey(dst)
+	if !ok {
+		return
+	}
 	s.mu.Lock()
 	if on {
-		s.blackhole[dst] = true
+		s.blackhole[k] = true
 	} else {
-		delete(s.blackhole, dst)
+		delete(s.blackhole, k)
 	}
 	s.mu.Unlock()
 }
@@ -131,9 +165,10 @@ func (s *Shaper) SetBlackholeAll(on bool) {
 
 // Blackholed reports whether dst is currently blackholed.
 func (s *Shaper) Blackholed(dst string) bool {
+	k, _ := parseKey(dst)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.blackAll || s.blackhole[dst]
+	return s.blackAll || s.blackhole[k]
 }
 
 // FaultDrops returns how many datagrams blackholes have eaten.
@@ -148,28 +183,39 @@ func (s *Shaper) Delayed() int64 { return s.delayed.Load() }
 
 // Link returns the impairment configured for dst (or the default).
 func (s *Shaper) Link(dst string) LinkParams {
+	k, _ := parseKey(dst)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.links[dst]; ok {
+	if p, ok := s.links[k]; ok {
 		return p
 	}
 	return s.def
 }
 
-// WriteTo impairs and forwards one datagram. Dropped packets still report
-// success — the network ate them, not the caller.
+// WriteTo is WriteToUDPAddrPort for a *net.UDPAddr destination. Any other
+// net.Addr converts to the zero AddrPort, which the socket refuses.
 func (s *Shaper) WriteTo(b []byte, addr net.Addr) (int, error) {
+	u, _ := addr.(*net.UDPAddr)
+	return s.WriteToUDPAddrPort(b, u.AddrPort())
+}
+
+// WriteToUDPAddrPort impairs and forwards one datagram. Dropped packets
+// still report success — the network ate them, not the caller. A datagram
+// that is neither dropped nor delayed passes through without allocating.
+//
+//via:noalloc
+func (s *Shaper) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
+	dst := key(addr)
 	s.mu.Lock()
 	if s.closed || s.retired {
 		s.mu.Unlock()
 		return 0, net.ErrClosed
 	}
-	if s.blackAll || s.blackhole[addr.String()] {
+	if s.blackAll || s.blackhole[dst] {
 		s.mu.Unlock()
 		s.faultDrops.Add(1)
 		return len(b), nil // the network ate it; senders cannot tell
 	}
-	dst := addr.String()
 	p, ok := s.links[dst]
 	if !ok {
 		p = s.def
@@ -177,15 +223,12 @@ func (s *Shaper) WriteTo(b []byte, addr net.Addr) (int, error) {
 	drop := p.LossRate > 0 && s.rng.Float64() < p.LossRate
 	if p.BurstLossRate > 0 {
 		g := s.bursts[dst]
-		if g == nil {
-			g = &geState{}
-			s.bursts[dst] = g
-		}
 		// Step the chain even on an independent drop so burst timing does
 		// not depend on the independent-loss draw outcomes.
 		if g.step(p, s.rng) {
 			drop = true
 		}
+		s.bursts[dst] = g
 	}
 	var delay time.Duration
 	if !drop && (p.DelayMs > 0 || p.JitterMs > 0) {
@@ -202,19 +245,19 @@ func (s *Shaper) WriteTo(b []byte, addr net.Addr) (int, error) {
 		return len(b), nil
 	}
 	if delay <= 0 {
-		return s.conn.WriteTo(b, addr)
+		return s.conn.WriteToUDPAddrPort(b, dst)
 	}
-	// Deliver later; the caller's buffer — and its addr, which hot paths
-	// like the relay reuse across sends — may be rewritten before the
-	// timer fires, so snapshot both.
+	s.deliverLater(b, dst, delay)
+	return len(b), nil
+}
+
+// deliverLater sends b to dst after delay. The caller may rewrite its
+// buffer before the timer fires, so b is copied; dst is a value, so the
+// datagram keeps its own destination.
+func (s *Shaper) deliverLater(b []byte, dst netip.AddrPort, delay time.Duration) {
 	s.delayed.Add(1)
 	buf := make([]byte, len(b))
 	copy(buf, b)
-	if u, ok := addr.(*net.UDPAddr); ok {
-		cp := *u
-		cp.IP = append(net.IP(nil), u.IP...)
-		addr = &cp
-	}
 	s.pending.Add(1)
 	time.AfterFunc(delay, func() {
 		defer s.pending.Done()
@@ -223,27 +266,36 @@ func (s *Shaper) WriteTo(b []byte, addr net.Addr) (int, error) {
 		s.mu.Unlock()
 		if !closed {
 			//vialint:ignore errwrap best-effort delayed delivery: the socket may close between the check and the send, which is exactly a dropped packet
-			_, _ = s.conn.WriteTo(buf, addr)
+			_, _ = s.conn.WriteToUDPAddrPort(buf, dst)
 		}
 	})
-	return len(b), nil
 }
 
-// ReadFrom passes through to the underlying conn. On a retired shaper it
-// reports net.ErrClosed as soon as the underlying read unblocks, so a
-// reader loop terminates cleanly even though the socket itself lingers
-// until the delayed-delivery queue drains.
-func (s *Shaper) ReadFrom(b []byte) (int, net.Addr, error) {
-	n, addr, err := s.conn.ReadFrom(b)
+// ReadFromUDPAddrPort passes through to the underlying conn. On a retired
+// shaper it reports net.ErrClosed as soon as the underlying read
+// unblocks, so a reader loop terminates cleanly even though the socket
+// itself lingers until the delayed-delivery queue drains.
+func (s *Shaper) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
+	n, addr, err := s.conn.ReadFromUDPAddrPort(b)
 	if err != nil {
 		s.mu.Lock()
 		retired := s.retired
 		s.mu.Unlock()
 		if retired {
-			return 0, nil, net.ErrClosed
+			return 0, netip.AddrPort{}, net.ErrClosed
 		}
 	}
 	return n, addr, err
+}
+
+// ReadFrom is ReadFromUDPAddrPort with the source as a *net.UDPAddr (nil
+// when the read failed).
+func (s *Shaper) ReadFrom(b []byte) (int, net.Addr, error) {
+	n, addr, err := s.ReadFromUDPAddrPort(b)
+	if !addr.IsValid() {
+		return n, nil, err
+	}
+	return n, net.UDPAddrFromAddrPort(addr), err
 }
 
 // Retire begins the graceful teardown a NAT rebind calls for: new reads

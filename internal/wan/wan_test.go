@@ -309,3 +309,38 @@ func TestLocalAddrAndDeadlines(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDelayedWritesKeepTheirDestination: two delayed datagrams written
+// through one *net.UDPAddr, overwritten between and after the writes,
+// each reach the destination it was written to.
+func TestDelayedWritesKeepTheirDestination(t *testing.T) {
+	a, b1 := udpPair(t)
+	_, b2 := udpPair(t)
+	s := Wrap(a, 12)
+	s.SetDefault(LinkParams{DelayMs: 30})
+	to := &net.UDPAddr{IP: make(net.IP, 4), Port: 0}
+	for i, dst := range []net.PacketConn{b1, b2} {
+		u := dst.LocalAddr().(*net.UDPAddr)
+		copy(to.IP, u.IP.To4())
+		to.Port = u.Port
+		if _, err := s.WriteTo([]byte{byte('1' + i)}, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copy(to.IP, net.IPv4(192, 0, 2, 1).To4()) // both are still in flight
+	to.Port = 9
+	if s.Delayed() != 2 {
+		t.Fatalf("delayed = %d, want 2", s.Delayed())
+	}
+	buf := make([]byte, 16)
+	for i, dst := range []net.PacketConn{b1, b2} {
+		dst.SetReadDeadline(time.Now().Add(time.Second))
+		n, _, err := dst.ReadFrom(buf)
+		if err != nil {
+			t.Fatalf("destination %d: %v", i+1, err)
+		}
+		if got := string(buf[:n]); got != string(rune('1'+i)) {
+			t.Errorf("destination %d received %q", i+1, got)
+		}
+	}
+}
