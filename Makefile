@@ -50,8 +50,11 @@ mod-check:
 # (%w + justified error discards), ctxtimeout (HTTP clients/dialers carry
 # deadlines), deadstore, noalloc (`//via:noalloc` hot paths verified by
 # escape analysis), walcompat (`//via:walrecord` schema evolution vs
-# committed goldens), metricshygiene (metric naming/labels/registration).
-# See DESIGN.md §9 and §14. The go-list result is cached under .cache/
+# committed goldens), metricshygiene (metric naming/labels/registration),
+# deadexport (no exported identifier under internal/ that only tests
+# reach; whole-program, so it reports only when the patterns cover the
+# whole module — lint-fast and lint-vet see part of it and leave it
+# silent). See DESIGN.md §9 and §14. The go-list result is cached under .cache/
 # keyed on a source stamp, so a no-change rerun skips the load phase.
 lint:
 	$(GO) run ./cmd/vialint -listcache .cache/vialint-list.json $(VIALINT_FLAGS) ./...

@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	agent := client.New(int32(*group), conn, *seed)
+	agent := client.New(conn, *seed)
 	defer agent.Close()
 	fmt.Printf("client group %d on %s\n", *group, agent.Addr())
 

@@ -1,6 +1,7 @@
 // Command vialint is the multichecker for the repository's invariant
 // analyzers (determinism, dettaint, lockcheck, errwrap, ctxtimeout,
-// deadstore, metricshygiene, noalloc, walcompat — see internal/analysis).
+// deadstore, deadexport, metricshygiene, noalloc, walcompat — see
+// internal/analysis).
 // It runs two ways:
 //
 // Standalone, over package patterns:
@@ -21,6 +22,13 @@
 // packages are loaded fact-only, so `vialint ./internal/rtp` sees the same
 // facts a full run would.
 //
+// deadexport is the exception: whether an export has a non-test referrer
+// is a question about the whole program, which a narrowed run does not
+// load. It reports only when the requested packages are the whole module
+// (`./...` at the module root); such a run also loads every module nested
+// in the tree (bench/), test files included, as referrers. Narrowed runs
+// leave it silent.
+//
 // As a `go vet` tool, speaking cmd/go's vet config protocol:
 //
 //	go build -o /tmp/vialint ./cmd/vialint
@@ -29,7 +37,9 @@
 // In vet mode, cross-package facts ride in cmd/go's .vetx files: each
 // package invocation merges its dependencies' fact files (PackageVetx)
 // and serializes its own exports to VetxOutput, so interprocedural
-// results match the standalone driver's dependency-ordered run.
+// results match the standalone driver's dependency-ordered run. Vet mode
+// sees one package at a time and never the whole program, so deadexport
+// stays silent there.
 //
 // Exit status: 0 clean, 1 usage or load failure, 2 diagnostics found
 // (matching x/tools' unitchecker convention so `go vet` integrates).

@@ -19,8 +19,15 @@
 // a and facts exported while analyzing a are visible while analyzing b.
 // List dependencies before their importers. Each fixture also carries a
 // framework.BuildUnit (sources plus stdlib export data), so NeedsBuild
-// analyzers work in fixtures too. //vialint:ignore directives are honored
-// exactly as in production runs, so suppression behavior is testable.
+// analyzers work in fixtures too. Fixtures run through driver.RunWithFacts,
+// so //vialint:ignore directives are honored exactly as in production runs
+// and suppression behavior is testable.
+//
+// As in production loads, a fixture's _test.go files are not analyzed.
+// RunLoad describes the rest of a production load for whole-program
+// analyzers (those with a Finish step): referrer fixtures, loaded with
+// their test files and never reported on, and narrowed loads, on which
+// Finish stays silent.
 package analysistest
 
 import (
@@ -46,23 +53,63 @@ var wantRe = regexp.MustCompile("`([^`]*)`|\"([^\"]*)\"")
 
 // Run analyzes the named fixture packages under dir/src, in order, and
 // reports mismatches through t. Fixtures listed earlier are importable by
-// fixtures listed later, and share one fact store across the run.
+// fixtures listed later, and share one fact store across the run. The
+// fixtures form a whole module: an analyzer's Finish step runs after them.
 func Run(t *testing.T, dir string, a *framework.Analyzer, pkgs ...string) {
+	t.Helper()
+	RunLoad(t, dir, a, Load{Pkgs: pkgs})
+}
+
+// Load is a fixture load shaped like a production one.
+type Load struct {
+	// Pkgs are the module's fixture packages, dependencies first.
+	Pkgs []string
+	// Referrers are fixture packages of a second module that imports the
+	// first (bench/): loaded after Pkgs with their _test.go files, never
+	// reported on.
+	Referrers []string
+	// Narrowed marks a load that is not the whole module, as `vialint
+	// ./internal/x` is: Finish steps do not run.
+	Narrowed bool
+}
+
+// RunLoad is Run over a Load.
+func RunLoad(t *testing.T, dir string, a *framework.Analyzer, l Load) {
 	t.Helper()
 	s := &session{
 		fset:     token.NewFileSet(),
-		facts:    framework.NewFacts(),
 		fixtures: make(map[string]*types.Package),
 	}
-	for _, pkg := range pkgs {
-		s.runOne(t, filepath.Join(dir, "src", pkg), pkg, a)
+	var pkgs []*driver.Package
+	for _, pkg := range l.Pkgs {
+		p := s.load(t, filepath.Join(dir, "src", pkg), pkg, false)
+		if !framework.AppliesTo(a.Targets, pkg) && !a.UsesFacts {
+			t.Fatalf("analyzer %s does not target fixture package %q; construct a test instance with New([]string{%q})", a.Name, pkg, pkg)
+		}
+		pkgs = append(pkgs, p)
 	}
+	for _, pkg := range l.Referrers {
+		p := s.load(t, filepath.Join(dir, "src", pkg), pkg, true)
+		p.Referrer = true
+		pkgs = append(pkgs, p)
+	}
+	for _, p := range pkgs {
+		p.WholeModule = !l.Narrowed
+	}
+	diags, err := driver.RunWithFacts(pkgs, []*framework.Analyzer{a}, framework.NewFacts(), nil)
+	if err != nil {
+		t.Fatalf("running %s: %v", a.Name, err)
+	}
+	var files []*ast.File
+	for _, p := range pkgs {
+		files = append(files, p.Files...)
+	}
+	check(t, s.fset, files, diags)
 }
 
 // session is the state shared across one Run's fixture packages.
 type session struct {
 	fset     *token.FileSet
-	facts    *framework.Facts
 	fixtures map[string]*types.Package // fixture import path → checked package
 }
 
@@ -80,7 +127,9 @@ func (c chainImporter) Import(path string) (*types.Package, error) {
 	return c.std.Import(path)
 }
 
-func (s *session) runOne(t *testing.T, dir, pkgPath string, a *framework.Analyzer) {
+// load parses and type-checks one fixture package; tests says whether its
+// _test.go files belong to it.
+func (s *session) load(t *testing.T, dir, pkgPath string, tests bool) *driver.Package {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -90,7 +139,7 @@ func (s *session) runOne(t *testing.T, dir, pkgPath string, a *framework.Analyze
 	var goFiles []string
 	imports := map[string]bool{}
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || !tests && strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		full := filepath.Join(dir, e.Name())
@@ -127,27 +176,10 @@ func (s *session) runOne(t *testing.T, dir, pkgPath string, a *framework.Analyze
 		t.Fatalf("type-checking fixture %s: %v", pkgPath, err)
 	}
 	s.fixtures[pkgPath] = tpkg
-
-	if !framework.AppliesTo(a.Targets, pkgPath) {
-		t.Fatalf("analyzer %s does not target fixture package %q; construct a test instance with New([]string{%q})", a.Name, pkgPath, pkgPath)
+	return &driver.Package{
+		Path: pkgPath, Fset: s.fset, Files: files, Pkg: tpkg, Info: info,
+		Unit: &framework.BuildUnit{ImportPath: pkgPath, Dir: dir, GoFiles: goFiles, Exports: exports},
 	}
-
-	ignores := driver.CollectIgnores(s.fset, files)
-	var diags []framework.Diagnostic
-	pass := framework.NewPass(a, s.fset, files, tpkg, info, func(d framework.Diagnostic) {
-		if !ignores.Suppresses(s.fset, d) {
-			diags = append(diags, d)
-		}
-	})
-	pass.SetFacts(s.facts)
-	pass.SetUnit(&framework.BuildUnit{ImportPath: pkgPath, Dir: dir, GoFiles: goFiles, Exports: exports})
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	diags = append(diags, ignores.Malformed...)
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-
-	check(t, s.fset, files, diags)
 }
 
 // expectation is one want regexp at a file line.

@@ -1,0 +1,9 @@
+package a
+
+import "testing"
+
+func TestDead(t *testing.T) {
+	Dead()
+	T{}.OnlyTest()
+	Bare()
+}

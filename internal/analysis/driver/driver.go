@@ -16,6 +16,13 @@
 // and run through the fact-using analyzers — with reporting suppressed —
 // so a narrowed pattern (`vialint ./internal/rtp`, the lint-fast mode)
 // keeps cross-package facts sound without reporting outside the request.
+//
+// A load whose requested packages are every package of the module (`./...`
+// at the module root) is a whole-module load: the packages of each module
+// one directory below the root (bench/) are then loaded too, test files included,
+// as referrers — whole-program analyzers see their references, no analyzer
+// reports on them — and analyzers with a Finish step run it after the last
+// package. Narrowed loads never run Finish.
 package driver
 
 import (
@@ -28,10 +35,12 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/analysis/framework"
@@ -53,6 +62,13 @@ type Package struct {
 	// fact store: fact-using analyzers run over it, diagnostics from it
 	// are dropped.
 	FactsOnly bool
+	// Referrer marks a package of a nested module (tests included) loaded
+	// on a whole-module load: only analyzers with a Finish step run over
+	// it, and diagnostics from it are dropped.
+	Referrer bool
+	// WholeModule marks every package of a whole-module load; RunWithFacts
+	// runs Finish steps only when it is set.
+	WholeModule bool
 }
 
 // listedPkg is the subset of `go list -json` output the driver consumes.
@@ -63,18 +79,30 @@ type listedPkg struct {
 	Export     string
 	GoFiles    []string
 	Imports    []string
+	ImportMap  map[string]string
 	DepOnly    bool
-	Module     *struct{ Path string }
+	ForTest    string
+	Module     *struct{ Path, Dir string }
 	Error      *struct{ Err string }
 }
 
+// listing is everything one load lists: the requested packages and their
+// dependencies, whether they are the whole module, and on a whole-module
+// load the nested modules' packages (with their test variants).
+type listing struct {
+	Pkgs      []listedPkg
+	Whole     bool
+	Referrers [][]listedPkg // one `go list -test -deps` result per nested module
+}
+
 // goList runs `go list -export -deps -json` over patterns in dir and
-// decodes the JSON stream.
-func goList(dir string, patterns []string) ([]listedPkg, error) {
+// decodes the JSON stream; extra flags (-test) go before the patterns.
+func goList(dir string, patterns []string, extra ...string) ([]listedPkg, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=Dir,ImportPath,Name,Export,GoFiles,Imports,DepOnly,Module,Error",
-	}, patterns...)
+		"-json=Dir,ImportPath,Name,Export,GoFiles,Imports,ImportMap,DepOnly,ForTest,Module,Error",
+	}, extra...)
+	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -150,17 +178,73 @@ func NewInfo() *types.Info {
 // resolved relative to dir ("" for the current directory), plus any
 // module-local packages they depend on (marked FactsOnly). The result is
 // in dependency order: a package appears after every package it imports.
+// On a whole-module load the nested modules' packages follow, marked
+// Referrer.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+	l, err := list(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	return buildPackages(listed)
+	return buildPackages(l)
 }
 
-// buildPackages turns a `go list -deps` result into type-checked,
-// dependency-ordered Packages.
-func buildPackages(listed []listedPkg) ([]*Package, error) {
+// list runs the go list calls of one load.
+func list(dir string, patterns []string) (listing, error) {
+	pkgs, err := goList(dir, patterns)
+	if err != nil {
+		return listing{}, err
+	}
+	l := listing{Pkgs: pkgs}
+	mod := mainModule(pkgs)
+	if mod == nil {
+		return l, nil
+	}
+	// -find resolves no dependencies: listing the module costs ~0.1 s.
+	cmd := exec.Command("go", "list", "-e", "-find", "-f", "{{.ImportPath}}", mod.Path+"/...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return listing{}, fmt.Errorf("driver: go list %s/...: %w", mod.Path, err)
+	}
+	requested := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		requested[p.ImportPath] = !p.DepOnly
+	}
+	l.Whole = true
+	for _, path := range strings.Fields(string(out)) {
+		l.Whole = l.Whole && requested[path]
+	}
+	if !l.Whole {
+		return l, nil
+	}
+	// Nested modules sit one directory below the root (bench/).
+	nested, _ := filepath.Glob(filepath.Join(mod.Dir, "*", "go.mod")) // the pattern is well-formed
+	for _, gomod := range nested {
+		nd := filepath.Dir(gomod)
+		refs, err := goList(nd, []string{"./..."}, "-test")
+		if err != nil {
+			return listing{}, err
+		}
+		l.Referrers = append(l.Referrers, refs)
+	}
+	return l, nil
+}
+
+// mainModule is the module of the requested packages (nil when none is in
+// a module).
+func mainModule(pkgs []listedPkg) *struct{ Path, Dir string } {
+	for _, p := range pkgs {
+		if !p.DepOnly && p.Module != nil {
+			return p.Module
+		}
+	}
+	return nil
+}
+
+// buildPackages turns a listing into type-checked, dependency-ordered
+// Packages, referrers last.
+func buildPackages(l listing) ([]*Package, error) {
+	listed := l.Pkgs
 	exports := make(map[string]string, len(listed))
 	byPath := make(map[string]listedPkg, len(listed))
 	modulePath := ""
@@ -172,9 +256,9 @@ func buildPackages(listed []listedPkg) ([]*Package, error) {
 			exports[p.ImportPath] = p.Export
 		}
 		byPath[p.ImportPath] = p
-		if !p.DepOnly && p.Module != nil {
-			modulePath = p.Module.Path
-		}
+	}
+	if mod := mainModule(listed); mod != nil {
+		modulePath = mod.Path
 	}
 
 	// The analyzed set: requested packages, plus module-local deps for
@@ -221,38 +305,81 @@ func buildPackages(listed []listedPkg) ([]*Package, error) {
 	var out []*Package
 	for _, path := range order {
 		p := byPath[path]
-		files := make([]*ast.File, 0, len(p.GoFiles))
-		goFiles := make([]string, 0, len(p.GoFiles))
-		for _, name := range p.GoFiles {
-			full := filepath.Join(p.Dir, name)
-			f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("driver: parsing %s: %w", name, err)
-			}
-			files = append(files, f)
-			goFiles = append(goFiles, full)
-		}
-		info := NewInfo()
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(p.ImportPath, fset, files, info)
+		pkg, err := check(fset, p, p.ImportPath, imp)
 		if err != nil {
-			return nil, fmt.Errorf("driver: type-checking %s: %w", p.ImportPath, err)
+			return nil, err
 		}
-		out = append(out, &Package{
-			Path:  p.ImportPath,
-			Fset:  fset,
-			Files: files,
-			Pkg:   tpkg,
-			Info:  info,
-			Unit: &framework.BuildUnit{
-				ImportPath: p.ImportPath,
-				Dir:        p.Dir,
-				GoFiles:    goFiles,
-				Exports:    exports,
-			},
-			Imports:   p.Imports,
-			FactsOnly: p.DepOnly,
-		})
+		pkg.Unit.Exports = exports
+		pkg.FactsOnly, pkg.WholeModule = p.DepOnly, l.Whole
+		out = append(out, pkg)
+	}
+	for _, refs := range l.Referrers {
+		pkgs, err := buildReferrers(fset, refs)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pkgs...)
+	}
+	return out, nil
+}
+
+// check parses and type-checks one listed package as path.
+func check(fset *token.FileSet, p listedPkg, path string, imp types.Importer) (*Package, error) {
+	files := make([]*ast.File, 0, len(p.GoFiles))
+	goFiles := make([]string, 0, len(p.GoFiles))
+	for _, name := range p.GoFiles {
+		full := filepath.Join(p.Dir, name)
+		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("driver: parsing %s: %w", name, err)
+		}
+		files = append(files, f)
+		goFiles = append(goFiles, full)
+	}
+	info := NewInfo()
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("driver: type-checking %s: %w", p.ImportPath, err)
+	}
+	return &Package{
+		Path: path, Fset: fset, Files: files, Pkg: tpkg, Info: info, Imports: p.Imports,
+		Unit: &framework.BuildUnit{ImportPath: path, Dir: p.Dir, GoFiles: goFiles},
+	}, nil
+}
+
+// buildReferrers type-checks a nested module's own packages from a
+// `go list -test -deps` result: a package's test variant ("p [p.test]",
+// its _test.go files included) stands in for the package, external test
+// packages load as themselves, and generated test mains are skipped.
+// Imports resolve through each package's ImportMap, so an external test
+// sees the test variant of the package it tests.
+func buildReferrers(fset *token.FileSet, listed []listedPkg) ([]*Package, error) {
+	exports := make(map[string]string, len(listed))
+	hasTestVariant := make(map[string]bool)
+	for _, p := range listed {
+		if p.Error != nil {
+			return nil, fmt.Errorf("driver: %s: %s", p.ImportPath, p.Error.Err)
+		}
+		exports[p.ImportPath] = p.Export
+		hasTestVariant[p.ForTest] = true
+	}
+	var out []*Package
+	for _, p := range listed {
+		path, _, _ := strings.Cut(p.ImportPath, " ")
+		if p.DepOnly || strings.HasSuffix(path, ".test") || p.ForTest == "" && hasTestVariant[path] {
+			continue
+		}
+		pkgExports := maps.Clone(exports)
+		for src, id := range p.ImportMap {
+			pkgExports[src] = exports[id]
+		}
+		pkg, err := check(fset, p, path, ExportImporter(fset, pkgExports))
+		if err != nil {
+			return nil, err
+		}
+		pkg.Referrer, pkg.WholeModule = true, true
+		out = append(out, pkg)
 	}
 	return out, nil
 }
@@ -263,52 +390,49 @@ func buildPackages(listed []listedPkg) ([]*Package, error) {
 // so no `go list` round-trip is needed.
 func LoadSingle(importPath string, goFiles []string, exports map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
-	files := make([]*ast.File, 0, len(goFiles))
-	dir := ""
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("driver: parsing %s: %w", name, err)
-		}
-		files = append(files, f)
-		dir = filepath.Dir(name)
-	}
-	info := NewInfo()
-	conf := types.Config{Importer: ExportImporter(fset, exports)}
-	tpkg, err := conf.Check(importPath, fset, files, info)
+	pkg, err := check(fset, listedPkg{GoFiles: goFiles}, importPath, ExportImporter(fset, exports))
 	if err != nil {
-		return nil, fmt.Errorf("driver: type-checking %s: %w", importPath, err)
+		return nil, err
 	}
-	return &Package{
-		Path: importPath, Fset: fset, Files: files, Pkg: tpkg, Info: info,
-		Unit: &framework.BuildUnit{ImportPath: importPath, Dir: dir, GoFiles: goFiles, Exports: exports},
-	}, nil
+	if len(goFiles) > 0 {
+		pkg.Unit.Dir = filepath.Dir(goFiles[0])
+	}
+	pkg.Unit.Exports = exports
+	return pkg, nil
 }
 
-// Run applies every analyzer to every package it targets and returns the
-// surviving diagnostics, sorted by position, with //vialint:ignore
-// directives applied. Analyzer errors abort the run.
-func Run(pkgs []*Package, analyzers []*framework.Analyzer) ([]framework.Diagnostic, error) {
-	return RunWithFacts(pkgs, analyzers, framework.NewFacts(), nil)
-}
-
-// RunWithFacts is Run with an explicit fact store (pre-seeded by the vet
-// shim from dependency .vetx files) and an optional per-analyzer timing
-// sink (seconds of Run time accumulated under the analyzer's name).
+// RunWithFacts applies every analyzer to every package it targets and
+// returns the surviving diagnostics, sorted by position, with
+// //vialint:ignore directives applied. Analyzer errors abort the run.
+// facts is the run's fact store (pre-seeded by the vet shim from
+// dependency .vetx files); timings, when non-nil, accumulates each
+// analyzer's wall time in seconds under its name.
+//
+// On a whole-module load (Package.WholeModule), each analyzer's Finish step
+// runs once after the last package; its findings are subject to the
+// ignore directives of every reported package.
 func RunWithFacts(pkgs []*Package, analyzers []*framework.Analyzer, facts *framework.Facts, timings map[string]float64) ([]framework.Diagnostic, error) {
-	var diags []framework.Diagnostic
+	var (
+		diags []framework.Diagnostic
+		all   []*Ignores // of reported packages, for Finish findings
+		whole bool
+	)
 	for _, pkg := range pkgs {
+		whole = whole || pkg.WholeModule
 		ignores := CollectIgnores(pkg.Fset, pkg.Files)
 		report := func(d framework.Diagnostic) {
 			if !ignores.Suppresses(pkg.Fset, d) {
 				diags = append(diags, d)
 			}
 		}
-		if pkg.FactsOnly {
+		quiet := pkg.FactsOnly || pkg.Referrer
+		if quiet {
 			report = func(framework.Diagnostic) {}
+		} else {
+			all = append(all, ignores)
 		}
 		for _, a := range analyzers {
-			if pkg.FactsOnly && !a.UsesFacts {
+			if pkg.FactsOnly && !a.UsesFacts || pkg.Referrer && a.Finish == nil {
 				continue
 			}
 			if !framework.AppliesTo(a.Targets, pkg.Path) && !a.UsesFacts {
@@ -320,13 +444,33 @@ func RunWithFacts(pkgs []*Package, analyzers []*framework.Analyzer, facts *frame
 			pass := framework.NewPass(a, pkg.Fset, pkg.Files, pkg.Pkg, pkg.Info, report)
 			pass.SetUnit(pkg.Unit)
 			pass.SetFacts(facts)
-			err := runTimed(a, pass, timings)
-			if err != nil {
+			if err := timed(a.Name, timings, func() error { return a.Run(pass) }); err != nil {
 				return nil, fmt.Errorf("driver: %s on %s: %w", a.Name, pkg.Path, err)
 			}
 		}
-		if !pkg.FactsOnly {
+		if !quiet {
 			diags = append(diags, ignores.Malformed...)
+		}
+	}
+	if whole {
+		fset := pkgs[0].Fset
+		report := func(d framework.Diagnostic) {
+			for _, ig := range all {
+				if ig.Suppresses(fset, d) {
+					return
+				}
+			}
+			diags = append(diags, d)
+		}
+		for _, a := range analyzers {
+			if a.Finish == nil {
+				continue
+			}
+			pass := framework.NewPass(a, fset, nil, nil, nil, report)
+			pass.SetFacts(facts)
+			if err := timed(a.Name, timings, func() error { return a.Finish(pass) }); err != nil {
+				return nil, fmt.Errorf("driver: %s finish: %w", a.Name, err)
+			}
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -338,14 +482,14 @@ func RunWithFacts(pkgs []*Package, analyzers []*framework.Analyzer, facts *frame
 	return diags, nil
 }
 
-// runTimed runs one pass, accumulating wall time under the analyzer's
+// timed runs one step of an analyzer, accumulating wall time under its
 // name when a timing sink is attached.
-func runTimed(a *framework.Analyzer, pass *framework.Pass, timings map[string]float64) error {
+func timed(name string, timings map[string]float64, step func() error) error {
 	if timings == nil {
-		return a.Run(pass)
+		return step()
 	}
 	start := time.Now()
-	err := a.Run(pass)
-	timings[a.Name] += time.Since(start).Seconds()
+	err := step()
+	timings[name] += time.Since(start).Seconds()
 	return err
 }

@@ -233,7 +233,7 @@ func TestRunDetectsInjectedViolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		pkg := &Package{Path: "p", Fset: fset, Files: []*ast.File{f}, Pkg: tpkg, Info: info}
-		diags, err := Run([]*Package{pkg}, []*framework.Analyzer{determinism.New([]string{"p"})})
+		diags, err := RunWithFacts([]*Package{pkg}, []*framework.Analyzer{determinism.New([]string{"p"})}, framework.NewFacts(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

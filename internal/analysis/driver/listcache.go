@@ -31,8 +31,8 @@ import (
 
 // listCache is the on-disk cache file format.
 type listCache struct {
-	Stamp sourceStamp
-	Pkgs  []listedPkg
+	Stamp   sourceStamp
+	Listing listing
 }
 
 // sourceStamp fingerprints the inputs that determine `go list` output.
@@ -111,35 +111,34 @@ func LoadCached(dir, cacheFile string, patterns []string) ([]*Package, bool, err
 		// Cached units no longer build (e.g. export data vanished
 		// mid-flight): fall through to a fresh list.
 	}
-	listed, err := goList(dir, patterns)
+	l, err := list(dir, patterns)
 	if err != nil {
 		return nil, false, err
 	}
-	writeListCache(cacheFile, listCache{Stamp: stamp, Pkgs: listed})
-	pkgs, err := buildPackages(listed)
+	writeListCache(cacheFile, listCache{Stamp: stamp, Listing: l})
+	pkgs, err := buildPackages(l)
 	return pkgs, false, err
 }
 
 // readListCache loads and validates the cache file against the stamp.
-func readListCache(cacheFile string, stamp sourceStamp) ([]listedPkg, bool) {
+func readListCache(cacheFile string, stamp sourceStamp) (listing, bool) {
 	data, err := os.ReadFile(cacheFile)
 	if err != nil {
-		return nil, false
+		return listing{}, false
 	}
 	var c listCache
 	if err := json.Unmarshal(data, &c); err != nil || c.Stamp != stamp {
-		return nil, false
+		return listing{}, false
 	}
 	// Export data lives in the go build cache and can be pruned under us.
-	for _, p := range c.Pkgs {
-		if p.Export == "" {
-			continue
-		}
-		if _, err := os.Stat(p.Export); err != nil {
-			return nil, false
+	for _, pkgs := range append([][]listedPkg{c.Listing.Pkgs}, c.Listing.Referrers...) {
+		for _, p := range pkgs {
+			if _, err := os.Stat(p.Export); p.Export != "" && err != nil {
+				return listing{}, false
+			}
 		}
 	}
-	return c.Pkgs, true
+	return c.Listing, true
 }
 
 // writeListCache persists the cache, atomically and best-effort.

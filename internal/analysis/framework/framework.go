@@ -40,6 +40,13 @@ type Analyzer struct {
 	NeedsBuild bool
 	// Run performs the check over one package.
 	Run func(*Pass) error
+	// Finish, when set, is the analyzer's whole-program step: the driver
+	// calls it once, after Run has seen the last package, with a Pass that
+	// carries only the FileSet, the fact store and Reportf. It runs only
+	// when the load is the whole module (its referrers included), since a
+	// check on who references a declaration is unsound on any part of it.
+	// Run still visits every package, referrers too; Finish reports.
+	Finish func(*Pass) error
 }
 
 // Pass carries one type-checked package through an analyzer.

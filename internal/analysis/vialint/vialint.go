@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/analysis/ctxtimeout"
+	"repro/internal/analysis/deadexport"
 	"repro/internal/analysis/deadstore"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/dettaint"
@@ -26,6 +27,10 @@ import (
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		ctxtimeout.Analyzer,
+		deadexport.New(deadexport.Config{
+			Targets: []string{"repro/internal"},
+			Exempt:  []string{"repro/internal/transport/codectest", "repro/internal/analysis/analysistest"},
+		}),
 		deadstore.Analyzer,
 		determinism.Analyzer,
 		dettaint.New(dettaintConfig()),
@@ -55,7 +60,7 @@ func dettaintConfig() dettaint.Config {
 		roots[p] = nil // every function
 	}
 	roots["repro/internal/wal"] = []string{
-		"DecodeFrame", "ReadFrameBuf", "(*Log).Replay", "(*Log).Tail", "(*Tailer).Next",
+		"ReadFrameBuf", "(*Log).Replay", "(*Log).Tail", "(*Tailer).Next",
 		"ListSnapshots", "ReadSnapshot", "LatestSnapshot",
 	}
 	return dettaint.Config{

@@ -32,12 +32,10 @@ type connHolder struct{ c net.PacketConn }
 
 // Agent is one endpoint.
 type Agent struct {
-	group int32        // the agent's AS-analogue group id
 	connV atomic.Value // connHolder; swapped by Rebind
 
-	// rebindGen increments on every Rebind; long-running loops (media,
-	// reverse streams) notice the change and re-derive routes that embed
-	// the agent's own address.
+	// rebindGen increments on every Rebind; the media loop notices the
+	// change and re-derives routes that embed the agent's own address.
 	rebindGen atomic.Int64
 
 	mu       sync.Mutex
@@ -154,7 +152,6 @@ type inCall struct {
 	pkts      int64
 	lastSend  int64 // SendNanos of most recent media packet
 	lastArrNs int64 // its arrival time
-	streaming bool  // a duplex return stream is running
 
 	// Receiver-side repair state, built lazily from the first repair byte
 	// seen on the session's frames (see repair.go).
@@ -168,18 +165,13 @@ type inCall struct {
 // rrEvery is how often (in media packets) the callee emits a report.
 const rrEvery = 5
 
-// Media payload types: ptSimplex is ordinary one-way media; ptDuplex asks
-// the callee to stream media back over the reverse route.
-const (
-	ptSimplex = 111
-	ptDuplex  = 112
-)
+// ptMedia is the RTP payload type of the agent's media.
+const ptMedia = 111
 
 // New builds an agent on conn (typically a wan.Shaper) and starts its
 // receive loop.
-func New(group int32, conn net.PacketConn, seed uint64) *Agent {
+func New(conn net.PacketConn, seed uint64) *Agent {
 	a := &Agent{
-		group:    group,
 		relays:   make(map[netsim.RelayID]*net.UDPAddr),
 		outgoing: make(map[uint64]*outCall),
 		incoming: make(map[uint64]*inCall),
@@ -194,9 +186,6 @@ func New(group int32, conn net.PacketConn, seed uint64) *Agent {
 // pc returns the agent's current transport. Sends load it fresh so a
 // concurrent Rebind redirects the very next datagram.
 func (a *Agent) pc() net.PacketConn { return a.connV.Load().(connHolder).c }
-
-// Group returns the agent's group id.
-func (a *Agent) Group() int32 { return a.group }
 
 // Addr returns the agent's media address.
 func (a *Agent) Addr() *net.UDPAddr { return a.pc().LocalAddr().(*net.UDPAddr) }
@@ -240,10 +229,6 @@ type CallSpec struct {
 	PPS int
 	// PayloadBytes is the media payload size (default 160, G.711 20ms).
 	PayloadBytes int
-	// Duplex asks the callee to stream media back over the reverse route
-	// for the duration of the call, so both directions are measured (real
-	// calls are two-way; the paper's metrics are round-trip/average).
-	Duplex bool
 	// Failover lists fallback options tried in order when the active path
 	// goes dead mid-call: receiver reports stop arriving for FailoverAfter
 	// (§3.1 — the relays send heartbeats, but only end-to-end feedback
@@ -279,9 +264,6 @@ type CallOutcome struct {
 	Used    netsim.Option
 	Failed  []netsim.Option
 }
-
-// Failovers reports how many times the call repathed.
-func (o CallOutcome) Failovers() int { return len(o.Failed) }
 
 // DeadPathMetrics is the punitive measurement reported for a path that
 // died mid-call: total loss and a pessimal RTT/jitter, so every metric's
@@ -444,12 +426,8 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 		return out, err
 	}
 	for i := 0; i < total; i++ {
-		pt := uint8(ptSimplex)
-		if spec.Duplex {
-			pt = ptDuplex
-		}
 		pkt := rtp.Packet{
-			PayloadType: pt,
+			PayloadType: ptMedia,
 			Seq:         uint16(i),
 			Timestamp:   uint32(i) * tsStep,
 			SSRC:        ssrc,
@@ -602,48 +580,6 @@ func (a *Agent) CallResilient(spec CallSpec) (CallOutcome, error) {
 	}
 	out.Metrics = m
 	return out, nil
-}
-
-// CallDuplex places a two-way call: the callee streams media back over the
-// reverse relay route while the forward stream runs. It returns the forward
-// direction's metrics (RTT, loss, jitter as measured by the callee and
-// echoed back) and the reverse direction's receive-side metrics (loss and
-// jitter measured locally; reverse RTT is measured at the callee).
-func (a *Agent) CallDuplex(spec CallSpec) (forward, reverse quality.Metrics, err error) {
-	spec.Duplex = true
-	// Snapshot which sessions exist so the new reverse stream is findable.
-	before := a.incomingSessions()
-	forward, err = a.Call(spec)
-	if err != nil {
-		return forward, reverse, err
-	}
-	// The reverse stream arrived under the same session id the callee saw;
-	// find the new incoming session created during this call.
-	after := a.incomingSessions()
-	for s := range after {
-		if !before[s] {
-			a.mu.Lock()
-			ic := a.incoming[s]
-			a.mu.Unlock()
-			if ic != nil {
-				ic.mu.Lock()
-				reverse = ic.flow.Metrics()
-				ic.mu.Unlock()
-			}
-			break
-		}
-	}
-	return forward, reverse, nil
-}
-
-func (a *Agent) incomingSessions() map[uint64]bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[uint64]bool, len(a.incoming))
-	for s := range a.incoming {
-		out[s] = true
-	}
-	return out
 }
 
 func putNanos(b []byte, v int64) {
@@ -848,11 +784,6 @@ func (a *Agent) handleMedia(f *transport.Frame) {
 	if reply := f.ReplyAddrs(); len(reply) > 0 {
 		ic.reply = reply
 	}
-	// A duplex caller asks for a return media stream; start it once.
-	startStream := pkt.PayloadType == ptDuplex && !ic.streaming && len(ic.reply) > 0
-	if startStream {
-		ic.streaming = true
-	}
 	sendRR := ic.pkts%rrEvery == 0
 	var rr rtp.ReceiverReport
 	var replyRoute []*net.UDPAddr
@@ -889,10 +820,6 @@ func (a *Agent) handleMedia(f *transport.Frame) {
 	}
 	ic.mu.Unlock()
 
-	if startStream {
-		a.wg.Add(1)
-		go a.streamBack(f.Session, ic)
-	}
 	if sendRR && replyRoute != nil {
 		var out transport.Frame
 		out.Session = f.Session
@@ -907,83 +834,6 @@ func (a *Agent) handleMedia(f *transport.Frame) {
 	}
 	if len(nackSeqs) > 0 {
 		a.sendNack(f.Session, pkt.SSRC, nackSeqs, replyRoute, ic.token)
-	}
-}
-
-// streamBack is the callee side of a duplex call: it streams media toward
-// the caller along the reverse route until the forward stream goes quiet.
-func (a *Agent) streamBack(session uint64, ic *inCall) {
-	defer a.wg.Done()
-	const pps = 50
-	interval := time.Second / pps
-	payload := make([]byte, 160)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-
-	ic.mu.Lock()
-	reply := append([]*net.UDPAddr(nil), ic.reply...)
-	ic.mu.Unlock()
-	if len(reply) == 0 {
-		return
-	}
-	sendTo := reply[0]
-	route := reply[1:]
-	// The caller reaches us back by reversing the relay portion of our
-	// reply route and finishing at our own address.
-	back := make([]*net.UDPAddr, 0, len(reply))
-	for i := len(reply) - 2; i >= 0; i-- {
-		back = append(back, reply[i])
-	}
-	back = append(back, a.Addr())
-
-	var f transport.Frame
-	f.Session = session
-	f.Kind = transport.KindMedia
-	f.Token = ic.token
-	if err := f.SetRoute(route); err != nil {
-		return
-	}
-	if err := f.SetReply(back); err != nil {
-		return
-	}
-
-	start := time.Now()
-	gen := a.rebindGen.Load()
-	for i := uint16(0); ; i++ {
-		// Stop when the forward stream has gone quiet or after a cap.
-		ic.mu.Lock()
-		last := ic.lastArrNs
-		ic.mu.Unlock()
-		if time.Now().UnixNano()-last > int64(600*time.Millisecond) ||
-			time.Since(start) > 60*time.Second {
-			return
-		}
-		// After a rebind only the final hop of our reply route — our own
-		// address — is stale; the relay chain still stands.
-		if g := a.rebindGen.Load(); g != gen {
-			gen = g
-			back[len(back)-1] = a.Addr()
-			if err := f.SetReply(back); err != nil {
-				return
-			}
-		}
-		pkt := rtp.Packet{
-			PayloadType: ptSimplex,
-			Seq:         i,
-			Timestamp:   uint32(i) * (rtp.ClockRate / pps),
-			SSRC:        uint32(session >> 32),
-			Payload:     payload,
-		}
-		putNanos(payload, time.Now().UnixNano())
-		f.Payload = pkt.Marshal(nil)
-		if _, err := a.pc().WriteTo(f.Marshal(nil), sendTo); err != nil {
-			// Tolerate the send that raced a rebind; the next loop
-			// iteration picks up the new conn.
-			if a.rebindGen.Load() == gen {
-				return
-			}
-		}
-		<-ticker.C
 	}
 }
 

@@ -22,17 +22,17 @@ func udpConn(t *testing.T) net.PacketConn {
 	return c
 }
 
-func newAgent(t *testing.T, group int32, seed uint64) *Agent {
+func newAgent(t *testing.T, seed uint64) *Agent {
 	t.Helper()
-	a := New(group, udpConn(t), seed)
+	a := New(udpConn(t), seed)
 	t.Cleanup(func() { a.Close() })
 	return a
 }
 
-func newShapedAgent(t *testing.T, group int32, seed uint64) (*Agent, *wan.Shaper) {
+func newShapedAgent(t *testing.T, seed uint64) (*Agent, *wan.Shaper) {
 	t.Helper()
 	sh := wan.Wrap(udpConn(t), seed)
-	a := New(group, sh, seed)
+	a := New(sh, seed)
 	t.Cleanup(func() { a.Close() })
 	return a, sh
 }
@@ -54,8 +54,8 @@ func relayDir(nodes ...*relay.Node) map[netsim.RelayID]string {
 }
 
 func TestDirectCallCleanPath(t *testing.T) {
-	caller := newAgent(t, 1, 1)
-	callee := newAgent(t, 2, 2)
+	caller := newAgent(t, 1)
+	callee := newAgent(t, 2)
 	m, err := caller.Call(CallSpec{
 		Peer:     callee.Addr(),
 		Option:   netsim.DirectOption(),
@@ -78,8 +78,8 @@ func TestDirectCallCleanPath(t *testing.T) {
 
 func TestBounceCall(t *testing.T) {
 	r := startRelay(t, 3)
-	caller := newAgent(t, 1, 3)
-	callee := newAgent(t, 2, 4)
+	caller := newAgent(t, 3)
+	callee := newAgent(t, 4)
 	if err := caller.SetRelays(relayDir(r)); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestBounceCall(t *testing.T) {
 func TestTransitCall(t *testing.T) {
 	r1 := startRelay(t, 1)
 	r2 := startRelay(t, 2)
-	caller := newAgent(t, 1, 5)
-	callee := newAgent(t, 2, 6)
+	caller := newAgent(t, 5)
+	callee := newAgent(t, 6)
 	if err := caller.SetRelays(relayDir(r1, r2)); err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +129,8 @@ func TestTransitCall(t *testing.T) {
 }
 
 func TestCallMeasuresImpairedRTT(t *testing.T) {
-	caller, sh := newShapedAgent(t, 1, 7)
-	callee := newAgent(t, 2, 8)
+	caller, sh := newShapedAgent(t, 7)
+	callee := newAgent(t, 8)
 	// 40ms each way on the caller's outgoing link. The reply path is
 	// unimpaired, so measured RTT ≈ 40ms+.
 	sh.SetLink(callee.Addr().String(), wan.LinkParams{DelayMs: 40})
@@ -149,8 +149,8 @@ func TestCallMeasuresImpairedRTT(t *testing.T) {
 }
 
 func TestCallMeasuresImpairedLoss(t *testing.T) {
-	caller, sh := newShapedAgent(t, 1, 9)
-	callee := newAgent(t, 2, 10)
+	caller, sh := newShapedAgent(t, 9)
+	callee := newAgent(t, 10)
 	sh.SetLink(callee.Addr().String(), wan.LinkParams{LossRate: 0.3})
 	m, err := caller.Call(CallSpec{
 		Peer:     callee.Addr(),
@@ -167,8 +167,8 @@ func TestCallMeasuresImpairedLoss(t *testing.T) {
 }
 
 func TestCallMeasuresImpairedJitter(t *testing.T) {
-	caller, sh := newShapedAgent(t, 1, 11)
-	callee := newAgent(t, 2, 12)
+	caller, sh := newShapedAgent(t, 11)
+	callee := newAgent(t, 12)
 	sh.SetLink(callee.Addr().String(), wan.LinkParams{DelayMs: 5, JitterMs: 12})
 	m, err := caller.Call(CallSpec{
 		Peer:     callee.Addr(),
@@ -185,8 +185,8 @@ func TestCallMeasuresImpairedJitter(t *testing.T) {
 }
 
 func TestCallDeadPath(t *testing.T) {
-	caller, sh := newShapedAgent(t, 1, 13)
-	callee := newAgent(t, 2, 14)
+	caller, sh := newShapedAgent(t, 13)
+	callee := newAgent(t, 14)
 	sh.SetLink(callee.Addr().String(), wan.LinkParams{LossRate: 1})
 	_, err := caller.Call(CallSpec{
 		Peer:     callee.Addr(),
@@ -200,8 +200,8 @@ func TestCallDeadPath(t *testing.T) {
 }
 
 func TestCallUnknownRelay(t *testing.T) {
-	caller := newAgent(t, 1, 15)
-	callee := newAgent(t, 2, 16)
+	caller := newAgent(t, 15)
+	callee := newAgent(t, 16)
 	_, err := caller.Call(CallSpec{
 		Peer:   callee.Addr(),
 		Option: netsim.BounceOption(99),
@@ -212,7 +212,7 @@ func TestCallUnknownRelay(t *testing.T) {
 }
 
 func TestSetRelaysBadAddr(t *testing.T) {
-	a := newAgent(t, 1, 17)
+	a := newAgent(t, 17)
 	if err := a.SetRelays(map[netsim.RelayID]string{1: "not-an-addr:xx"}); err == nil {
 		t.Error("bad relay addr accepted")
 	}
@@ -220,9 +220,9 @@ func TestSetRelaysBadAddr(t *testing.T) {
 
 func TestConcurrentCalls(t *testing.T) {
 	r := startRelay(t, 1)
-	caller := newAgent(t, 1, 18)
-	c1 := newAgent(t, 2, 19)
-	c2 := newAgent(t, 3, 20)
+	caller := newAgent(t, 18)
+	c1 := newAgent(t, 19)
+	c2 := newAgent(t, 20)
 	caller.SetRelays(relayDir(r))
 
 	type res struct {
@@ -261,7 +261,7 @@ func TestNanosRoundTrip(t *testing.T) {
 }
 
 func TestAgentDoubleClose(t *testing.T) {
-	a := New(1, udpConn(t), 21)
+	a := New(udpConn(t), 21)
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAgentDoubleClose(t *testing.T) {
 // first packet.
 func deadRelayAgent(t *testing.T, id netsim.RelayID, seed uint64) *Agent {
 	t.Helper()
-	a := newAgent(t, 1, seed)
+	a := newAgent(t, seed)
 	if err := a.SetRelays(map[netsim.RelayID]string{id: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestCallResilientDeadRelayFallsBackDirect(t *testing.T) {
 	// the relayed path, so the agent must fail over to direct and succeed
 	// within the default liveness window.
 	caller := deadRelayAgent(t, 7, 40)
-	callee := newAgent(t, 2, 41)
+	callee := newAgent(t, 41)
 	out, err := caller.CallResilient(CallSpec{
 		Peer:     callee.Addr(),
 		Option:   netsim.BounceOption(7),
@@ -311,7 +311,7 @@ func TestCallResilientDeadRelayFallsBackDirect(t *testing.T) {
 // longer than the window still finishes on its fallback.
 func TestDeadFirstPathFailsOverInOneWindow(t *testing.T) {
 	caller := deadRelayAgent(t, 7, 44)
-	callee := newAgent(t, 2, 45)
+	callee := newAgent(t, 45)
 	out, err := caller.CallResilient(CallSpec{
 		Peer:          callee.Addr(),
 		Option:        netsim.BounceOption(7),
@@ -333,8 +333,8 @@ func TestDeadFirstPathFailsOverInOneWindow(t *testing.T) {
 
 func TestCallResilientKeepsWorkingOption(t *testing.T) {
 	r := startRelay(t, 3)
-	caller := newAgent(t, 1, 42)
-	callee := newAgent(t, 2, 43)
+	caller := newAgent(t, 42)
+	callee := newAgent(t, 43)
 	caller.SetRelays(relayDir(r))
 	out, err := caller.CallResilient(CallSpec{
 		Peer:     callee.Addr(),
@@ -351,69 +351,13 @@ func TestCallResilientKeepsWorkingOption(t *testing.T) {
 	}
 }
 
-func TestDuplexCall(t *testing.T) {
-	r := startRelay(t, 5)
-	caller := newAgent(t, 1, 50)
-	callee := newAgent(t, 2, 51)
-	caller.SetRelays(relayDir(r))
-	fwd, rev, err := caller.CallDuplex(CallSpec{
-		Peer:     callee.Addr(),
-		Option:   netsim.BounceOption(5),
-		Duration: 500 * time.Millisecond,
-		PPS:      100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fwd.RTTMs <= 0 {
-		t.Error("forward direction measured no RTT")
-	}
-	// The reverse stream must have arrived and been measured: its loss on
-	// clean loopback should be ~0 and some packets must have been seen.
-	if rev.LossRate > 0.05 {
-		t.Errorf("reverse loss = %v on clean loopback", rev.LossRate)
-	}
-	// Reverse jitter must be a real measurement (estimator engaged).
-	if rev.JitterMs < 0 {
-		t.Errorf("reverse jitter = %v", rev.JitterMs)
-	}
-}
-
-func TestDuplexReverseStreamImpaired(t *testing.T) {
-	// Impair the callee's outgoing link: the caller's reverse-direction
-	// measurement must see the loss.
-	caller := newAgent(t, 1, 52)
-	calleeSh := wan.Wrap(udpConn(t), 53)
-	callee := New(2, calleeSh, 53)
-	t.Cleanup(func() { callee.Close() })
-	calleeSh.SetLink(caller.Addr().String(), wan.LinkParams{LossRate: 0.35})
-
-	fwd, rev, err := caller.CallDuplex(CallSpec{
-		Peer:     callee.Addr(),
-		Option:   netsim.DirectOption(),
-		Duration: 800 * time.Millisecond,
-		PPS:      100,
-	})
-	// Forward reports traverse the impaired reverse link too; the call may
-	// still complete because only 35% are lost.
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fwd.LossRate > 0.1 {
-		t.Errorf("forward loss = %v; forward path is clean", fwd.LossRate)
-	}
-	if rev.LossRate < 0.1 {
-		t.Errorf("reverse loss = %v, want ~0.35", rev.LossRate)
-	}
-}
-
 func TestCallResilientFailsOverMidCall(t *testing.T) {
 	// Kill the relay path 300ms into a 1.5s call by blackholing the
 	// caller→relay segment. Receiver reports stop; the agent must repath
 	// to direct and finish the call.
 	r := startRelay(t, 9)
-	caller, sh := newShapedAgent(t, 1, 60)
-	callee := newAgent(t, 2, 61)
+	caller, sh := newShapedAgent(t, 60)
+	callee := newAgent(t, 61)
 	caller.SetRelays(relayDir(r))
 
 	go func() {
@@ -433,8 +377,8 @@ func TestCallResilientFailsOverMidCall(t *testing.T) {
 	if out.Used != netsim.DirectOption() {
 		t.Errorf("finished on %v, want direct after failover", out.Used)
 	}
-	if out.Failovers() != 1 {
-		t.Errorf("failovers = %d, want 1", out.Failovers())
+	if len(out.Failed) != 1 {
+		t.Errorf("failovers = %d, want 1", len(out.Failed))
 	}
 	if len(out.Failed) != 1 || out.Failed[0] != netsim.BounceOption(9) {
 		t.Errorf("failed options = %v, want [bounce 9]", out.Failed)
@@ -451,8 +395,8 @@ func TestCallResilientFailsOverMidCall(t *testing.T) {
 func TestCallResilientUnresolvablePrimary(t *testing.T) {
 	// The primary option's relay is not in the directory at all: fail over
 	// before any media flows, without waiting out a liveness deadline.
-	caller := newAgent(t, 1, 62)
-	callee := newAgent(t, 2, 63)
+	caller := newAgent(t, 62)
+	callee := newAgent(t, 63)
 	start := time.Now()
 	out, err := caller.CallResilient(CallSpec{
 		Peer:     callee.Addr(),
@@ -467,8 +411,8 @@ func TestCallResilientUnresolvablePrimary(t *testing.T) {
 	if out.Used != netsim.DirectOption() {
 		t.Errorf("finished on %v, want direct", out.Used)
 	}
-	if out.Failovers() != 1 {
-		t.Errorf("failovers = %d, want 1", out.Failovers())
+	if len(out.Failed) != 1 {
+		t.Errorf("failovers = %d, want 1", len(out.Failed))
 	}
 	if time.Since(start) > time.Second {
 		t.Error("unresolvable primary waited out a liveness deadline")
@@ -477,8 +421,8 @@ func TestCallResilientUnresolvablePrimary(t *testing.T) {
 
 func TestCallResilientNoFailoverOnHealthyPath(t *testing.T) {
 	r := startRelay(t, 11)
-	caller := newAgent(t, 1, 64)
-	callee := newAgent(t, 2, 65)
+	caller := newAgent(t, 64)
+	callee := newAgent(t, 65)
 	caller.SetRelays(relayDir(r))
 	out, err := caller.CallResilient(CallSpec{
 		Peer:     callee.Addr(),
@@ -493,16 +437,16 @@ func TestCallResilientNoFailoverOnHealthyPath(t *testing.T) {
 	if out.Used != netsim.BounceOption(11) {
 		t.Errorf("healthy path abandoned for %v", out.Used)
 	}
-	if out.Failovers() != 0 {
-		t.Errorf("failovers = %d on a healthy path", out.Failovers())
+	if len(out.Failed) != 0 {
+		t.Errorf("failovers = %d on a healthy path", len(out.Failed))
 	}
 }
 
 func TestCallResilientRidesOutWithNoCandidates(t *testing.T) {
 	// No failover candidates: a dead path ends in ErrNoFeedback exactly as
 	// a plain Call would, with the failed attempt visible in the outcome.
-	caller, sh := newShapedAgent(t, 1, 66)
-	callee := newAgent(t, 2, 67)
+	caller, sh := newShapedAgent(t, 66)
+	callee := newAgent(t, 67)
 	sh.SetBlackhole(callee.Addr().String(), true)
 	out, err := caller.CallResilient(CallSpec{
 		Peer:     callee.Addr(),
@@ -513,8 +457,8 @@ func TestCallResilientRidesOutWithNoCandidates(t *testing.T) {
 	if err != ErrNoFeedback {
 		t.Errorf("err = %v, want ErrNoFeedback", err)
 	}
-	if out.Failovers() != 0 {
-		t.Errorf("failovers = %d with no candidates", out.Failovers())
+	if len(out.Failed) != 0 {
+		t.Errorf("failovers = %d with no candidates", len(out.Failed))
 	}
 }
 
@@ -534,8 +478,8 @@ func TestDeadPathMetricsValidAndPunitive(t *testing.T) {
 // receiving (evicting either would reset a live call's loss/NACK/FEC state
 // and make the callee mint a second token).
 func TestIncomingEvictionSparesNewestAndLive(t *testing.T) {
-	a := newAgent(t, 1, 1)
-	pkt := rtp.Packet{PayloadType: ptSimplex, Payload: make([]byte, 160)}
+	a := newAgent(t, 1)
+	pkt := rtp.Packet{PayloadType: ptMedia, Payload: make([]byte, 160)}
 	media := func(session uint64) {
 		f := transport.Frame{Session: session, Kind: transport.KindMedia, Payload: pkt.Marshal(nil)}
 		a.handleMedia(&f)
@@ -562,4 +506,15 @@ func TestIncomingEvictionSparesNewestAndLive(t *testing.T) {
 	if got[2] {
 		t.Error("the stalest call survived")
 	}
+}
+
+// incomingSessions lists the sessions the agent holds callee-side state for.
+func (a *Agent) incomingSessions() map[uint64]bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make(map[uint64]bool, len(a.incoming))
+	for s := range a.incoming {
+		out[s] = true
+	}
+	return out
 }

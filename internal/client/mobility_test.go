@@ -39,9 +39,9 @@ func (d *droppingConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 // itself survived, not just the media stream.
 func TestRebindMidCallPreservesRepair(t *testing.T) {
 	r := startRelay(t, 7)
-	caller := New(1, dropEvery(udpConn(t), 9), 71)
+	caller := New(dropEvery(udpConn(t), 9), 71)
 	t.Cleanup(func() { caller.Close() })
-	callee := newAgent(t, 2, 72)
+	callee := newAgent(t, 72)
 	if err := caller.SetRelays(relayDir(r)); err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func TestRebindMidCallPreservesRepair(t *testing.T) {
 func TestDrainMigrationMidCall(t *testing.T) {
 	r1 := startRelay(t, 1)
 	r2 := startRelay(t, 2)
-	caller := newAgent(t, 1, 81)
-	callee := newAgent(t, 2, 82)
+	caller := newAgent(t, 81)
+	callee := newAgent(t, 82)
 	if err := caller.SetRelays(relayDir(r1, r2)); err != nil {
 		t.Fatal(err)
 	}

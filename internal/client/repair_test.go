@@ -28,8 +28,8 @@ func repairCall(t *testing.T, caller *Agent, callee *Agent, scheme rtp.Scheme, d
 }
 
 func TestNACKRepairReducesResidualLoss(t *testing.T) {
-	caller, sh := newShapedAgent(t, 1, 101)
-	callee := newAgent(t, 2, 102)
+	caller, sh := newShapedAgent(t, 101)
+	callee := newAgent(t, 102)
 	// Low RTT, random loss: NACK's home turf — retransmits land well
 	// inside the playout deadline.
 	sh.SetLink(callee.Addr().String(), wan.LinkParams{LossRate: 0.15})
@@ -48,8 +48,8 @@ func TestNACKRepairReducesResidualLoss(t *testing.T) {
 }
 
 func TestREDRepairAbsorbsDuplicates(t *testing.T) {
-	caller, sh := newShapedAgent(t, 1, 103)
-	callee := newAgent(t, 2, 104)
+	caller, sh := newShapedAgent(t, 103)
+	callee := newAgent(t, 104)
 	sh.SetLink(callee.Addr().String(), wan.LinkParams{LossRate: 0.2})
 
 	base := repairCall(t, caller, callee, rtp.SchemeNone, 800*time.Millisecond)
@@ -65,8 +65,8 @@ func TestREDRepairAbsorbsDuplicates(t *testing.T) {
 }
 
 func TestFECRepairRecoversSingleLosses(t *testing.T) {
-	caller, sh := newShapedAgent(t, 1, 105)
-	callee := newAgent(t, 2, 106)
+	caller, sh := newShapedAgent(t, 105)
+	callee := newAgent(t, 106)
 	sh.SetLink(callee.Addr().String(), wan.LinkParams{LossRate: 0.1})
 
 	rep := repairCall(t, caller, callee, rtp.SchemeFEC(4), 900*time.Millisecond)
@@ -82,8 +82,8 @@ func TestFECRepairRecoversSingleLosses(t *testing.T) {
 }
 
 func TestRtxDeadlineMissesCounted(t *testing.T) {
-	caller, sh := newShapedAgent(t, 1, 111)
-	callee := newAgent(t, 2, 112)
+	caller, sh := newShapedAgent(t, 111)
+	callee := newAgent(t, 112)
 	// Heavy loss: many gaps never repair inside the retry cap/deadline.
 	sh.SetLink(callee.Addr().String(), wan.LinkParams{LossRate: 0.5})
 
@@ -123,11 +123,11 @@ func TestSelectorChooseWithRepairPassesScheme(t *testing.T) {
 	cp := &fakeRepairCP{scheme: "nack"}
 	s := NewSelector(cp)
 	cands := []netsim.Option{netsim.BounceOption(1)}
-	opt, scheme, fresh := s.ChooseWithRepair(1, 2, cands, []string{"none", "nack"})
+	opt, scheme, fresh := s.chooseWithRepair(1, 2, cands, []string{"none", "nack"})
 	if !fresh || scheme != "nack" || opt != cands[0] {
 		t.Errorf("got (%v, %q, fresh=%v)", opt, scheme, fresh)
 	}
-	s.ReportRepair(1, 2, opt, scheme, 42, quality.Metrics{RTTMs: 10})
+	s.reportRepair(1, 2, opt, scheme, 42, quality.Metrics{RTTMs: 10})
 	if cp.gotDur != 42 {
 		t.Errorf("duration not forwarded: %v", cp.gotDur)
 	}
@@ -137,11 +137,11 @@ func TestSelectorChooseWithRepairDegradesScheme(t *testing.T) {
 	cp := &fakeRepairCP{scheme: "red"}
 	s := NewSelector(cp)
 	cands := []netsim.Option{netsim.BounceOption(1)}
-	if _, _, fresh := s.ChooseWithRepair(1, 2, cands, []string{"red"}); !fresh {
+	if _, _, fresh := s.chooseWithRepair(1, 2, cands, []string{"red"}); !fresh {
 		t.Fatal("warmup choose not fresh")
 	}
 	cp.setFail(true)
-	opt, scheme, fresh := s.ChooseWithRepair(1, 2, cands, []string{"red"})
+	opt, scheme, fresh := s.chooseWithRepair(1, 2, cands, []string{"red"})
 	if fresh || scheme != "" {
 		t.Errorf("degraded choose returned (%q, fresh=%v), want no scheme", scheme, fresh)
 	}
@@ -149,7 +149,7 @@ func TestSelectorChooseWithRepairDegradesScheme(t *testing.T) {
 		t.Errorf("degraded choose lost the cached path: %v", opt)
 	}
 	// Reports fall back to counting, never error.
-	s.ReportRepair(1, 2, opt, "red", 10, quality.Metrics{})
+	s.reportRepair(1, 2, opt, "red", 10, quality.Metrics{})
 	if s.LostReports() != 1 {
 		t.Errorf("lost reports = %d, want 1", s.LostReports())
 	}
@@ -160,11 +160,11 @@ func TestSelectorChooseWithRepairDegradesScheme(t *testing.T) {
 func TestSelectorChooseWithRepairPlainPlane(t *testing.T) {
 	cp := &fakeControl{answer: netsim.BounceOption(2)}
 	s := NewSelector(cp)
-	opt, scheme, fresh := s.ChooseWithRepair(1, 2, []netsim.Option{netsim.BounceOption(2)}, []string{"nack"})
+	opt, scheme, fresh := s.chooseWithRepair(1, 2, []netsim.Option{netsim.BounceOption(2)}, []string{"nack"})
 	if !fresh || scheme != "" {
 		t.Errorf("plain plane gave (%q, fresh=%v), want empty scheme", scheme, fresh)
 	}
-	s.ReportRepair(1, 2, opt, "", 5, quality.Metrics{})
+	s.reportRepair(1, 2, opt, "", 5, quality.Metrics{})
 	if s.LostReports() != 0 {
 		t.Errorf("plain report lost: %d", s.LostReports())
 	}

@@ -93,11 +93,11 @@ func (s *Selector) Choose(src, dst int32, cands []netsim.Option) (opt netsim.Opt
 	return netsim.DirectOption(), false
 }
 
-// ChooseWithRepair is Choose plus repair-scheme negotiation. When the
+// chooseWithRepair is Choose plus repair-scheme negotiation. When the
 // control plane (or the controller behind it) predates repair, or the
 // controller is unreachable, the scheme degrades to empty — the call runs
 // with plain forwarding, it does not fail.
-func (s *Selector) ChooseWithRepair(src, dst int32, cands []netsim.Option, schemes []string) (opt netsim.Option, scheme string, fresh bool) {
+func (s *Selector) chooseWithRepair(src, dst int32, cands []netsim.Option, schemes []string) (opt netsim.Option, scheme string, fresh bool) {
 	rcp, ok := s.cp.(RepairControlPlane)
 	if !ok || len(schemes) == 0 {
 		opt, fresh = s.Choose(src, dst, cands)
@@ -123,11 +123,11 @@ func (s *Selector) ChooseWithRepair(src, dst int32, cands []netsim.Option, schem
 	return netsim.DirectOption(), "", false
 }
 
-// ReportRepair pushes a measurement along with the scheme that ran and
+// reportRepair pushes a measurement along with the scheme that ran and
 // the call duration; like Report, failures are counted and absorbed. A
 // plane without repair support gets the plain report (the scheme is then
 // strategy-side unknown, which matches — it never chose one).
-func (s *Selector) ReportRepair(src, dst int32, opt netsim.Option, scheme string, durSec float64, m quality.Metrics) {
+func (s *Selector) reportRepair(src, dst int32, opt netsim.Option, scheme string, durSec float64, m quality.Metrics) {
 	rcp, ok := s.cp.(RepairControlPlane)
 	if !ok || scheme == "" {
 		s.Report(src, dst, opt, m)

@@ -443,13 +443,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Panics returns how many handler panics have been recovered, and the
-// stack of the most recent one.
-func (s *Server) Panics() (int64, string) {
-	stack, _ := s.lastPanic.Load().(string)
-	return s.panics.Load(), stack
-}
-
 // nowHours returns the virtualized algorithm time: the restored base plus
 // scaled wall time since the base was set. Fresh servers have base 0, so
 // this reduces to the original elapsed×TimeScale; recovered or promoted

@@ -515,7 +515,7 @@ func TestOverloadShedsBoundedLatency(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Fatal("admission control starved every request")
 	}
-	if panics, stack := s.Panics(); panics != 0 {
+	if panics, stack := s.recoveredPanics(); panics != 0 {
 		t.Fatalf("%d panics under overload:\n%s", panics, stack)
 	}
 	// Every request — served or shed — must resolve within a small multiple

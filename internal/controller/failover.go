@@ -129,13 +129,6 @@ func (b *breaker) failure() {
 	}
 }
 
-// snapshot returns (open, trips) for diagnostics.
-func (b *breaker) snapshot() (bool, int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state != breakerClosed, b.trips
-}
-
 // endpoints returns the failover list: Base first, then Replicas.
 func (c *Client) endpoints() []string {
 	eps := make([]string, 0, 1+len(c.Replicas))
@@ -161,13 +154,7 @@ func (c *Client) failover(from int) {
 
 // Failovers returns how many times the client has moved to another
 // endpoint.
-func (c *Client) Failovers() int64 { return c.failovers.Load() }
-
-// BreakerOpen reports whether the circuit breaker is currently refusing
-// requests, and how many times it has tripped.
-func (c *Client) BreakerOpen() (bool, int64) {
-	return c.breakerState().snapshot()
-}
+func (c *Client) Failovers() int64 { return c.failovers.Load() } //vialint:ignore deadexport asserted by the HA chaos gate (DESIGN §9)
 
 // breakerState lazily builds the breaker so the zero-config Client (and
 // every existing construction site) gets the default breaker without a

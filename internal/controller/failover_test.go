@@ -87,7 +87,7 @@ func TestClientBreakerOpensFailsFastAndRecovers(t *testing.T) {
 			t.Fatalf("request %d against down controller succeeded", i)
 		}
 	}
-	if open, trips := c.BreakerOpen(); !open || trips != 1 {
+	if open, trips := c.breakerState().snapshot(); !open || trips != 1 {
 		t.Fatalf("after threshold failures: open=%v trips=%d", open, trips)
 	}
 
@@ -115,7 +115,7 @@ func TestClientBreakerOpensFailsFastAndRecovers(t *testing.T) {
 	if _, err := c.Choose(1, 2, cands); err != nil {
 		t.Fatalf("probe against recovered controller: %v", err)
 	}
-	if open, _ := c.BreakerOpen(); open {
+	if open, _ := c.breakerState().snapshot(); open {
 		t.Fatal("breaker still open after successful probe")
 	}
 	if err := c.Report(1, 2, netsim.DirectOption(), quality.Metrics{RTTMs: 50, LossRate: 0, JitterMs: 1}); err != nil {
@@ -135,7 +135,7 @@ func TestClientBreakerDisabled(t *testing.T) {
 			t.Fatalf("disabled breaker opened on request %d", i)
 		}
 	}
-	if open, trips := c.BreakerOpen(); open || trips != 0 {
+	if open, trips := c.breakerState().snapshot(); open || trips != 0 {
 		t.Fatalf("disabled breaker: open=%v trips=%d", open, trips)
 	}
 }
@@ -225,7 +225,6 @@ func TestCloseEndsControlStreams(t *testing.T) {
 // staticShards is a ShardMap sending every pair to one primary and standby.
 type staticShards struct{ primary, standby string }
 
-func (m staticShards) Epoch() uint64                       { return 1 }
 func (m staticShards) Owner(int32, int32) (string, string) { return m.primary, m.standby }
 
 // countingTransport counts the requests and stream dials a client puts on
@@ -259,7 +258,7 @@ func TestRingClientBreakerOpens(t *testing.T) {
 			t.Fatalf("request %d against dead shards: %v", i, err)
 		}
 	}
-	if open, trips := c.BreakerOpen(); !open || trips != 1 {
+	if open, trips := c.breakerState().snapshot(); !open || trips != 1 {
 		t.Fatalf("after threshold failures: open=%v trips=%d", open, trips)
 	}
 	before := wire.n.Load()
@@ -276,4 +275,11 @@ func TestRingClientBreakerOpens(t *testing.T) {
 	if n := wire.n.Load(); n != before {
 		t.Fatalf("open circuit made %d requests", n-before)
 	}
+}
+
+// snapshot returns (open, trips) for diagnostics.
+func (b *breaker) snapshot() (bool, int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state != breakerClosed, b.trips
 }

@@ -15,12 +15,10 @@ package controller
 // router or shard URL.
 
 // ShardMap is the client's read-only view of the ring: which shard owns a
-// canonical (src, dst) pair, and which epoch that assignment belongs to.
-// Implemented by ring.Map; an interface here so controller does not
-// import the ring package (the dependency runs the other way).
+// canonical (src, dst) pair. Implemented by ring.Map; an interface here so
+// controller does not import the ring package (the dependency runs the
+// other way).
 type ShardMap interface {
-	// Epoch is the map's version; a higher epoch supersedes a lower one.
-	Epoch() uint64
 	// Owner returns the owning shard's primary base URL and its warm
 	// standby's base URL ("" when the shard has no standby).
 	Owner(src, dst int32) (primary, standby string)

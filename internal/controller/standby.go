@@ -259,12 +259,3 @@ func (s *Server) ingestReplicated(lsn uint64, rec wal.Record) error {
 	s.maybeSnapshotLocked()
 	return nil
 }
-
-// LastContactAge reports how long the standby has gone without hearing
-// from its primary (testbed/diagnostics; 0 for non-standby servers).
-func (s *Server) LastContactAge() time.Duration {
-	if s.standby == nil {
-		return 0
-	}
-	return s.standby.silence()
-}

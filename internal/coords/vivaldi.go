@@ -172,21 +172,3 @@ func (s *System) PredictRTT(a, b int32) (float64, bool) {
 	}
 	return distance(na, nb), true
 }
-
-// ErrorEstimate returns a node's current relative-error EWMA, or 1 if the
-// node is unknown.
-func (s *System) ErrorEstimate(id int32) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if nd, ok := s.nodes[id]; ok {
-		return nd.err
-	}
-	return 1
-}
-
-// Nodes returns how many nodes are embedded.
-func (s *System) Nodes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.nodes)
-}

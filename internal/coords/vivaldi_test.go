@@ -117,16 +117,16 @@ func TestVivaldiBasics(t *testing.T) {
 		t.Error("self RTT should be 0")
 	}
 	s.Observe(1, 2, 50)
-	if s.Nodes() != 2 {
-		t.Errorf("nodes = %d", s.Nodes())
+	if len(s.nodes) != 2 {
+		t.Errorf("nodes = %d", len(s.nodes))
 	}
 	if _, ok := s.PredictRTT(1, 2); !ok {
 		t.Error("observed pair should predict")
 	}
-	if e := s.ErrorEstimate(1); e <= 0 || e > 2 {
+	if e := s.errorEstimate(1); e <= 0 || e > 2 {
 		t.Errorf("error estimate %v", e)
 	}
-	if e := s.ErrorEstimate(99); e != 1 {
+	if e := s.errorEstimate(99); e != 1 {
 		t.Errorf("unknown node error %v, want 1", e)
 	}
 }
@@ -137,8 +137,8 @@ func TestVivaldiIgnoresGarbage(t *testing.T) {
 	s.Observe(1, 2, -5)          // negative
 	s.Observe(1, 2, math.NaN())  // NaN
 	s.Observe(1, 2, math.Inf(1)) // Inf
-	if s.Nodes() != 0 {
-		t.Errorf("garbage observations created %d nodes", s.Nodes())
+	if len(s.nodes) != 0 {
+		t.Errorf("garbage observations created %d nodes", len(s.nodes))
 	}
 }
 
@@ -169,4 +169,15 @@ func BenchmarkVivaldiObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Observe(int32(r.IntN(200)), int32(r.IntN(200)), 10+300*r.Float64())
 	}
+}
+
+// errorEstimate returns a node's current relative-error EWMA, or 1 if the
+// node is unknown.
+func (s *System) errorEstimate(id int32) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if nd, ok := s.nodes[id]; ok {
+		return nd.err
+	}
+	return 1
 }

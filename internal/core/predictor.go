@@ -245,9 +245,6 @@ func (p *Predictor) seg(id segID) int {
 	return i
 }
 
-// Bucket returns the training bucket index.
-func (p *Predictor) Bucket() int { return p.bucket }
-
 // Predict estimates the performance of option opt for calls between groups
 // a and b. When both the pair's own history and a tomography-stitched
 // estimate exist they are combined by inverse-variance weighting — the

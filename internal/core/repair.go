@@ -297,19 +297,6 @@ func (v *Via) ObserveRepair(c Call, _ netsim.Option, scheme string, m quality.Me
 	v.repairBanditLocked(gp).Observe(scheme, repairCost(scheme, m))
 }
 
-// RepairBanditFor exposes the pair's bandit for diagnostics and tests
-// (nil if the pair has never chosen a scheme).
-func (v *Via) RepairBanditFor(c Call) *RepairBandit {
-	g1, g2 := v.cfg.Groups(c)
-	gp := groupPair{g1, g2}
-	if g1 > g2 {
-		gp = groupPair{g2, g1}
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.repairPairs[gp]
-}
-
 var _ RepairStrategy = (*Via)(nil)
 
 // validateRepairSchemes panics on malformed configured scheme names so a

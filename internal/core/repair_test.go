@@ -111,7 +111,7 @@ func TestViaChooseRepairLearnsPerPair(t *testing.T) {
 		}
 		v.ObserveRepair(call, opt, s, m)
 	}
-	b := v.RepairBanditFor(call)
+	b := pairBandit(v, call)
 	if b == nil {
 		t.Fatal("no bandit for pair")
 	}
@@ -121,7 +121,7 @@ func TestViaChooseRepairLearnsPerPair(t *testing.T) {
 
 	// A different pair starts from scratch.
 	other := Call{Src: 3, Dst: 4}
-	if b2 := v.RepairBanditFor(other); b2 != nil {
+	if b2 := pairBandit(v, other); b2 != nil {
 		t.Error("unvisited pair has a bandit")
 	}
 }
@@ -272,4 +272,16 @@ func TestValidateRepairSchemesPanicsOnTypo(t *testing.T) {
 	cfg := DefaultViaConfig(quality.Loss)
 	cfg.RepairSchemes = []string{"none", "fce-4"}
 	NewVia(cfg, nil)
+}
+
+// pairBandit reads the scheme bandit Via keeps for c's group pair (nil
+// before the pair has chosen a scheme).
+func pairBandit(v *Via, c Call) *RepairBandit {
+	g1, g2 := v.cfg.Groups(c)
+	if g1 > g2 {
+		g1, g2 = g2, g1
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.repairPairs[groupPair{g1, g2}]
 }

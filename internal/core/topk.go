@@ -11,27 +11,20 @@ type Candidate struct {
 	Pred   Prediction
 }
 
-// TopK implements Algorithm 2: the adaptive, confidence-interval-based
-// pruning of the candidate set. It returns the minimal set of options such
-// that the 95% lower confidence bound of every excluded option exceeds the
-// 95% upper confidence bound of every included option — i.e. we are
-// statistically confident every excluded option is worse than every included
-// one. Candidates without predictions must be filtered by the caller.
+// topKInPlace implements Algorithm 2: the adaptive, confidence-interval-
+// based pruning of the candidate set. It returns the minimal set of options
+// such that the 95% lower confidence bound of every excluded option exceeds
+// the 95% upper confidence bound of every included option — i.e. we are
+// statistically confident every excluded option is worse than every
+// included one. Candidates without predictions must be filtered by the
+// caller.
 //
-// The set is computed as a fixpoint: start from the option with the smallest
-// upper bound (it can never be excluded), then repeatedly pull in any option
-// whose lower bound does not clear the included set's maximum upper bound.
-func TopK(cands []Candidate, m quality.Metric) []Candidate {
-	if len(cands) == 0 {
-		return nil
-	}
-	sorted := make([]Candidate, len(cands))
-	copy(sorted, cands)
-	out, _ := topKInPlace(sorted, m, nil)
-	return out
-}
-
-// topKInPlace is TopK over caller-owned storage: cands is sorted and
+// The set is computed as a fixpoint: start from the option with the
+// smallest upper bound (it can never be excluded), then repeatedly pull in
+// any option whose lower bound does not clear the included set's maximum
+// upper bound.
+//
+// It works over caller-owned storage: cands is sorted and
 // compacted in place (the returned slice aliases it), and incl is a
 // reusable inclusion-scratch whose grown form is returned for the caller
 // to keep. The hot path (Via's per-epoch prune) passes per-strategy
@@ -96,18 +89,9 @@ func sortCandidates(cands []Candidate, less func(a, b *Candidate) bool) {
 	}
 }
 
-// FixedTopK is the ablation of Figure 15: keep exactly k options ranked by
-// predicted mean, ignoring the confidence intervals.
-func FixedTopK(cands []Candidate, m quality.Metric, k int) []Candidate {
-	if len(cands) == 0 || k <= 0 {
-		return nil
-	}
-	sorted := make([]Candidate, len(cands))
-	copy(sorted, cands)
-	return fixedTopKInPlace(sorted, m, k)
-}
-
-// fixedTopKInPlace is FixedTopK over caller-owned storage.
+// fixedTopKInPlace is the ablation of Figure 15: keep exactly k options
+// ranked by predicted mean, ignoring the confidence intervals. It sorts
+// cands, which the caller owns, in place.
 func fixedTopKInPlace(cands []Candidate, m quality.Metric, k int) []Candidate {
 	if len(cands) == 0 || k <= 0 {
 		return nil

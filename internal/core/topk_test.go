@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -41,9 +42,9 @@ func TestTopKWellSeparated(t *testing.T) {
 		cand(netsim.BounceOption(2), 200, 2),
 		cand(netsim.BounceOption(3), 300, 2),
 	}
-	got := TopK(cands, quality.RTT)
+	got := topK(cands, quality.RTT)
 	if len(got) != 1 || got[0].Option != netsim.BounceOption(1) {
-		t.Errorf("TopK = %v", got)
+		t.Errorf("topK = %v", got)
 	}
 }
 
@@ -54,9 +55,9 @@ func TestTopKOverlapping(t *testing.T) {
 		cand(netsim.BounceOption(2), 110, 10), // CI ~ [90, 130] overlaps
 		cand(netsim.BounceOption(3), 500, 5),  // far away
 	}
-	got := TopK(cands, quality.RTT)
+	got := topK(cands, quality.RTT)
 	if len(got) != 2 {
-		t.Fatalf("TopK size = %d, want 2 (%v)", len(got), got)
+		t.Fatalf("topK size = %d, want 2 (%v)", len(got), got)
 	}
 	for _, c := range got {
 		if c.Option == netsim.BounceOption(3) {
@@ -75,9 +76,9 @@ func TestTopKChainOverlap(t *testing.T) {
 		cand(netsim.BounceOption(3), 125, 2), // [121.1, 128.9] — lower < B.upper
 		cand(netsim.BounceOption(4), 300, 2), // clearly out
 	}
-	got := TopK(cands, quality.RTT)
+	got := topK(cands, quality.RTT)
 	if len(got) != 3 {
-		t.Fatalf("TopK size = %d, want 3: %v", len(got), got)
+		t.Fatalf("topK size = %d, want 3: %v", len(got), got)
 	}
 }
 
@@ -87,13 +88,13 @@ func TestTopKAllIdentical(t *testing.T) {
 		cand(netsim.BounceOption(2), 100, 10),
 		cand(netsim.BounceOption(3), 100, 10),
 	}
-	if got := TopK(cands, quality.RTT); len(got) != 3 {
+	if got := topK(cands, quality.RTT); len(got) != 3 {
 		t.Errorf("identical candidates should all survive, got %d", len(got))
 	}
 }
 
 func TestTopKEmpty(t *testing.T) {
-	if TopK(nil, quality.RTT) != nil {
+	if topK(nil, quality.RTT) != nil {
 		t.Error("empty input should give nil")
 	}
 }
@@ -103,9 +104,9 @@ func TestTopKDoesNotModifyInput(t *testing.T) {
 		cand(netsim.BounceOption(3), 300, 1),
 		cand(netsim.BounceOption(1), 100, 1),
 	}
-	_ = TopK(cands, quality.RTT)
+	_ = topK(cands, quality.RTT)
 	if cands[0].Option != netsim.BounceOption(3) {
-		t.Error("TopK reordered the caller's slice")
+		t.Error("topK reordered the caller's slice")
 	}
 }
 
@@ -121,7 +122,7 @@ func TestTopKInvariantProperty(t *testing.T) {
 		for i := range cands {
 			cands[i] = cand(netsim.BounceOption(netsim.RelayID(i)), 50+400*r.Float64(), 1+30*r.Float64())
 		}
-		got := TopK(cands, quality.RTT)
+		got := topK(cands, quality.RTT)
 		if len(got) == 0 {
 			return false
 		}
@@ -155,17 +156,23 @@ func TestFixedTopK(t *testing.T) {
 		cand(netsim.BounceOption(1), 100, 50),
 		cand(netsim.BounceOption(3), 300, 50),
 	}
-	got := FixedTopK(cands, quality.RTT, 2)
+	got := fixedTopKInPlace(slices.Clone(cands), quality.RTT, 2)
 	if len(got) != 2 {
 		t.Fatalf("size = %d", len(got))
 	}
 	if got[0].Option != netsim.BounceOption(1) || got[1].Option != netsim.BounceOption(2) {
-		t.Errorf("FixedTopK = %v", got)
+		t.Errorf("fixedTopKInPlace = %v", got)
 	}
-	if got := FixedTopK(cands, quality.RTT, 10); len(got) != 3 {
+	if got := fixedTopKInPlace(slices.Clone(cands), quality.RTT, 10); len(got) != 3 {
 		t.Error("oversized k should clamp")
 	}
-	if FixedTopK(cands, quality.RTT, 0) != nil {
+	if fixedTopKInPlace(slices.Clone(cands), quality.RTT, 0) != nil {
 		t.Error("k=0 should give nil")
 	}
+}
+
+// topK runs Algorithm 2 (topKInPlace) over a copy of cands.
+func topK(cands []Candidate, m quality.Metric) []Candidate {
+	out, _ := topKInPlace(slices.Clone(cands), m, nil)
+	return out
 }

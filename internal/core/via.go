@@ -310,9 +310,6 @@ func (v *Via) Name() string {
 // Metric returns the network metric this instance optimizes.
 func (v *Via) Metric() quality.Metric { return v.cfg.Metric }
 
-// History exposes the strategy's accumulated call history (read-only use).
-func (v *Via) History() *history.Store { return v.store }
-
 // epochOf buckets absolute time into refresh epochs.
 func (v *Via) epochOf(tHours float64) int {
 	return int(tHours / v.cfg.RefreshHours)
@@ -783,11 +780,4 @@ func (v *Via) TopKFor(c Call, cands []netsim.Option) []Candidate {
 	v.ensureEpoch(v.epochOf(c.THours))
 	// pruneLocked hands back scratch; the caller gets an owned copy.
 	return append([]Candidate(nil), v.pruneLocked(g1, g2, cands)...)
-}
-
-// Predictor exposes the current trained predictor (nil before any call).
-func (v *Via) Predictor() *Predictor {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.pred
 }

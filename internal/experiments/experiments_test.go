@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/history"
+	"repro/internal/netsim"
 	"repro/internal/quality"
 )
 
@@ -221,15 +223,19 @@ func TestHistoryFromSurveyCoversOptions(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Skip("no eligible pairs at this scale")
 	}
-	h := historyFromSurvey(e, pairs[:1], 0, 2)
-	opts := h.Options(pairs[0].A, pairs[0].B, 0)
-	if len(opts) < 5 {
-		t.Errorf("survey covered only %d options", len(opts))
-	}
-	for _, oc := range opts {
-		if oc.N != 2 {
-			t.Errorf("option %v has %d samples, want 2", oc.Option, oc.N)
+	h := historyFromSparseSurvey(e, pairs[:1], 0, 2, 1)
+	opts := 0
+	h.EachOpt(0, func(pk history.PairKey, opt netsim.Option, a *history.Agg) {
+		if pk != pairs[0] {
+			return
 		}
+		opts++
+		if a.N() != 2 {
+			t.Errorf("option %v has %d samples, want 2", opt, a.N())
+		}
+	})
+	if opts < 5 {
+		t.Errorf("survey covered only %d options", opts)
 	}
 }
 

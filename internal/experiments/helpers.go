@@ -50,17 +50,11 @@ func (e *Env) runExcluding(key string, m quality.Metric, excluded map[netsim.Rel
 	})
 }
 
-// historyFromSurvey builds a history bucket with k samples of every
-// relaying option for every pair, drawn from the world at the given window
-// — the dense-ground-truth regime used by tests.
-func historyFromSurvey(e *Env, pairs []history.PairKey, window, k int) *history.Store {
-	return historyFromSparseSurvey(e, pairs, window, k, 1.0)
-}
-
-// historyFromSparseSurvey is historyFromSurvey with per-option coverage
-// probability: only that fraction of each pair's options get samples, the
-// rest are "holes" that tomography must stitch — the operating regime of
-// the §5.3 prediction-accuracy analysis.
+// historyFromSparseSurvey builds a history bucket with k samples of
+// relaying options for every pair, drawn from the world at the given
+// window. Each option is covered with the given probability; the rest are
+// "holes" that tomography must stitch — the operating regime of the §5.3
+// prediction-accuracy analysis (coverage 1 is the dense ground truth).
 func historyFromSparseSurvey(e *Env, pairs []history.PairKey, window, k int, coverage float64) *history.Store {
 	h := history.NewStore()
 	rng := stats.NewRNG(e.Seed).Split("survey")

@@ -170,7 +170,7 @@ type Endpoint struct {
 func ClientEnd(as netsim.ASID) Endpoint { return Endpoint{Kind: ClientEndpoint, AS: as} }
 
 // RelayEnd names a relay endpoint.
-func RelayEnd(id netsim.RelayID) Endpoint { return Endpoint{Kind: RelayEndpoint, Relay: id} }
+func RelayEnd(id netsim.RelayID) Endpoint { return Endpoint{Kind: RelayEndpoint, Relay: id} } //vialint:ignore deadexport chaos DSL (DESIGN §9)
 
 // String renders the endpoint compactly.
 func (e Endpoint) String() string {
@@ -369,12 +369,12 @@ func (p *Plan) ReviveRelayAt(at time.Duration, id netsim.RelayID) *Plan {
 }
 
 // BlackholeAt schedules a segment blackhole.
-func (p *Plan) BlackholeAt(at time.Duration, a, b Endpoint) *Plan {
+func (p *Plan) BlackholeAt(at time.Duration, a, b Endpoint) *Plan { //vialint:ignore deadexport chaos DSL (DESIGN §9)
 	return p.add(Event{At: at, Kind: Blackhole, A: a, B: b})
 }
 
 // HealAt schedules a segment heal.
-func (p *Plan) HealAt(at time.Duration, a, b Endpoint) *Plan {
+func (p *Plan) HealAt(at time.Duration, a, b Endpoint) *Plan { //vialint:ignore deadexport chaos DSL (DESIGN §9)
 	return p.add(Event{At: at, Kind: Heal, A: a, B: b})
 }
 
@@ -386,16 +386,6 @@ func (p *Plan) PartitionControllerAt(at time.Duration) *Plan {
 // HealControllerAt schedules the partition's end.
 func (p *Plan) HealControllerAt(at time.Duration) *Plan {
 	return p.add(Event{At: at, Kind: HealController})
-}
-
-// DropControlAt schedules probabilistic control-RPC loss.
-func (p *Plan) DropControlAt(at time.Duration, rate float64) *Plan {
-	return p.add(Event{At: at, Kind: DropControl, Rate: rate})
-}
-
-// DelayControlAt schedules fixed control-RPC latency.
-func (p *Plan) DelayControlAt(at time.Duration, d time.Duration) *Plan {
-	return p.add(Event{At: at, Kind: DelayControl, Delay: d})
 }
 
 // CrashControllerAt schedules an abrupt controller death (kill -9: no
@@ -411,7 +401,7 @@ func (p *Plan) RestartControllerAt(at time.Duration) *Plan {
 }
 
 // PromoteStandbyAt schedules the warm standby's promotion to primary.
-func (p *Plan) PromoteStandbyAt(at time.Duration) *Plan {
+func (p *Plan) PromoteStandbyAt(at time.Duration) *Plan { //vialint:ignore deadexport chaos DSL (DESIGN §9)
 	return p.add(Event{At: at, Kind: PromoteStandby})
 }
 
@@ -422,7 +412,7 @@ func (p *Plan) BurstLossAt(at time.Duration, a, b Endpoint, rate, meanBurstLen f
 }
 
 // HealBurstLossAt schedules the end of a segment's burst loss.
-func (p *Plan) HealBurstLossAt(at time.Duration, a, b Endpoint) *Plan {
+func (p *Plan) HealBurstLossAt(at time.Duration, a, b Endpoint) *Plan { //vialint:ignore deadexport chaos DSL (DESIGN §9)
 	return p.add(Event{At: at, Kind: BurstLoss, A: a, B: b})
 }
 
@@ -442,7 +432,7 @@ func (p *Plan) AddShardAt(at time.Duration) *Plan {
 }
 
 // RemoveShardAt schedules a ring shard's drain-and-remove.
-func (p *Plan) RemoveShardAt(at time.Duration, shard int) *Plan {
+func (p *Plan) RemoveShardAt(at time.Duration, shard int) *Plan { //vialint:ignore deadexport chaos DSL (DESIGN §9)
 	return p.add(Event{At: at, Kind: RemoveShard, Shard: shard})
 }
 
@@ -466,20 +456,9 @@ func (p *Plan) Sorted() []Event {
 	return out
 }
 
-// Duration returns the offset of the last event.
-func (p *Plan) Duration() time.Duration {
-	var d time.Duration
-	for _, e := range p.Events {
-		if e.At > d {
-			d = e.At
-		}
-	}
-	return d
-}
-
 // Apply fires every event in order immediately (virtual time), collecting
 // per-event errors. Tests use this to exercise targets without waiting.
-func (p *Plan) Apply(t Target) []error {
+func (p *Plan) Apply(t Target) []error { //vialint:ignore deadexport chaos DSL (DESIGN §9)
 	var errs []error
 	for _, e := range p.Sorted() {
 		if err := e.Apply(t); err != nil {

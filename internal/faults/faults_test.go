@@ -138,9 +138,6 @@ func TestFlapController(t *testing.T) {
 			t.Errorf("event[%d] at %s, want %s", i, e.At, wantAt[i]*time.Millisecond)
 		}
 	}
-	if p.Duration() != 230*time.Millisecond {
-		t.Errorf("duration = %s", p.Duration())
-	}
 }
 
 func TestSchedulerRealTime(t *testing.T) {
@@ -253,8 +250,8 @@ func TestFlakyTransportPartition(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Errorf("error = %v, want ErrInjected", err)
 	}
-	if ft.Injected() != 1 {
-		t.Errorf("injected = %d", ft.Injected())
+	if ft.injected.Load() != 1 {
+		t.Errorf("injected = %d", ft.injected.Load())
 	}
 
 	ft.SetPartitioned(false)
@@ -279,7 +276,7 @@ func TestFlakyTransportDropRateDeterministic(t *testing.T) {
 				resp.Body.Close()
 			}
 		}
-		return ft.Injected()
+		return ft.injected.Load()
 	}
 	a, b := count(42), count(42)
 	if a != b {
@@ -351,8 +348,8 @@ func TestFlakyTransportControlStream(t *testing.T) {
 	if el := time.Since(start); el > 100*time.Millisecond {
 		t.Errorf("partitioned messages took %s; should fail fast", el)
 	}
-	if ft.Injected() != 2 {
-		t.Errorf("injected = %d, want 2", ft.Injected())
+	if ft.injected.Load() != 2 {
+		t.Errorf("injected = %d, want 2", ft.injected.Load())
 	}
 	ft.SetPartitioned(false)
 	if _, err := c.Choose(1, 2, cands); err != nil {
@@ -366,7 +363,7 @@ func TestFlakyTransportControlStream(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			c.Choose(1, 2, cands) //vialint:ignore errwrap dropped messages are the point; Injected counts them
 		}
-		return ft.Injected()
+		return ft.injected.Load()
 	}
 	a, b := count(42), count(42)
 	if a != b {

@@ -27,7 +27,7 @@ type MobilityTarget interface {
 }
 
 // RebindClientAt schedules one client's NAT rebind.
-func (p *Plan) RebindClientAt(at time.Duration, as netsim.ASID) *Plan {
+func (p *Plan) RebindClientAt(at time.Duration, as netsim.ASID) *Plan { //vialint:ignore deadexport chaos DSL (DESIGN §9)
 	return p.add(Event{At: at, Kind: NATRebind, A: ClientEnd(as)})
 }
 
@@ -39,7 +39,7 @@ func (p *Plan) ChurnAt(at time.Duration, clients ...netsim.ASID) *Plan {
 
 // ChurnEvery schedules `waves` churn waves starting at `start`, one every
 // `every` — sustained mobility, each wave rebinding all listed clients.
-func (p *Plan) ChurnEvery(start, every time.Duration, waves int, clients ...netsim.ASID) *Plan {
+func (p *Plan) ChurnEvery(start, every time.Duration, waves int, clients ...netsim.ASID) *Plan { //vialint:ignore deadexport chaos DSL (DESIGN §9)
 	at := start
 	for i := 0; i < waves; i++ {
 		p.ChurnAt(at, clients...)
@@ -49,12 +49,12 @@ func (p *Plan) ChurnEvery(start, every time.Duration, waves int, clients ...nets
 }
 
 // DrainRelayAt schedules a relay's maintenance drain.
-func (p *Plan) DrainRelayAt(at time.Duration, id netsim.RelayID) *Plan {
+func (p *Plan) DrainRelayAt(at time.Duration, id netsim.RelayID) *Plan { //vialint:ignore deadexport chaos DSL (DESIGN §9)
 	return p.add(Event{At: at, Kind: DrainRelay, Relay: id})
 }
 
 // UndrainRelayAt schedules the drain's end: the relay re-enters the
 // directory and accepts new sessions again.
-func (p *Plan) UndrainRelayAt(at time.Duration, id netsim.RelayID) *Plan {
+func (p *Plan) UndrainRelayAt(at time.Duration, id netsim.RelayID) *Plan { //vialint:ignore deadexport chaos DSL (DESIGN §9)
 	return p.add(Event{At: at, Kind: DrainRelay, Relay: id, Off: true})
 }

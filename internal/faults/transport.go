@@ -76,9 +76,6 @@ func (t *FlakyTransport) SetDelay(d time.Duration) {
 	t.mu.Unlock()
 }
 
-// Injected returns how many requests fault injection has failed.
-func (t *FlakyTransport) Injected() int64 { return t.injected.Load() }
-
 // RoundTrip applies the configured faults, then delegates.
 func (t *FlakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	upgrade := req.Header.Get("Upgrade") != ""

@@ -3,7 +3,6 @@ package history
 import (
 	"sort"
 
-	"repro/internal/netsim"
 	"repro/internal/quality"
 )
 
@@ -18,37 +17,6 @@ type PairWindowPNR struct {
 	ByPair map[PairKey]map[int]*quality.PNR
 	// Overall[window] aggregates all pairs.
 	Overall map[int]*quality.PNR
-}
-
-// CollectDirectPNR builds per-pair, per-window PNR from all direct-path
-// aggregates in the store.
-func CollectDirectPNR(s *Store) *PairWindowPNR {
-	out := NewPairWindowPNR()
-	for _, w := range s.Windows() {
-		s.EachOpt(w, func(pair PairKey, opt netsim.Option, a *Agg) {
-			if opt.Kind != netsim.Direct {
-				return
-			}
-			byW := out.ByPair[pair]
-			if byW == nil {
-				byW = make(map[int]*quality.PNR)
-				out.ByPair[pair] = byW
-			}
-			pnr := byW[w]
-			if pnr == nil {
-				pnr = &quality.PNR{}
-				byW[w] = pnr
-			}
-			pnr.Merge(a.PNR)
-			ov := out.Overall[w]
-			if ov == nil {
-				ov = &quality.PNR{}
-				out.Overall[w] = ov
-			}
-			ov.Merge(a.PNR)
-		})
-	}
-	return out
 }
 
 // WorstPairContribution ranks pairs by their total number of poor calls (on

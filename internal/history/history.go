@@ -101,9 +101,9 @@ func (s *Store) Get(src, dst netsim.ASID, opt netsim.Option, window int) (Agg, b
 	return *a, true
 }
 
-// Options returns the relaying options observed for (src, dst) in a window,
+// options returns the relaying options observed for (src, dst) in a window,
 // oriented for the src→dst direction, together with sample counts.
-func (s *Store) Options(src, dst netsim.ASID, window int) []OptionCount {
+func (s *Store) options(src, dst netsim.ASID, window int) []OptionCount {
 	pair := MakePairKey(src, dst)
 	flip := src > dst
 	s.mu.RLock()

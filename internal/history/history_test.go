@@ -61,7 +61,7 @@ func TestStoreOptionsOrientation(t *testing.T) {
 	s.Add(5, 9, netsim.DirectOption(), 0, q(1, 0, 0))
 	s.Add(5, 9, netsim.DirectOption(), 0, q(1, 0, 0))
 
-	fwd := s.Options(5, 9, 0)
+	fwd := s.options(5, 9, 0)
 	if len(fwd) != 2 {
 		t.Fatalf("got %d options", len(fwd))
 	}
@@ -72,11 +72,11 @@ func TestStoreOptionsOrientation(t *testing.T) {
 		t.Errorf("fwd[1] = %+v", fwd[1])
 	}
 
-	rev := s.Options(9, 5, 0)
+	rev := s.options(9, 5, 0)
 	if rev[1].Option != netsim.TransitOption(2, 1) {
 		t.Errorf("reverse orientation not flipped: %+v", rev[1])
 	}
-	if s.Options(5, 9, 7) != nil {
+	if s.options(5, 9, 7) != nil {
 		t.Error("empty window should return nil")
 	}
 }
@@ -257,19 +257,5 @@ func TestMedianRunLengthGaps(t *testing.T) {
 	// All low → 0.
 	if got := medianRunLength(windows, make([]bool, 5)); got != 0 {
 		t.Errorf("all-low run length = %v", got)
-	}
-}
-
-func TestCollectDirectPNRFiltersRelayed(t *testing.T) {
-	s := NewStore()
-	bad := q(400, 0.05, 30)
-	s.Add(1, 2, netsim.DirectOption(), 0, bad)
-	s.Add(1, 2, netsim.BounceOption(3), 0, bad) // must be ignored
-	p := CollectDirectPNR(s)
-	if p.Overall[0].Total != 1 {
-		t.Errorf("overall total = %d, want 1 (direct only)", p.Overall[0].Total)
-	}
-	if p.ByPair[PairKey{1, 2}][0].Total != 1 {
-		t.Error("pair total should count only direct calls")
 	}
 }

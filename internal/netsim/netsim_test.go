@@ -99,7 +99,7 @@ func TestNearestRelaysOrdered(t *testing.T) {
 }
 
 func distKm(w *World, a ASID, r RelayID) float64 {
-	return geo.DistanceKm(w.AS(a).Loc, w.Relay(r).Loc)
+	return geo.DistanceKm(w.AS(a).Loc, w.relays[r].Loc)
 }
 
 func TestOptionsStructure(t *testing.T) {

@@ -57,18 +57,6 @@ func TransitOption(in, out RelayID) Option {
 // IsRelayed reports whether the option uses the managed overlay.
 func (o Option) IsRelayed() bool { return o.Kind != Direct }
 
-// Uses reports whether the option routes through the given relay.
-func (o Option) Uses(id RelayID) bool {
-	switch o.Kind {
-	case Bounce:
-		return o.R1 == id
-	case Transit:
-		return o.R1 == id || o.R2 == id
-	default:
-		return false
-	}
-}
-
 // String renders the option compactly, e.g. "direct", "bounce(3)",
 // "transit(3->7)".
 func (o Option) String() string {

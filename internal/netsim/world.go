@@ -274,9 +274,6 @@ func ln(x float64) float64 {
 	return math.Log(x)
 }
 
-// Config returns the construction configuration.
-func (w *World) Config() Config { return w.cfg }
-
 // NumASes returns the AS count.
 func (w *World) NumASes() int { return len(w.ases) }
 
@@ -286,20 +283,6 @@ func (w *World) NumRelays() int { return len(w.relays) }
 // AS returns the AS with the given id.
 func (w *World) AS(id ASID) AS {
 	return w.ases[id]
-}
-
-// Relay returns the relay with the given id.
-func (w *World) Relay(id RelayID) Relay {
-	return w.relays[id]
-}
-
-// Relays returns all relay ids.
-func (w *World) Relays() []RelayID {
-	out := make([]RelayID, len(w.relays))
-	for i := range w.relays {
-		out[i] = RelayID(i)
-	}
-	return out
 }
 
 // ASesInCountry returns the AS ids homed in the given country code.

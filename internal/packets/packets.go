@@ -60,20 +60,6 @@ type Trace struct {
 // Packets returns the trace length.
 func (t *Trace) Packets() int { return len(t.OneWayDelayMs) }
 
-// NetworkLossRate returns the fraction of packets dropped by the network.
-func (t *Trace) NetworkLossRate() float64 {
-	if len(t.Lost) == 0 {
-		return 0
-	}
-	lost := 0
-	for _, l := range t.Lost {
-		if l {
-			lost++
-		}
-	}
-	return float64(lost) / float64(len(t.Lost))
-}
-
 // Synthesize generates a packet trace whose long-run averages match the
 // given call-average metrics:
 //

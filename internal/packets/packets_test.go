@@ -45,7 +45,7 @@ func TestSynthesizeMatchesAverages(t *testing.T) {
 		t.Errorf("mean delay = %v, want ~120", w.Mean)
 	}
 	// Loss rate ≈ configured.
-	if got := tr.NetworkLossRate(); math.Abs(got-0.03) > 0.012 {
+	if got := tr.networkLossRate(); math.Abs(got-0.03) > 0.012 {
 		t.Errorf("loss rate = %v, want ~0.03", got)
 	}
 }
@@ -224,4 +224,18 @@ func BenchmarkTraceMOS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		TraceMOS(m, cfg, r)
 	}
+}
+
+// networkLossRate returns the fraction of packets dropped by the network.
+func (t *Trace) networkLossRate() float64 {
+	if len(t.Lost) == 0 {
+		return 0
+	}
+	lost := 0
+	for _, l := range t.Lost {
+		if l {
+			lost++
+		}
+	}
+	return float64(lost) / float64(len(t.Lost))
 }

@@ -81,8 +81,8 @@ func (q Metrics) Get(m Metric) float64 {
 	}
 }
 
-// Set assigns the value of metric m.
-func (q *Metrics) Set(m Metric, v float64) {
+// set assigns the value of metric m.
+func (q *Metrics) set(m Metric, v float64) {
 	switch m {
 	case RTT:
 		q.RTTMs = v

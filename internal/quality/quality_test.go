@@ -25,7 +25,7 @@ func TestGetSetRoundTrip(t *testing.T) {
 	var q Metrics
 	for i, m := range AllMetrics() {
 		v := float64(i+1) * 1.5
-		q.Set(m, v)
+		q.set(m, v)
 		if q.Get(m) != v {
 			t.Errorf("%v: get/set mismatch", m)
 		}
@@ -222,7 +222,7 @@ func TestRatingModelMonotone(t *testing.T) {
 		prev := -1.0
 		for f := 0.0; f <= 3; f += 0.25 {
 			q := base
-			q.Set(m, f*Threshold(m))
+			q.set(m, f*Threshold(m))
 			p := rm.PoorProb(q)
 			if p < prev {
 				t.Fatalf("PoorProb not monotone in %v", m)

@@ -279,7 +279,4 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 
 // Migrations returns how many validated session migrations (address
 // re-pins) this relay has performed.
-func (n *Node) Migrations() int64 { return n.migrations.Load() }
-
-// Keepalives returns how many session keepalives the relay has consumed.
-func (n *Node) Keepalives() int64 { return n.keepalives.Load() }
+func (n *Node) Migrations() int64 { return n.migrations.Load() } //vialint:ignore deadexport asserted by the mobility and churn gates (DESIGN §9)

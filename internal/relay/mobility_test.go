@@ -41,7 +41,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestKeepaliveRefreshesIdleTTL(t *testing.T) {
 	conn := &discardConn{}
 	n := New(1, conn)
-	n.SetSessionLimits(50*time.Millisecond, 0)
+	setSessionLimits(n, 50*time.Millisecond, 0)
 
 	out := make([]byte, 0, 4096)
 	var f transport.Frame
@@ -63,14 +63,14 @@ func TestKeepaliveRefreshesIdleTTL(t *testing.T) {
 	n.sweepIdleLocked(time.Now())
 	n.mu.Unlock()
 
-	if _, ok := n.Session(0xBEEF); !ok {
+	if _, ok := n.session(0xBEEF); !ok {
 		t.Error("keepalive-refreshed session was evicted")
 	}
-	if _, ok := n.Session(0xFEED); ok {
+	if _, ok := n.session(0xFEED); ok {
 		t.Error("silent session survived the idle sweep")
 	}
-	if n.Keepalives() != 9 {
-		t.Errorf("keepalives = %d, want 9", n.Keepalives())
+	if n.keepalives.Load() != 9 {
+		t.Errorf("keepalives = %d, want 9", n.keepalives.Load())
 	}
 	if n.Evicted() == 0 {
 		t.Error("no eviction recorded for the silent session")

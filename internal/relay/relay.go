@@ -112,19 +112,6 @@ func New(id netsim.RelayID, conn net.PacketConn) *Node {
 	}
 }
 
-// SetSessionLimits overrides the session-table bounds (testing and tuning).
-// Zero values keep the current setting.
-func (n *Node) SetSessionLimits(idleTTL time.Duration, maxSess int) {
-	n.mu.Lock()
-	if idleTTL > 0 {
-		n.idleTTL = idleTTL
-	}
-	if maxSess > 0 {
-		n.maxSess = maxSess
-	}
-	n.mu.Unlock()
-}
-
 // ID returns the relay's identity.
 func (n *Node) ID() netsim.RelayID { return n.id }
 
@@ -292,17 +279,6 @@ func (n *Node) Close() error {
 // Stats returns totals since start.
 func (n *Node) Stats() (packets, bytes, dropped int64) {
 	return n.packets.Load(), n.bytes.Load(), n.dropped.Load()
-}
-
-// Session returns a copy of one session's accounting.
-func (n *Node) Session(id uint64) (SessionStats, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ss := n.sessions[id]
-	if ss == nil {
-		return SessionStats{}, false
-	}
-	return ss.SessionStats, true
 }
 
 // Sessions returns the number of distinct sessions seen.

@@ -89,15 +89,15 @@ func TestTransitForwarding(t *testing.T) {
 	// Both relays should have accounted the session.
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok1 := r1.Session(7); ok1 {
-			if _, ok2 := r2.Session(7); ok2 {
+		if _, ok1 := r1.session(7); ok1 {
+			if _, ok2 := r2.session(7); ok2 {
 				break
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	s1, ok1 := r1.Session(7)
-	s2, ok2 := r2.Session(7)
+	s1, ok1 := r1.session(7)
+	s2, ok2 := r2.session(7)
 	if !ok1 || !ok2 || s1.Packets != 1 || s2.Packets != 1 {
 		t.Errorf("session accounting: r1=%+v(%v) r2=%+v(%v)", s1, ok1, s2, ok2)
 	}
@@ -158,7 +158,7 @@ func TestRelayAccounting(t *testing.T) {
 	if r.Sessions() != 2 {
 		t.Errorf("sessions = %d, want 2", r.Sessions())
 	}
-	if _, ok := r.Session(999); ok {
+	if _, ok := r.session(999); ok {
 		t.Error("unknown session reported present")
 	}
 }
@@ -181,7 +181,7 @@ func TestRelayCloseStopsServe(t *testing.T) {
 
 func TestSessionTableCapEvictsOldest(t *testing.T) {
 	r := startRelay(t, 1)
-	r.SetSessionLimits(time.Hour, 4) // TTL never fires; only the cap does
+	setSessionLimits(r, time.Hour, 4) // TTL never fires; only the cap does
 	src, dst := listen(t), listen(t)
 	defer src.Close()
 	defer dst.Close()
@@ -209,17 +209,17 @@ func TestSessionTableCapEvictsOldest(t *testing.T) {
 		t.Errorf("evicted = %d, want >= 6", r.Evicted())
 	}
 	// The most recent session survived; the earliest did not.
-	if _, ok := r.Session(10); !ok {
+	if _, ok := r.session(10); !ok {
 		t.Error("newest session evicted")
 	}
-	if _, ok := r.Session(1); ok {
+	if _, ok := r.session(1); ok {
 		t.Error("oldest session still present past the cap")
 	}
 }
 
 func TestSessionIdleSweep(t *testing.T) {
 	r := startRelay(t, 1)
-	r.SetSessionLimits(30*time.Millisecond, 2) // tiny TTL, tiny cap
+	setSessionLimits(r, 30*time.Millisecond, 2) // tiny TTL, tiny cap
 	src, dst := listen(t), listen(t)
 	defer src.Close()
 	defer dst.Close()
@@ -245,18 +245,41 @@ func TestSessionIdleSweep(t *testing.T) {
 	send(3)
 	deadline = time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := r.Session(3); ok {
+		if _, ok := r.session(3); ok {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if _, ok := r.Session(3); !ok {
+	if _, ok := r.session(3); !ok {
 		t.Fatal("new session not accounted")
 	}
-	if _, ok := r.Session(1); ok {
+	if _, ok := r.session(1); ok {
 		t.Error("idle session survived the sweep")
 	}
 	if r.Evicted() == 0 {
 		t.Error("no evictions recorded after idle sweep")
 	}
+}
+
+// setSessionLimits overrides n's session-table bounds; zero keeps a bound.
+func setSessionLimits(n *Node, idleTTL time.Duration, maxSess int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if idleTTL > 0 {
+		n.idleTTL = idleTTL
+	}
+	if maxSess > 0 {
+		n.maxSess = maxSess
+	}
+}
+
+// session returns a copy of one session's accounting.
+func (n *Node) session(id uint64) (SessionStats, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	ss := n.sessions[id]
+	if ss == nil {
+		return SessionStats{}, false
+	}
+	return ss.SessionStats, true
 }

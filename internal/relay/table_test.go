@@ -149,7 +149,7 @@ func TestTwoEndpointsMigrateIndependently(t *testing.T) {
 	media(b2, callee, a1, "rev3")
 	expectMedia(t, a2, "moved caller", "rev3")
 
-	ss, ok := r.Session(sess)
+	ss, ok := r.session(sess)
 	if !ok || ss.Packets != wantPkts || ss.Bytes != wantBytes {
 		t.Errorf("session accounting = %+v (%v), want %d packets %d bytes", ss, ok, wantPkts, wantBytes)
 	}
@@ -192,7 +192,7 @@ func TestThirdTokenBindsNothing(t *testing.T) {
 	sendMedia(t, c2, r, sess, t3, b.LocalAddr(), "t3-moved")
 	expectMedia(t, b, "b", "t3-moved")
 	expectQuiet(t, c2, "third token's new address (a binding would have challenged it)")
-	if ss, _ := r.Session(sess); ss.Packets != 4 {
+	if ss, _ := r.session(sess); ss.Packets != 4 {
 		t.Errorf("session packets = %d, want 4", ss.Packets)
 	}
 	if got := r.challenges.Load(); got != 0 {

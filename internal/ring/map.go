@@ -146,9 +146,6 @@ func (m *Map) build() error {
 	return nil
 }
 
-// Epoch implements controller.ShardMap.
-func (m *Map) Epoch() uint64 { return m.MapEpoch }
-
 // OwnerShard returns the shard owning a pair: the first vnode at or after
 // the pair's hash, wrapping at the top of the ring.
 func (m *Map) OwnerShard(src, dst int32) Shard {

@@ -57,8 +57,9 @@ func TestMergeThresholdAccuracy(t *testing.T) {
 			// 64 pairs with zipf call volume, each with its own benefit
 			// level; a pair lives on one shard, so shard sizes are skewed
 			// and every shard sees a different multi-modal slice.
-			zipf := stats.NewZipf(rng, 64, 1.1)
-			level := make([]float64, zipf.N())
+			const pairs = 64
+			zipf := stats.NewZipf(rng, pairs, 1.1)
+			level := make([]float64, pairs)
 			for j := range level {
 				level[j] = 0.5 * rng.Float64()
 			}

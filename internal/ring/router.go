@@ -74,9 +74,6 @@ func servesNoPair(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int,
 	return http.StatusInternalServerError, append(dst, "ring: the router serves no pair"...)
 }
 
-// Current returns the map the router is routing by.
-func (r *Router) Current() *Map { return r.gate.Current() }
-
 // Install adopts a newer-epoch map (Gate.Install's monotone rule: it is
 // the router gate's map).
 func (r *Router) Install(m *Map) error { return r.gate.Install(m) }

@@ -31,7 +31,7 @@ func FuzzFECDecode(f *testing.F) {
 		for i := 0; i < int(fp.K)-1; i++ {
 			got = append(got, &Packet{Seq: fp.BaseSeq + uint16(i), Payload: []byte{byte(i)}})
 		}
-		if rec, err := fp.Recover(got, nil); err == nil {
+		if rec, err := fp.recoverMember(got, nil); err == nil {
 			if int(uint16(len(rec.Payload))) != len(rec.Payload) {
 				t.Fatalf("recovered payload length %d out of range", len(rec.Payload))
 			}

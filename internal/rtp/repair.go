@@ -127,11 +127,11 @@ func ParseScheme(name string) (Scheme, error) {
 	return SchemeNone, fmt.Errorf("rtp: unknown repair scheme %q", name)
 }
 
-// RedundancyOverhead returns the scheme's nominal bandwidth overhead as a
+// redundancyOverhead returns the scheme's nominal bandwidth overhead as a
 // fraction of the media rate — what the §4.6-style budget charges a call
 // for choosing it: RED doubles the stream, FEC-k adds one parity per k
 // packets, NACK costs only occasional retransmits (a nominal 5%).
-func RedundancyOverhead(s Scheme) float64 {
+func redundancyOverhead(s Scheme) float64 {
 	switch {
 	case s == SchemeNACK:
 		return 0.05
@@ -194,12 +194,12 @@ func (p *FECPacket) Unmarshal(buf []byte) error {
 	return nil
 }
 
-// Recover reconstructs the single missing member of the group from the
+// recoverMember reconstructs the single missing member of the group from the
 // parity and the K−1 received members. Fewer survivors mean double loss
 // (ErrFECUnrecoverable); members outside the group or duplicated are
 // rejected. The returned packet's payload appends to dst (pass nil, or a
 // reused buffer to avoid allocation).
-func (p *FECPacket) Recover(got []*Packet, dst []byte) (Packet, error) {
+func (p *FECPacket) recoverMember(got []*Packet, dst []byte) (Packet, error) {
 	k := int(p.K)
 	if len(got) != k-1 {
 		return Packet{}, ErrFECUnrecoverable
@@ -259,9 +259,6 @@ type FECEncoder struct {
 func NewFECEncoder(k int) *FECEncoder {
 	return &FECEncoder{k: SchemeFEC(k).FECGroup()}
 }
-
-// K returns the group size.
-func (e *FECEncoder) K() int { return e.k }
 
 // Add folds one media packet into the current group.
 //
@@ -595,9 +592,6 @@ func (g *NACKGenerator) Due(nowNanos int64, dst []uint16) ([]uint16, int) {
 	g.misses += int64(expired)
 	return dst, expired
 }
-
-// Pending returns how many gaps are currently tracked.
-func (g *NACKGenerator) Pending() int { return len(g.entries) }
 
 // DeadlineMisses returns how many gaps were abandoned unrepaired.
 func (g *NACKGenerator) DeadlineMisses() int64 { return g.misses }

@@ -48,16 +48,16 @@ func TestSchemeCodec(t *testing.T) {
 }
 
 func TestRedundancyOverhead(t *testing.T) {
-	if RedundancyOverhead(SchemeNone) != 0 {
+	if redundancyOverhead(SchemeNone) != 0 {
 		t.Error("none must be free")
 	}
-	if RedundancyOverhead(SchemeRED) != 1 {
+	if redundancyOverhead(SchemeRED) != 1 {
 		t.Error("red doubles the stream")
 	}
-	if got := RedundancyOverhead(SchemeFEC(4)); got != 0.25 {
+	if got := redundancyOverhead(SchemeFEC(4)); got != 0.25 {
 		t.Errorf("fec-4 overhead = %v, want 0.25", got)
 	}
-	if RedundancyOverhead(SchemeNACK) >= RedundancyOverhead(SchemeFEC(15)) {
+	if redundancyOverhead(SchemeNACK) >= redundancyOverhead(SchemeFEC(15)) {
 		t.Error("nack must be the cheapest non-none scheme")
 	}
 }
@@ -122,7 +122,7 @@ func TestFECRecoverAnySingleLoss(t *testing.T) {
 						got = append(got, p)
 					}
 				}
-				rec, err := fp.Recover(got, nil)
+				rec, err := fp.recoverMember(got, nil)
 				if err != nil {
 					t.Fatalf("miss=%d: %v", miss, err)
 				}
@@ -143,16 +143,16 @@ func TestFECDoubleLossUnrecoverable(t *testing.T) {
 	for _, p := range pkts {
 		parity = enc.Add(p)
 	}
-	if _, err := parity.Recover(pkts[:2], nil); err != ErrFECUnrecoverable {
+	if _, err := parity.recoverMember(pkts[:2], nil); err != ErrFECUnrecoverable {
 		t.Errorf("double loss: %v, want ErrFECUnrecoverable", err)
 	}
 	// Duplicated member and out-of-group member must be rejected too.
-	if _, err := parity.Recover([]*Packet{pkts[0], pkts[0], pkts[1]}, nil); err == nil {
+	if _, err := parity.recoverMember([]*Packet{pkts[0], pkts[0], pkts[1]}, nil); err == nil {
 		t.Error("duplicate member accepted")
 	}
 	foreign := *pkts[0]
 	foreign.Seq = 999
-	if _, err := parity.Recover([]*Packet{pkts[0], pkts[1], &foreign}, nil); err == nil {
+	if _, err := parity.recoverMember([]*Packet{pkts[0], pkts[1], &foreign}, nil); err == nil {
 		t.Error("out-of-group member accepted")
 	}
 }
@@ -174,7 +174,7 @@ func TestFECPacketUnmarshalErrors(t *testing.T) {
 	// recovery time.
 	corrupt := FECPacket{K: 2, LenXor: 100, Payload: []byte{1, 2}}
 	member := &Packet{Seq: 0, Payload: []byte{9}}
-	if _, err := corrupt.Recover([]*Packet{member}, nil); err != ErrFECUnrecoverable {
+	if _, err := corrupt.recoverMember([]*Packet{member}, nil); err != ErrFECUnrecoverable {
 		t.Errorf("oversized recovered length: %v", err)
 	}
 }
@@ -267,8 +267,8 @@ func TestNACKGeneratorRetryCap(t *testing.T) {
 	if requests != 2 {
 		t.Errorf("requests = %d, want retry cap 2", requests)
 	}
-	if gen.Pending() != 0 {
-		t.Errorf("entry must expire after the cap: pending %d", gen.Pending())
+	if len(gen.entries) != 0 {
+		t.Errorf("entry must expire after the cap: pending %d", len(gen.entries))
 	}
 	if gen.DeadlineMisses() != 1 {
 		t.Errorf("misses = %d, want 1", gen.DeadlineMisses())
@@ -291,8 +291,8 @@ func TestNACKGeneratorDeadline(t *testing.T) {
 	if len(due) != 0 || expired != 1 {
 		t.Fatalf("past deadline: %v expired %d", due, expired)
 	}
-	if gen.DeadlineMisses() != 1 || gen.Pending() != 0 {
-		t.Errorf("misses %d pending %d", gen.DeadlineMisses(), gen.Pending())
+	if gen.DeadlineMisses() != 1 || len(gen.entries) != 0 {
+		t.Errorf("misses %d pending %d", gen.DeadlineMisses(), len(gen.entries))
 	}
 }
 
@@ -301,12 +301,12 @@ func TestNACKGeneratorRecovered(t *testing.T) {
 	gen.Missing(3, 0)
 	gen.Missing(4, 0)
 	gen.Missing(3, 5) // idempotent
-	if gen.Pending() != 2 {
-		t.Fatalf("pending = %d", gen.Pending())
+	if len(gen.entries) != 2 {
+		t.Fatalf("pending = %d", len(gen.entries))
 	}
 	gen.Recovered(3)
-	if gen.Pending() != 1 {
-		t.Fatalf("pending after recovery = %d", gen.Pending())
+	if len(gen.entries) != 1 {
+		t.Fatalf("pending after recovery = %d", len(gen.entries))
 	}
 	due, _ := gen.Due(0, nil)
 	if len(due) != 1 || due[0] != 4 {
@@ -322,8 +322,8 @@ func TestNACKGeneratorTableBound(t *testing.T) {
 	for s := uint16(0); s < 10; s++ {
 		gen.Missing(s, 0)
 	}
-	if gen.Pending() != 4 {
-		t.Errorf("pending = %d, want bound 4", gen.Pending())
+	if len(gen.entries) != 4 {
+		t.Errorf("pending = %d, want bound 4", len(gen.entries))
 	}
 	if gen.DeadlineMisses() != 6 {
 		t.Errorf("evictions must count as misses: %d", gen.DeadlineMisses())
@@ -392,11 +392,11 @@ func TestLossTrackerReorderedVsLost(t *testing.T) {
 	if l.Lost() != 0 {
 		t.Errorf("lost = %d: reordering double-penalized", l.Lost())
 	}
-	if l.Reordered() != 1 || l.Duplicates() != 2 {
-		t.Errorf("reordered/dups = %d/%d, want 1/2", l.Reordered(), l.Duplicates())
+	if l.reordered != 1 || l.dups != 2 {
+		t.Errorf("reordered/dups = %d/%d, want 1/2", l.reordered, l.dups)
 	}
-	if l.Received() != 5 {
-		t.Errorf("received = %d, want 5 distinct", l.Received())
+	if l.received != 5 {
+		t.Errorf("received = %d, want 5 distinct", l.received)
 	}
 }
 
@@ -409,10 +409,10 @@ func TestLossTrackerDuplicatesDontMaskLoss(t *testing.T) {
 		if s == 5 {
 			continue
 		}
-		l.Observe(s)
+		l.ObserveArrival(s)
 	}
 	for i := 0; i < 5; i++ {
-		l.Observe(3)
+		l.ObserveArrival(3)
 	}
 	if l.Lost() != 1 {
 		t.Errorf("lost = %d, want 1 (duplicates masked the gap)", l.Lost())

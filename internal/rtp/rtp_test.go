@@ -136,13 +136,13 @@ func TestJitterTimestampWraparound(t *testing.T) {
 func TestLossTrackerNoLoss(t *testing.T) {
 	var l LossTracker
 	for s := uint16(100); s < 200; s++ {
-		l.Observe(s)
+		l.ObserveArrival(s)
 	}
 	if l.Lost() != 0 || l.LossRate() != 0 {
 		t.Errorf("lost = %d on gapless stream", l.Lost())
 	}
-	if l.Expected() != 100 || l.Received() != 100 {
-		t.Errorf("expected/received = %d/%d", l.Expected(), l.Received())
+	if l.Expected() != 100 || l.received != 100 {
+		t.Errorf("expected/received = %d/%d", l.Expected(), l.received)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestLossTrackerGaps(t *testing.T) {
 		if s%10 == 3 {
 			continue // drop 10%
 		}
-		l.Observe(s)
+		l.ObserveArrival(s)
 	}
 	if l.Lost() != 10 {
 		t.Errorf("lost = %d, want 10", l.Lost())
@@ -165,7 +165,7 @@ func TestLossTrackerGaps(t *testing.T) {
 func TestLossTrackerReordering(t *testing.T) {
 	var l LossTracker
 	for _, s := range []uint16{1, 2, 4, 3, 5, 7, 6, 8} {
-		l.Observe(s)
+		l.ObserveArrival(s)
 	}
 	if l.Lost() != 0 {
 		t.Errorf("reordering counted as loss: %d", l.Lost())
@@ -176,7 +176,7 @@ func TestLossTrackerWraparound(t *testing.T) {
 	var l LossTracker
 	start := uint16(65530)
 	for i := 0; i < 20; i++ {
-		l.Observe(start + uint16(i)) // wraps past 65535
+		l.ObserveArrival(start + uint16(i)) // wraps past 65535
 	}
 	if l.Lost() != 0 {
 		t.Errorf("wraparound counted as loss: %d", l.Lost())
@@ -210,8 +210,8 @@ func TestFlowStats(t *testing.T) {
 	if m.RTTMs != 100 {
 		t.Errorf("RTT = %v, want 100", m.RTTMs)
 	}
-	if f.RTTSamples() != 2 {
-		t.Errorf("RTT samples = %d", f.RTTSamples())
+	if f.rttCount != 2 {
+		t.Errorf("RTT samples = %d", f.rttCount)
 	}
 	if m.LossRate != 0 {
 		t.Errorf("loss = %v", m.LossRate)

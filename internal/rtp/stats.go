@@ -91,11 +91,6 @@ type LossTracker struct {
 	seen      [seenWords]uint64 // bitmap over ext % seenWindow
 }
 
-// Observe folds one received sequence number into the tracker.
-func (l *LossTracker) Observe(seq uint16) {
-	l.ObserveArrival(seq)
-}
-
 // ObserveArrival folds one received sequence number into the tracker and
 // classifies the arrival.
 //
@@ -182,17 +177,6 @@ func (l *LossTracker) Expected() uint64 {
 	return uint64(l.maxExt-l.baseExt) + 1
 }
 
-// Received returns the distinct packets actually delivered (duplicates
-// within the dedup window count once).
-func (l *LossTracker) Received() uint64 { return l.received }
-
-// Reordered returns how many packets arrived late but were delivered —
-// filled gaps, distinct from losses.
-func (l *LossTracker) Reordered() uint64 { return l.reordered }
-
-// Duplicates returns how many already-delivered packets arrived again.
-func (l *LossTracker) Duplicates() uint64 { return l.dups }
-
 // Lost returns the cumulative loss count (clamped at zero when duplicates
 // outnumber gaps).
 func (l *LossTracker) Lost() uint64 {
@@ -255,9 +239,6 @@ func (f *FlowStats) ObserveRTT(nanos int64) {
 	f.rttSum += float64(nanos) / 1e6
 	f.rttCount++
 }
-
-// RTTSamples returns how many RTT samples were recorded.
-func (f *FlowStats) RTTSamples() int64 { return f.rttCount }
 
 // Metrics returns the call-average metric triple.
 func (f *FlowStats) Metrics() quality.Metrics {

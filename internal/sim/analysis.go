@@ -56,11 +56,3 @@ func (r *Runner) EligiblePairs() []history.PairKey {
 	})
 	return out
 }
-
-// EligibleWindows returns the eligible windows for one pair, ascending.
-func (r *Runner) EligibleWindows(pk history.PairKey) []int {
-	ws := r.pairWindows[pk]
-	out := make([]int, len(ws))
-	copy(out, ws)
-	return out
-}

@@ -40,11 +40,11 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 			}
 			seqCfg := DefaultConfig(seed + 2)
 			seqCfg.Workers = 1
-			seq := NewRunner(w, seqCfg).Run(mkStrategies(), recs)
+			seq := NewRunner(w, seqCfg).run(mkStrategies(), recs)
 
 			parCfg := DefaultConfig(seed + 2)
 			parCfg.Workers = 4
-			par := NewRunner(w, parCfg).Run(mkStrategies(), recs)
+			par := NewRunner(w, parCfg).run(mkStrategies(), recs)
 
 			if len(seq) != len(par) {
 				t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
@@ -81,8 +81,8 @@ func TestEligibilityFlatMatchesNested(t *testing.T) {
 			count++
 		}
 	}
-	if count != r.EligibleCalls() {
-		t.Errorf("EligibleCalls() = %d, counted %d", r.EligibleCalls(), count)
+	if count != r.eligibleCalls {
+		t.Errorf("eligibleCalls = %d, counted %d", r.eligibleCalls, count)
 	}
 }
 

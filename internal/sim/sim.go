@@ -251,10 +251,6 @@ func (r *Runner) IsEligible(c trace.CallRecord) bool {
 	return ok
 }
 
-// EligibleCalls returns the number of trace records passing the §5.1
-// filter in the prepared trace.
-func (r *Runner) EligibleCalls() int { return r.eligibleCalls }
-
 // realize draws the realized performance of assigning option opt to call c.
 // It is deterministic in (call id, option): common random numbers across
 // strategies.
@@ -428,13 +424,13 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run replays the trace against each strategy and returns results in the
+// run replays the trace against each strategy and returns results in the
 // same order. Independent strategies are dispatched across a bounded
 // worker pool (Config.Workers, default GOMAXPROCS); because realized
 // outcomes are pure functions of (call id, option) — common random
 // numbers — and each strategy observes only its own counterfactual, the
 // results are bit-identical to a sequential replay.
-func (r *Runner) Run(strategies []core.Strategy, recs []trace.CallRecord) []*Result {
+func (r *Runner) run(strategies []core.Strategy, recs []trace.CallRecord) []*Result {
 	r.ensurePrepared(recs)
 	out := make([]*Result, len(strategies))
 	workers := r.workers()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/netsim"
 	"repro/internal/quality"
 	"repro/internal/trace"
@@ -145,7 +146,7 @@ func TestClassBreakdownsConsistent(t *testing.T) {
 func TestOracleImprovesEverything(t *testing.T) {
 	w, recs := testWorldTrace(t, 60000)
 	r := NewRunner(w, DefaultConfig(3))
-	results := r.Run([]core.Strategy{
+	results := r.run([]core.Strategy{
 		core.DefaultStrategy{},
 		core.NewOracle(w, quality.RTT),
 	}, recs)
@@ -170,7 +171,7 @@ func TestViaOrderingMatchesPaper(t *testing.T) {
 	w, recs := testWorldTrace(t, 120000)
 	m := quality.RTT
 	r := NewRunner(w, DefaultConfig(3))
-	results := r.Run([]core.Strategy{
+	results := r.run([]core.Strategy{
 		core.DefaultStrategy{},
 		core.NewOracle(w, m),
 		core.NewPredictOnly(m, w),
@@ -233,7 +234,7 @@ func TestEligibleWindowsSorted(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Skip("no eligible pairs at this scale")
 	}
-	ws := r.EligibleWindows(pairs[0])
+	ws := r.eligibleWindows(pairs[0])
 	for i := 1; i < len(ws); i++ {
 		if ws[i] <= ws[i-1] {
 			t.Fatal("windows not strictly ascending")
@@ -298,4 +299,12 @@ func TestActiveProbesImproveVia(t *testing.T) {
 	}
 	t.Logf("PNR(%s): without probes %.4f, with probes %.4f (%d probes)",
 		m, without.PNR.Rate(m), with.PNR.Rate(m), with.Probes)
+}
+
+// eligibleWindows returns the eligible windows for one pair, ascending.
+func (r *Runner) eligibleWindows(pk history.PairKey) []int {
+	ws := r.pairWindows[pk]
+	out := make([]int, len(ws))
+	copy(out, ws)
+	return out
 }

@@ -7,64 +7,6 @@ import (
 	"strings"
 )
 
-// Histogram counts observations into fixed-width bins over [Min, Max).
-// Observations outside the range are clamped into the first/last bin so
-// heavy tails remain visible.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int64
-	total    int64
-}
-
-// NewHistogram creates a histogram with n bins over [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int64, n)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	i := h.binOf(x)
-	h.Counts[i]++
-	h.total++
-}
-
-func (h *Histogram) binOf(x float64) int {
-	n := len(h.Counts)
-	i := int(float64(n) * (x - h.Min) / (h.Max - h.Min))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return i
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
-}
-
-// CDFAt returns the empirical fraction of observations <= x.
-func (h *Histogram) CDFAt(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var cum int64
-	k := h.binOf(x)
-	for i := 0; i <= k; i++ {
-		cum += h.Counts[i]
-	}
-	return float64(cum) / float64(h.total)
-}
-
 // CDF is an empirical cumulative distribution built from raw samples.
 // It supports exact quantiles and fraction-below queries.
 type CDF struct {
@@ -103,9 +45,9 @@ func (c *CDF) FractionAtOrAbove(x float64) float64 {
 	return float64(len(c.sorted)-i) / float64(len(c.sorted))
 }
 
-// Points returns up to n evenly spaced (value, cumulative fraction) points,
+// points returns up to n evenly spaced (value, cumulative fraction) points,
 // suitable for plotting the CDF curve.
-func (c *CDF) Points(n int) [][2]float64 {
+func (c *CDF) points(n int) [][2]float64 {
 	if len(c.sorted) == 0 || n <= 0 {
 		return nil
 	}

@@ -6,57 +6,6 @@ import (
 	"testing"
 )
 
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(0.5)  // bin 0
-	h.Add(9.99) // bin 9
-	h.Add(5)    // bin 5
-	h.Add(-3)   // clamped to bin 0
-	h.Add(42)   // clamped to bin 9
-	if h.Counts[0] != 2 || h.Counts[5] != 1 || h.Counts[9] != 2 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 5 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	if got := h.BinCenter(0); !almostEq(got, 5, 1e-12) {
-		t.Errorf("BinCenter(0) = %v", got)
-	}
-	if got := h.BinCenter(9); !almostEq(got, 95, 1e-12) {
-		t.Errorf("BinCenter(9) = %v", got)
-	}
-}
-
-func TestHistogramCDFAt(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if got := h.CDFAt(4.5); !almostEq(got, 0.5, 1e-12) {
-		t.Errorf("CDFAt(4.5) = %v, want 0.5", got)
-	}
-	if got := h.CDFAt(9.5); !almostEq(got, 1, 1e-12) {
-		t.Errorf("CDFAt(9.5) = %v, want 1", got)
-	}
-	empty := NewHistogram(0, 1, 4)
-	if empty.CDFAt(0.5) != 0 {
-		t.Error("empty histogram CDF should be 0")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid bounds should panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestCDFQuantileAndFractions(t *testing.T) {
 	c := NewCDF([]float64{4, 1, 3, 2, 5})
 	if c.N() != 5 {
@@ -96,7 +45,7 @@ func TestCDFEmpty(t *testing.T) {
 	if !math.IsNaN(c.Quantile(0.5)) {
 		t.Error("empty CDF quantile should be NaN")
 	}
-	if c.Points(5) != nil {
+	if c.points(5) != nil {
 		t.Error("empty CDF points should be nil")
 	}
 }
@@ -107,7 +56,7 @@ func TestCDFPoints(t *testing.T) {
 		xs[i] = float64(i)
 	}
 	c := NewCDF(xs)
-	pts := c.Points(11)
+	pts := c.points(11)
 	if len(pts) != 11 {
 		t.Fatalf("got %d points", len(pts))
 	}

@@ -99,17 +99,11 @@ func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 // Uint64 returns a uniform 64-bit sample.
 func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // NormFloat64 returns a standard normal sample.
 func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
-
-// ExpFloat64 returns a rate-1 exponential sample.
-func (r *RNG) ExpFloat64() float64 { return r.src.ExpFloat64() }
 
 // Normal returns a Gaussian sample with the given mean and standard
 // deviation.
@@ -139,37 +133,6 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// Bernoulli returns true with probability p.
-func (r *RNG) Bernoulli(p float64) bool {
-	return r.src.Float64() < p
-}
-
-// Poisson returns a Poisson(lambda) sample. For large lambda it uses the
-// normal approximation, which is accurate enough for workload generation.
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 64 {
-		n := int(math.Round(r.Normal(lambda, math.Sqrt(lambda))))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	// Knuth's algorithm.
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.src.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Zipf samples from a finite Zipf distribution over {0, ..., n-1} with
 // exponent s: P(k) ∝ 1/(k+1)^s. It precomputes the CDF once, so sampling is
 // a binary search. Use NewZipf to build one.
@@ -195,9 +158,6 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	}
 	return &Zipf{cdf: cdf, rng: rng}
 }
-
-// N returns the number of items the sampler draws over.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // Sample returns a rank in [0, n), with rank 0 the most popular.
 func (z *Zipf) Sample() int {

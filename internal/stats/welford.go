@@ -19,9 +19,9 @@ func (w *Welford) Add(x float64) {
 	w.M2 += delta * (x - w.Mean)
 }
 
-// AddN incorporates the same observation n times (used when collapsing
+// addN incorporates the same observation n times (used when collapsing
 // pre-aggregated samples).
-func (w *Welford) AddN(x float64, n int64) {
+func (w *Welford) addN(x float64, n int64) {
 	if n <= 0 {
 		return
 	}
@@ -67,11 +67,11 @@ func (w *Welford) SEM() float64 {
 	return w.StdDev() / math.Sqrt(float64(w.N))
 }
 
-// CI95 returns the lower and upper bounds of the 95% confidence interval on
+// ci95 returns the lower and upper bounds of the 95% confidence interval on
 // the mean: Mean ± 1.96·SEM. With fewer than two samples both bounds equal
 // the mean; callers that need to treat sparse data conservatively should
 // check N themselves.
-func (w *Welford) CI95() (lower, upper float64) {
+func (w *Welford) ci95() (lower, upper float64) {
 	sem := w.SEM()
 	return w.Mean - 1.96*sem, w.Mean + 1.96*sem
 }

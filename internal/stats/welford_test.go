@@ -34,7 +34,7 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 	if w.Mean != 3.5 || w.Variance() != 0 || w.SEM() != 0 {
 		t.Error("single-sample accumulator should have zero spread")
 	}
-	lo, hi := w.CI95()
+	lo, hi := w.ci95()
 	if lo != 3.5 || hi != 3.5 {
 		t.Error("single-sample CI should collapse to the mean")
 	}
@@ -88,18 +88,18 @@ func TestWelfordMergeEmpty(t *testing.T) {
 
 func TestWelfordAddN(t *testing.T) {
 	var a Welford
-	a.AddN(4, 3)
+	a.addN(4, 3)
 	var b Welford
 	b.Add(4)
 	b.Add(4)
 	b.Add(4)
 	if a.N != b.N || !almostEq(a.Mean, b.Mean, 1e-12) || !almostEq(a.M2, b.M2, 1e-12) {
-		t.Errorf("AddN mismatch: %+v vs %+v", a, b)
+		t.Errorf("addN mismatch: %+v vs %+v", a, b)
 	}
-	a.AddN(10, 0)
-	a.AddN(10, -1)
+	a.addN(10, 0)
+	a.addN(10, -1)
 	if a.N != 3 {
-		t.Error("AddN with n<=0 should be a no-op")
+		t.Error("addN with n<=0 should be a no-op")
 	}
 }
 
@@ -133,7 +133,7 @@ func TestCI95ContainsTrueMeanUsually(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			w.Add(r.Normal(7, 2))
 		}
-		lo, hi := w.CI95()
+		lo, hi := w.ci95()
 		if lo <= 7 && 7 <= hi {
 			contained++
 		}

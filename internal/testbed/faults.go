@@ -303,19 +303,3 @@ func (tb *Testbed) StopHeartbeats() {
 	tb.hbOnce.Do(func() { close(tb.hbStop) })
 	tb.hbWG.Wait()
 }
-
-// RefreshDirectories re-fetches the relay directory over the pristine
-// admin path and installs it on every agent — the periodic directory pull
-// production clients would do.
-func (tb *Testbed) RefreshDirectories() error {
-	dir, err := tb.adminCtrl.Relays()
-	if err != nil {
-		return err
-	}
-	for _, c := range tb.Clients {
-		if err := c.Agent.SetRelays(dir); err != nil {
-			return err
-		}
-	}
-	return nil
-}

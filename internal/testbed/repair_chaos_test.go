@@ -40,8 +40,13 @@ func TestChaosBurstLossRepairedEndToEnd(t *testing.T) {
 		t.Fatalf("burst-loss plan: %v", errs)
 	}
 
+	// Each call logs what the channel ate per direction (statistical loss
+	// on each end's shaper), so a call that ends without receiver reports
+	// tells a channel that dropped every report from an agent that sent
+	// none.
 	call := func(scheme rtp.Scheme, dur time.Duration) client.CallOutcome {
 		t.Helper()
+		fwd0, rev0 := caller.Shaper.LossDrops(), callee.Shaper.LossDrops()
 		out, err := caller.Agent.CallResilient(client.CallSpec{
 			Peer:     callee.Agent.Addr(),
 			Option:   netsim.DirectOption(),
@@ -49,8 +54,11 @@ func TestChaosBurstLossRepairedEndToEnd(t *testing.T) {
 			PPS:      100,
 			Repair:   scheme,
 		})
+		fwd, rev := caller.Shaper.LossDrops()-fwd0, callee.Shaper.LossDrops()-rev0
+		t.Logf("repair=%v: loss dropped %d caller→callee and %d callee→caller datagrams", scheme, fwd, rev)
 		if err != nil {
-			t.Fatalf("call with repair=%v under burst loss: %v", scheme, err)
+			t.Fatalf("call with repair=%v under burst loss: %v (loss dropped %d caller→callee, %d callee→caller)",
+				scheme, err, fwd, rev)
 		}
 		return out
 	}

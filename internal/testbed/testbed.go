@@ -274,7 +274,7 @@ func Start(cfg Config) (*Testbed, error) {
 			return nil, err
 		}
 		sh := wan.Wrap(pc, cfg.Seed^uint64(as)<<16^uint64(i))
-		ag := client.New(int32(as), retiringConn{sh}, cfg.Seed+uint64(i)*7919)
+		ag := client.New(retiringConn{sh}, cfg.Seed+uint64(i)*7919)
 		ag.RegisterMetrics(reg, strconv.Itoa(int(as)))
 		tb.Clients = append(tb.Clients, &ClientNode{AS: as, Agent: ag, Shaper: sh})
 	}

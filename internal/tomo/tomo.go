@@ -83,9 +83,6 @@ func (s *Solver) AddObservation(segments []int, value, weight float64) {
 	s.obs = append(s.obs, Observation{Segments: segs, Value: value, Weight: weight})
 }
 
-// NumObservations returns the number of recorded observations.
-func (s *Solver) NumObservations() int { return len(s.obs) }
-
 // Result holds the solved segment estimates and quality information.
 type Result struct {
 	// Estimate[j] is the solved (linearized) value of segment j; segments

@@ -77,9 +77,9 @@ type Pair struct {
 	Src, Dst netsim.ASID
 }
 
-// Canonical returns the pair with endpoints ordered low-to-high, the
+// canonical returns the pair with endpoints ordered low-to-high, the
 // granularity at which performance is symmetric.
-func (p Pair) Canonical() Pair {
+func (p Pair) canonical() Pair {
 	if p.Src > p.Dst {
 		return Pair{p.Dst, p.Src}
 	}
@@ -161,10 +161,6 @@ func (g *Generator) samplePair(r *stats.RNG) Pair {
 		return Pair{src, src}
 	}
 }
-
-// Pairs returns the generator's pair population (shared slice; do not
-// modify).
-func (g *Generator) Pairs() []Pair { return g.pairs }
 
 // Generate produces the full trace in chronological order, invoking emit for
 // each record. Records are routed over the direct path, matching the

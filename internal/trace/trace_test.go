@@ -156,11 +156,11 @@ func TestWindowHelper(t *testing.T) {
 
 func TestPairCanonical(t *testing.T) {
 	p := Pair{5, 2}
-	if p.Canonical() != (Pair{2, 5}) {
+	if p.canonical() != (Pair{2, 5}) {
 		t.Error("canonical should order endpoints")
 	}
 	q := Pair{2, 5}
-	if q.Canonical() != q {
+	if q.canonical() != q {
 		t.Error("already-canonical pair changed")
 	}
 	if p.String() != "5-2" {

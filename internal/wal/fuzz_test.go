@@ -5,17 +5,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// FuzzWALDecode hammers the frame decoders with arbitrary bytes — torn
-// tails, truncations, bit flips, hostile length prefixes. The decoder must
-// never panic and never over-read, and a successfully decoded frame must
-// re-encode to exactly the bytes it consumed (so corruption can't sneak
-// through the CRC and still round-trip).
+// FuzzWALDecode hammers the stream frame decoder with arbitrary bytes —
+// torn tails, truncations, bit flips, hostile length prefixes. The decoder
+// must never panic and never over-read, and a successfully decoded frame
+// must be exactly the bytes it was read from and re-encode to them (so
+// corruption can't sneak through the CRC and still round-trip).
 func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeFrame(nil, Record{Type: 1, Data: []byte("report")}))
@@ -30,43 +31,31 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rest := data
-		// The stream decoder (segment tail, standby stream) must agree with
-		// the buffer decoder frame for frame, reusing one buffer throughout.
+		// Frame by frame through one reused buffer, as the segment tail and
+		// the standby stream read.
 		stream := bytes.NewReader(data)
 		var frame []byte
-		for {
-			rec, n, err := DecodeFrame(rest)
-			var serr error
-			if frame, serr = readFrame(stream, frame); (serr == nil) != (err == nil) {
-				t.Fatalf("DecodeFrame err %v but readFrame err %v", err, serr)
-			}
-			if err == nil && !bytes.Equal(frame, rest[:n]) {
-				t.Fatalf("readFrame returned %x, DecodeFrame consumed %x", frame, rest[:n])
-			}
-			if err != nil {
-				// Errors must be one of the two sentinel families and must
-				// not consume input.
-				if n != 0 {
-					t.Fatalf("error %v consumed %d bytes", err, n)
+		var err error
+		for off := 0; ; off += len(frame) {
+			if frame, err = readFrame(stream, frame); err != nil {
+				if err == io.EOF && off != len(data) ||
+					err != io.EOF && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("offset %d of %d: %v", off, len(data), err)
 				}
-				break
+				return
 			}
-			if n < frameHeaderLen+1 || n > len(rest) {
-				t.Fatalf("decoded frame claims %d of %d bytes", n, len(rest))
+			if len(frame) < frameHeaderLen+1 || off+len(frame) > len(data) || !bytes.Equal(frame, data[off:off+len(frame)]) {
+				t.Fatalf("frame at offset %d is %x, not the bytes it was read from", off, frame)
 			}
-			// Round-trip: re-encoding must reproduce the consumed bytes.
-			again := EncodeFrame(nil, rec)
-			if !bytes.Equal(again, rest[:n]) {
-				t.Fatalf("re-encode mismatch: %x vs %x", again, rest[:n])
+			if again := EncodeFrame(nil, frameRecord(frame)); !bytes.Equal(again, frame) {
+				t.Fatalf("re-encode mismatch: %x vs %x", again, frame)
 			}
-			rest = rest[n:]
 		}
 	})
 }
 
-// FuzzWALRecover holds the open-time segment scan to the whole-buffer
-// DecodeFrame loop: arbitrary bytes behind valid frames must give the
+// FuzzWALRecover holds the open-time segment scan to a readFrame loop over
+// the whole buffer: arbitrary bytes behind valid frames must give the
 // same record count and truncation offset for a tail segment, and for a
 // sealed one the same verdict (ErrTruncated or ErrCorrupt) at the same
 // record and offset.
@@ -94,14 +83,15 @@ func FuzzWALRecover(f *testing.F) {
 
 		n, off := 0, 0
 		var want error
-		for off < len(data) {
-			_, adv, err := DecodeFrame(data[off:])
+		for stream := bytes.NewReader(data); ; n++ {
+			frame, err := readFrame(stream, nil)
 			if err != nil {
-				want = err
+				if err != io.EOF {
+					want = err
+				}
 				break
 			}
-			off += adv
-			n++
+			off += len(frame)
 		}
 
 		path := filepath.Join(dir, "0000000000000001.wal")
@@ -111,25 +101,25 @@ func FuzzWALRecover(f *testing.F) {
 		_, err := recoverSegment(r, &segment{first: 1, path: path}, false)
 		switch {
 		case want == nil && err != nil:
-			t.Fatalf("sealed scan: %v; DecodeFrame found %d clean records", err, n)
+			t.Fatalf("sealed scan: %v; readFrame found %d clean records", err, n)
 		case want != nil && err == nil:
-			t.Fatalf("sealed scan accepted what DecodeFrame rejects at record %d offset %d: %v", n, off, want)
+			t.Fatalf("sealed scan accepted what readFrame rejects at record %d offset %d: %v", n, off, want)
 		case want != nil && (errors.Is(err, ErrTruncated) != errors.Is(want, ErrTruncated) ||
 			errors.Is(err, ErrCorrupt) != errors.Is(want, ErrCorrupt) ||
 			!strings.Contains(err.Error(), fmt.Sprintf("record %d at offset %d:", n, off))):
-			t.Fatalf("sealed scan: %v; DecodeFrame: record %d at offset %d: %v", err, n, off, want)
+			t.Fatalf("sealed scan: %v; readFrame: record %d at offset %d: %v", err, n, off, want)
 		}
 
 		got, err := recoverSegment(r, &segment{first: 1, path: path}, true)
 		if err != nil || got != n {
-			t.Fatalf("tail scan: %d records, err %v; DecodeFrame found %d", got, err, n)
+			t.Fatalf("tail scan: %d records, err %v; readFrame found %d", got, err, n)
 		}
 		st, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Size() != int64(off) {
-			t.Fatalf("tail scan left %d bytes, DecodeFrame stops at %d", st.Size(), off)
+			t.Fatalf("tail scan left %d bytes, readFrame stops at %d", st.Size(), off)
 		}
 	})
 }

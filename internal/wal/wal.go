@@ -125,30 +125,6 @@ func EncodeFrame(dst []byte, rec Record) []byte {
 	return dst
 }
 
-// DecodeFrame parses the first frame in b. It returns the record, the
-// number of bytes consumed, and an error: ErrTruncated when b ends before
-// the frame does, ErrCorrupt when the frame fails validation. The returned
-// record's Data aliases b.
-func DecodeFrame(b []byte) (Record, int, error) {
-	if len(b) < frameHeaderLen {
-		return Record{}, 0, ErrTruncated
-	}
-	payloadLen := binary.BigEndian.Uint32(b[0:4])
-	if payloadLen == 0 || payloadLen > MaxRecordBytes {
-		return Record{}, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, payloadLen)
-	}
-	end := frameHeaderLen + int(payloadLen)
-	if len(b) < end {
-		return Record{}, 0, ErrTruncated
-	}
-	want := binary.BigEndian.Uint32(b[4:8])
-	payload := b[frameHeaderLen:end]
-	if crc32.Checksum(payload, castagnoli) != want {
-		return Record{}, 0, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
-	}
-	return Record{Type: Type(payload[0]), Data: payload[1:]}, end, nil
-}
-
 // Options tunes a Log. The zero value gives production defaults.
 type Options struct {
 	// SyncInterval is the group-commit window: how long an acknowledged
@@ -423,7 +399,7 @@ func recoverSegment(r *bufio.Reader, seg *segment, tail bool) (int, error) {
 // scanSegment reads a segment of size bytes through r, noting seg's marks
 // as it goes, up to its end or its first invalid frame. It returns the
 // number of valid frames, the offset just past the last of them, and the
-// invalid frame's verdict, as DecodeFrame would give it over the whole
+// invalid frame's verdict, as readFrame would give it over the whole
 // file: ErrTruncated when the file ends inside the frame — a length prefix
 // claiming more bytes than are left included, before any of them is read —
 // and ErrCorrupt when it fails validation. The CRC is taken over r's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,27 +52,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, r := range recs {
 		buf = EncodeFrame(buf, r)
 	}
+	stream := bytes.NewReader(buf)
 	for i, want := range recs {
-		got, n, err := DecodeFrame(buf)
+		frame, err := readFrame(stream, nil)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
+		got := frameRecord(frame)
 		if got.Type != want.Type || !bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("record %d mismatch", i)
 		}
-		buf = buf[n:]
 	}
-	if len(buf) != 0 {
-		t.Fatalf("%d trailing bytes", len(buf))
+	if stream.Len() != 0 {
+		t.Fatalf("%d trailing bytes", stream.Len())
 	}
 }
 
 func TestDecodeFrameErrors(t *testing.T) {
 	frame := EncodeFrame(nil, Record{Type: 7, Data: []byte("hello world")})
 
-	// Every strict prefix is a truncation, never corruption or a panic.
-	for n := 0; n < len(frame); n++ {
-		if _, _, err := DecodeFrame(frame[:n]); err != ErrTruncated {
+	// No bytes is a clean end of stream; every other strict prefix is a
+	// truncation, never corruption or a panic.
+	if _, err := readFrame(bytes.NewReader(nil), nil); err != io.EOF {
+		t.Fatalf("empty stream: got %v, want io.EOF", err)
+	}
+	for n := 1; n < len(frame); n++ {
+		if _, err := readFrame(bytes.NewReader(frame[:n]), nil); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("prefix %d: got %v, want ErrTruncated", n, err)
 		}
 	}
@@ -79,8 +85,7 @@ func TestDecodeFrameErrors(t *testing.T) {
 	for i := 0; i < len(frame)*8; i++ {
 		mut := append([]byte(nil), frame...)
 		mut[i/8] ^= 1 << (i % 8)
-		_, _, err := DecodeFrame(mut)
-		if err == nil {
+		if _, err := readFrame(bytes.NewReader(mut), nil); err == nil {
 			t.Fatalf("bit flip %d went undetected", i)
 		}
 	}

@@ -81,7 +81,6 @@ type Shaper struct {
 	links     map[netip.AddrPort]LinkParams // guarded by mu
 	def       LinkParams                    // guarded by mu
 	blackhole map[netip.AddrPort]bool       // guarded by mu
-	blackAll  bool                          // guarded by mu
 	bursts    map[netip.AddrPort]geState    // guarded by mu
 	rng       *stats.RNG                    // guarded by mu
 	closed    bool                          // guarded by mu
@@ -155,22 +154,6 @@ func (s *Shaper) SetBlackhole(dst string, on bool) {
 	s.mu.Unlock()
 }
 
-// SetBlackholeAll blackholes every destination (a full partition of this
-// node) until turned off.
-func (s *Shaper) SetBlackholeAll(on bool) {
-	s.mu.Lock()
-	s.blackAll = on
-	s.mu.Unlock()
-}
-
-// Blackholed reports whether dst is currently blackholed.
-func (s *Shaper) Blackholed(dst string) bool {
-	k, _ := parseKey(dst)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.blackAll || s.blackhole[k]
-}
-
 // FaultDrops returns how many datagrams blackholes have eaten.
 func (s *Shaper) FaultDrops() int64 { return s.faultDrops.Load() }
 
@@ -211,7 +194,7 @@ func (s *Shaper) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) 
 		s.mu.Unlock()
 		return 0, net.ErrClosed
 	}
-	if s.blackAll || s.blackhole[dst] {
+	if s.blackhole[dst] {
 		s.mu.Unlock()
 		s.faultDrops.Add(1)
 		return len(b), nil // the network ate it; senders cannot tell

@@ -209,9 +209,6 @@ func TestBlackholePerDestination(t *testing.T) {
 	s := Wrap(a, 10)
 	dst := b.LocalAddr().String()
 	s.SetBlackhole(dst, true)
-	if !s.Blackholed(dst) {
-		t.Error("blackhole not reported")
-	}
 	for i := 0; i < 5; i++ {
 		n, err := s.WriteTo([]byte("x"), b.LocalAddr())
 		if err != nil || n != 1 {
@@ -229,33 +226,9 @@ func TestBlackholePerDestination(t *testing.T) {
 
 	// Healing restores delivery.
 	s.SetBlackhole(dst, false)
-	if s.Blackholed(dst) {
-		t.Error("blackhole still reported after heal")
-	}
 	if _, err := s.WriteTo([]byte("y"), b.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
-	b.SetReadDeadline(time.Now().Add(time.Second))
-	if _, _, err := b.ReadFrom(buf); err != nil {
-		t.Error("packet lost after heal:", err)
-	}
-}
-
-func TestBlackholeAll(t *testing.T) {
-	a, b := udpPair(t)
-	s := Wrap(a, 11)
-	s.SetBlackholeAll(true)
-	if !s.Blackholed("anything:1") {
-		t.Error("blackhole-all not reported")
-	}
-	s.WriteTo([]byte("x"), b.LocalAddr())
-	buf := make([]byte, 16)
-	b.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if _, _, err := b.ReadFrom(buf); err == nil {
-		t.Error("packet leaked through full blackhole")
-	}
-	s.SetBlackholeAll(false)
-	s.WriteTo([]byte("y"), b.LocalAddr())
 	b.SetReadDeadline(time.Now().Add(time.Second))
 	if _, _, err := b.ReadFrom(buf); err != nil {
 		t.Error("packet lost after heal:", err)
