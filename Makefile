@@ -88,8 +88,9 @@ short:
 # scan (held to the whole-buffer frame decoder), the loss-repair payloads
 # (FEC parity packets and NACK requests), and — differentially against
 # encoding/json — the hand-written JSON codecs of the hot control messages,
-# the hot WAL records and the ring's pair peek; and the control stream's
-# frame readers, server and client side; and the relay's per-datagram
+# the hot WAL records and the ring's pair peek; the control stream's binary
+# bodies (held to decode(encode(x)) == x) and its frame readers, server and
+# client side; and the relay's per-datagram
 # step, over arbitrary datagrams from IPv4, 4-in-6, IPv6 and zero sources.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFrameUnmarshal -fuzztime=$(FUZZTIME) ./internal/transport/
@@ -100,6 +101,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFECDecode -fuzztime=$(FUZZTIME) ./internal/rtp/
 	$(GO) test -run=NONE -fuzz=FuzzNACKParse -fuzztime=$(FUZZTIME) ./internal/rtp/
 	$(GO) test -run=NONE -fuzz=FuzzControlCodec -fuzztime=$(FUZZTIME) ./internal/transport/
+	$(GO) test -run=NONE -fuzz=FuzzControlBinary -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzWALRecordCodec -fuzztime=$(FUZZTIME) ./internal/controller/
 	$(GO) test -run=NONE -fuzz=FuzzPeekPair -fuzztime=$(FUZZTIME) ./internal/ring/
 	$(GO) test -run=NONE -fuzz=FuzzControlStream -fuzztime=$(FUZZTIME) ./internal/controller/

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/quality"
 	"repro/internal/rtp"
 	"repro/internal/wan"
 )
@@ -90,82 +89,5 @@ func TestRtxDeadlineMissesCounted(t *testing.T) {
 	repairCall(t, caller, callee, rtp.SchemeNACK, 1200*time.Millisecond)
 	if callee.RtxDeadlineMisses() == 0 {
 		t.Error("50% loss produced no expired NACK entries")
-	}
-}
-
-// fakeRepairCP is a scriptable RepairControlPlane for Selector tests.
-type fakeRepairCP struct {
-	fakeControl // embeds plain Choose/Report and the fail toggle
-	scheme      string
-	gotDur      float64
-}
-
-func (f *fakeRepairCP) ChooseWithRepair(src, dst int32, cands []netsim.Option, schemes []string) (netsim.Option, string, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.fail {
-		return netsim.DirectOption(), "", errCtrlDown
-	}
-	return cands[0], f.scheme, nil
-}
-
-func (f *fakeRepairCP) ReportRepair(src, dst int32, opt netsim.Option, scheme string, durSec float64, m quality.Metrics) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.fail {
-		return errCtrlDown
-	}
-	f.gotDur = durSec
-	return nil
-}
-
-func TestSelectorChooseWithRepairPassesScheme(t *testing.T) {
-	cp := &fakeRepairCP{scheme: "nack"}
-	s := NewSelector(cp)
-	cands := []netsim.Option{netsim.BounceOption(1)}
-	opt, scheme, fresh := s.chooseWithRepair(1, 2, cands, []string{"none", "nack"})
-	if !fresh || scheme != "nack" || opt != cands[0] {
-		t.Errorf("got (%v, %q, fresh=%v)", opt, scheme, fresh)
-	}
-	s.reportRepair(1, 2, opt, scheme, 42, quality.Metrics{RTTMs: 10})
-	if cp.gotDur != 42 {
-		t.Errorf("duration not forwarded: %v", cp.gotDur)
-	}
-}
-
-func TestSelectorChooseWithRepairDegradesScheme(t *testing.T) {
-	cp := &fakeRepairCP{scheme: "red"}
-	s := NewSelector(cp)
-	cands := []netsim.Option{netsim.BounceOption(1)}
-	if _, _, fresh := s.chooseWithRepair(1, 2, cands, []string{"red"}); !fresh {
-		t.Fatal("warmup choose not fresh")
-	}
-	cp.setFail(true)
-	opt, scheme, fresh := s.chooseWithRepair(1, 2, cands, []string{"red"})
-	if fresh || scheme != "" {
-		t.Errorf("degraded choose returned (%q, fresh=%v), want no scheme", scheme, fresh)
-	}
-	if opt != cands[0] {
-		t.Errorf("degraded choose lost the cached path: %v", opt)
-	}
-	// Reports fall back to counting, never error.
-	s.reportRepair(1, 2, opt, "red", 10, quality.Metrics{})
-	if s.LostReports() != 1 {
-		t.Errorf("lost reports = %d, want 1", s.LostReports())
-	}
-}
-
-// A plain ControlPlane (no repair methods) still works through the
-// repair-aware entry points.
-func TestSelectorChooseWithRepairPlainPlane(t *testing.T) {
-	cp := &fakeControl{answer: netsim.BounceOption(2)}
-	s := NewSelector(cp)
-	opt, scheme, fresh := s.chooseWithRepair(1, 2, []netsim.Option{netsim.BounceOption(2)}, []string{"nack"})
-	if !fresh || scheme != "" {
-		t.Errorf("plain plane gave (%q, fresh=%v), want empty scheme", scheme, fresh)
-	}
-	s.reportRepair(1, 2, opt, "", 5, quality.Metrics{})
-	if s.LostReports() != 0 {
-		t.Errorf("plain report lost: %d", s.LostReports())
 	}
 }

@@ -16,16 +16,6 @@ type ControlPlane interface {
 	Report(src, dst int32, opt netsim.Option, m quality.Metrics) error
 }
 
-// RepairControlPlane is the optional extension a control plane implements
-// when it can pick a loss-repair scheme alongside the path (the (path,
-// repair) arms of the bandit). *controller.Client implements it; a plane
-// that doesn't is served by the plain ControlPlane methods and calls run
-// without repair.
-type RepairControlPlane interface {
-	ChooseWithRepair(src, dst int32, cands []netsim.Option, schemes []string) (netsim.Option, string, error)
-	ReportRepair(src, dst int32, opt netsim.Option, scheme string, durSec float64, m quality.Metrics) error
-}
-
 // Selector wraps a control plane with graceful degradation: every fresh
 // controller decision is cached per src→dst pair, and when the controller
 // is unreachable (network fault, drain, crash) the Selector serves the
@@ -91,51 +81,6 @@ func (s *Selector) Choose(src, dst int32, cands []netsim.Option) (opt netsim.Opt
 		return cachedOpt, false
 	}
 	return netsim.DirectOption(), false
-}
-
-// chooseWithRepair is Choose plus repair-scheme negotiation. When the
-// control plane (or the controller behind it) predates repair, or the
-// controller is unreachable, the scheme degrades to empty — the call runs
-// with plain forwarding, it does not fail.
-func (s *Selector) chooseWithRepair(src, dst int32, cands []netsim.Option, schemes []string) (opt netsim.Option, scheme string, fresh bool) {
-	rcp, ok := s.cp.(RepairControlPlane)
-	if !ok || len(schemes) == 0 {
-		opt, fresh = s.Choose(src, dst, cands)
-		return opt, "", fresh
-	}
-	opt, scheme, err := rcp.ChooseWithRepair(src, dst, cands, schemes)
-	key := [2]int32{src, dst}
-	if err == nil {
-		s.mu.Lock()
-		s.cached[key] = opt
-		s.mu.Unlock()
-		return opt, scheme, true
-	}
-	// Degraded mode: cached path if still a candidate, no repair scheme
-	// (there is no controller to charge the redundancy budget to).
-	s.stale.Add(1)
-	s.mu.Lock()
-	cachedOpt, cok := s.cached[key]
-	s.mu.Unlock()
-	if cok && (len(cands) == 0 || optionIn(cachedOpt, cands)) {
-		return cachedOpt, "", false
-	}
-	return netsim.DirectOption(), "", false
-}
-
-// reportRepair pushes a measurement along with the scheme that ran and
-// the call duration; like Report, failures are counted and absorbed. A
-// plane without repair support gets the plain report (the scheme is then
-// strategy-side unknown, which matches — it never chose one).
-func (s *Selector) reportRepair(src, dst int32, opt netsim.Option, scheme string, durSec float64, m quality.Metrics) {
-	rcp, ok := s.cp.(RepairControlPlane)
-	if !ok || scheme == "" {
-		s.Report(src, dst, opt, m)
-		return
-	}
-	if err := rcp.ReportRepair(src, dst, opt, scheme, durSec, m); err != nil {
-		s.lostReports.Add(1)
-	}
 }
 
 // Report pushes a measurement; delivery failures are absorbed (counted),

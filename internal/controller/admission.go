@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -92,26 +91,26 @@ func (l *limiter) acquire(done <-chan struct{}) bool {
 	}
 }
 
-func (l *limiter) release() { <-l.sem }
-
-// An opFunc is one op's implementation (choose, report), shared by both
-// carriers: it appends the reply body to dst and returns the HTTP status.
-type opFunc func(body, dst []byte) (int, []byte)
-
-// admit serves one message under its endpoint's limiter, for either
-// carrier; with admission control off (nil limiter) it serves it directly.
-// A message that finds no slot in time, or whose caller hangs up (done)
-// while it queues, is shed: 503 with the shed text. Both carriers send a
-// 503 with Retry-After, which tells well-behaved clients to back off a
-// beat; the controller.Client treats 503 as retryable with jittered backoff
-// already, and its circuit breaker opens under a streak.
-func (l *limiter) admit(done <-chan struct{}, serve opFunc, body, dst []byte) (int, []byte) {
-	if l != nil {
-		if !l.acquire(done) {
-			l.shed.Inc()
-			return http.StatusServiceUnavailable, append(dst, msgShed...)
-		}
-		defer l.release()
+// admit takes a slot for one choose or report, for either carrier; with
+// admission control off (nil limiter) every message is admitted. A message
+// that finds no slot in time, or whose caller hangs up (done) while it
+// queues, is shed: admit counts it and returns false, and the caller
+// answers 503 with the shed text. Both carriers send a 503 with
+// Retry-After, which tells well-behaved clients to back off a beat; the
+// controller.Client treats 503 as retryable with jittered backoff already,
+// and its circuit breaker opens under a streak. An admitted message
+// releases its slot when it is done.
+func (l *limiter) admit(done <-chan struct{}) bool {
+	if l == nil || l.acquire(done) {
+		return true
 	}
-	return serve(body, dst)
+	l.shed.Inc()
+	return false
+}
+
+// release frees an admitted message's slot.
+func (l *limiter) release() {
+	if l != nil {
+		<-l.sem
+	}
 }

@@ -133,9 +133,10 @@ func retryable(status int) bool {
 	return false
 }
 
-// wireRequest and wireResponse are the two halves of a control message's
-// codec as the client uses them. The stream messages (choose, report)
-// implement them by hand in internal/transport; stdJSON adapts every other
+// wireRequest and wireResponse are the two halves of a JSON message's
+// codec as the client uses them on the HTTP endpoints. The POST choose and
+// report messages implement them by hand in internal/transport (the client
+// sends those on the control stream, in binary); stdJSON adapts every other
 // message through encoding/json.
 type wireRequest interface {
 	AppendJSON(dst []byte) ([]byte, error)
@@ -306,15 +307,8 @@ func (c *Client) Relays() (map[netsim.RelayID]string, error) {
 
 // Choose asks the controller for a relaying option.
 func (c *Client) Choose(src, dst int32, cands []netsim.Option) (netsim.Option, error) {
-	req := transport.ChooseRequest{Src: src, Dst: dst}
-	for _, o := range cands {
-		req.Candidates = append(req.Candidates, transport.ToWireOption(o))
-	}
-	var resp transport.ChooseResponse
-	if err := call(c, transport.OpChoose, src, dst, req, &resp); err != nil {
-		return netsim.DirectOption(), err
-	}
-	return resp.Option.Option(), nil
+	opt, _, err := c.ChooseWithRepair(src, dst, cands, nil)
+	return opt, err
 }
 
 // ChooseWithRepair asks the controller for a relaying option plus a
@@ -322,38 +316,27 @@ func (c *Client) Choose(src, dst int32, cands []netsim.Option) (netsim.Option, e
 // strategy) without repair support answers with an empty scheme — the
 // caller falls back to plain forwarding.
 func (c *Client) ChooseWithRepair(src, dst int32, cands []netsim.Option, schemes []string) (netsim.Option, string, error) {
-	req := transport.ChooseRequest{Src: src, Dst: dst, RepairCandidates: schemes}
-	for _, o := range cands {
-		req.Candidates = append(req.Candidates, transport.ToWireOption(o))
-	}
-	var resp transport.ChooseResponse
-	if err := call(c, transport.OpChoose, src, dst, req, &resp); err != nil {
+	var d transport.Decision
+	err := c.call(transport.OpChoose, src, dst, func(b []byte) ([]byte, error) {
+		return transport.AppendChoose(b, cands, schemes)
+	}, &d)
+	if err != nil {
 		return netsim.DirectOption(), "", err
 	}
-	return resp.Option.Option(), resp.Repair, nil
+	return d.Option, d.Repair, nil
 }
 
 // ReportRepair pushes one call's measurements along with the repair
 // scheme that ran and the call duration in seconds (0 = unknown).
 func (c *Client) ReportRepair(src, dst int32, opt netsim.Option, scheme string, durSec float64, m quality.Metrics) error {
-	var resp transport.ReportResponse
-	return call(c, transport.OpReport, src, dst, transport.ReportRequest{
-		Src: src, Dst: dst,
-		Option:      transport.ToWireOption(opt),
-		Metrics:     transport.ToWireMetrics(m),
-		Repair:      scheme,
-		DurationSec: durSec,
-	}, &resp)
+	return c.call(transport.OpReport, src, dst, func(b []byte) ([]byte, error) {
+		return transport.AppendReport(b, opt, m, durSec, scheme)
+	}, reportAck{})
 }
 
 // Report pushes one call's measurements.
 func (c *Client) Report(src, dst int32, opt netsim.Option, m quality.Metrics) error {
-	var resp transport.ReportResponse
-	return call(c, transport.OpReport, src, dst, transport.ReportRequest{
-		Src: src, Dst: dst,
-		Option:  transport.ToWireOption(opt),
-		Metrics: transport.ToWireMetrics(m),
-	}, &resp)
+	return c.ReportRepair(src, dst, opt, "", 0, m)
 }
 
 // Stats fetches controller counters.

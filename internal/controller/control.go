@@ -16,22 +16,22 @@ import (
 
 // Control streams (DESIGN.md §15): choose and report travel as frames over
 // one persistent connection per caller, upgraded from GET /v1/control on
-// the listener a controller (or the ring router) already serves. The frames
-// carry the same JSON documents and the same HTTP status codes as the POST
-// endpoints, so everything above the carrier — retryable(), failover, the
-// breaker, redirects — is unchanged.
+// the listener a controller (or the ring router) already serves. A frame
+// carries its pair in the header and a binary body, and its answer the
+// HTTP status code the POST endpoint would give, so everything above the
+// carrier — retryable(), failover, the breaker, redirects — is unchanged.
 
-// A MessageFunc answers one choose or report message: it appends the reply
-// body to dst and returns the HTTP status the exchange carries. done closes
-// when the stream is severed, so a message waiting for admission stops
-// waiting for a caller that is gone.
-type MessageFunc func(op transport.Op, body []byte, done <-chan struct{}, dst []byte) (int, []byte)
+// A MessageFunc answers one choose or report message for the pair (src,
+// dst): it appends the reply body to out and returns the HTTP status the
+// exchange carries. done closes when the stream is severed, so a message
+// waiting for admission stops waiting for a caller that is gone.
+type MessageFunc func(op transport.Op, src, dst int32, body []byte, done <-chan struct{}, out []byte) (int, []byte)
 
-// A MessageCheck vets one message before it is served, the per-message
-// counterpart of middleware in front of the POST endpoints: status 0 passes
-// the message on; any other status is the answer instead, with reply as its
-// body.
-type MessageCheck func(op transport.Op, body []byte) (status int, reply string)
+// A MessageCheck vets one message by its header before it is served, the
+// per-message counterpart of middleware in front of the POST endpoints:
+// status 0 passes the message on; any other status is the answer instead,
+// with reply as its body.
+type MessageCheck func(op transport.Op, src, dst int32) (status int, reply string)
 
 type checkKey struct{}
 
@@ -183,7 +183,7 @@ func (ss *StreamServer) serveFrame(conn net.Conn, br *bufio.Reader, check Messag
 	in, out := transport.GetBuffer(), transport.GetBuffer()
 	defer in.Release()
 	defer out.Release()
-	op, body, err := transport.ReadRequestFrame(br, in.B)
+	op, src, dst, body, err := transport.ReadRequestFrame(br, in.B)
 	in.B = body
 	status, reply, keep := 0, append(out.B[:0], make([]byte, transport.ResponseHeaderLen)...), true
 	switch {
@@ -195,12 +195,12 @@ func (ss *StreamServer) serveFrame(conn net.Conn, br *bufio.Reader, check Messag
 		return false // the peer closed, or stalled or hung up inside a frame
 	case check != nil:
 		var text string
-		if status, text = check(op, body); status != 0 {
+		if status, text = check(op, src, dst); status != 0 {
 			reply = append(reply, text...)
 		}
 	}
 	if status == 0 {
-		status, reply = ss.serve(op, body, ss.done, reply)
+		status, reply = ss.serve(op, src, dst, body, ss.done, reply)
 	}
 	out.B = reply
 	if transport.PutResponseHeader(reply, status) != nil {

@@ -43,13 +43,39 @@ func rawStream(t *testing.T, base string) (net.Conn, *bufio.Reader) {
 	return conn, br
 }
 
-// exchangeRaw writes one request frame and reads the response frame.
-func exchangeRaw(t *testing.T, conn net.Conn, br *bufio.Reader, op transport.Op, body string) (int, string) {
+// rawFrame is one request frame for op on the pair (src, dst).
+func rawFrame(t *testing.T, op transport.Op, src, dst int32, body []byte) []byte {
 	t.Helper()
 	frame := append(make([]byte, transport.RequestHeaderLen), body...)
-	if err := transport.PutRequestHeader(frame, op); err != nil {
+	if err := transport.PutRequestHeader(frame, op, src, dst); err != nil {
 		t.Fatal(err)
 	}
+	return frame
+}
+
+// chooseBody and reportBody are binary request bodies.
+func chooseBody(t *testing.T, cands ...netsim.Option) []byte {
+	t.Helper()
+	b, err := transport.AppendChoose(nil, cands, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func reportBody(t *testing.T, opt netsim.Option, m quality.Metrics) []byte {
+	t.Helper()
+	b, err := transport.AppendReport(nil, opt, m, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// exchangeRaw writes one request frame and reads the response frame.
+func exchangeRaw(t *testing.T, conn net.Conn, br *bufio.Reader, op transport.Op, src, dst int32, body []byte) (int, string) {
+	t.Helper()
+	frame := rawFrame(t, op, src, dst, body)
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +87,12 @@ func exchangeRaw(t *testing.T, conn net.Conn, br *bufio.Reader, op transport.Op,
 }
 
 // TestControlStreamAnswersLikePOST: over one stream, each message gets the
-// status and the document the POST endpoint gives the same body — 200 with
-// the same JSON, 400 for a bad body or an unknown op — and one bad message
-// does not end the stream. A frame longer than MaxBodyBytes is answered 413
-// and ends it (its body is never read); a GET without the upgrade headers
-// is answered 426.
+// status and the answer the POST endpoint gives the same request in JSON —
+// 200 with the same decision, 400 for a bad body or an unknown op — and one
+// bad message does not end the stream. A frame longer than MaxBodyBytes is
+// answered 413 and ends it (its body is never read); a GET without the
+// upgrade headers, or one naming via-control/1, is answered 426 naming
+// via-control/2.
 func TestControlStreamAnswersLikePOST(t *testing.T) {
 	strat := &recordingStrategy{ret: netsim.TransitOption(1, 2)}
 	s := New(Config{Strategy: strat})
@@ -87,22 +114,49 @@ func TestControlStreamAnswersLikePOST(t *testing.T) {
 	}
 	conn, br := rawStream(t, ts.URL)
 	for _, m := range []struct {
-		op   transport.Op
-		body string
-		want int
+		op     transport.Op
+		body   []byte // the stream's
+		json   string // the POST's
+		want   int
+		answer string // the JSON 200 the stream's binary answer must decode to; else the shared error text, "" when the texts differ
 	}{
-		{transport.OpChoose, `{"src":7,"dst":3,"candidates":[{"kind":"direct"},{"kind":"transit","r1":1,"r2":2}]}`, http.StatusOK},
-		{transport.OpChoose, `{nope`, http.StatusBadRequest},
-		{transport.OpReport, `{"src":7,"dst":3,"option":{"kind":"direct"},"metrics":{"rtt_ms":50,"loss_rate":0,"jitter_ms":1}}`, http.StatusOK},
-		{transport.OpReport, `{"src":7,"dst":3,"option":{"kind":"direct"},"metrics":{"rtt_ms":-5,"loss_rate":0,"jitter_ms":1}}`, http.StatusBadRequest},
+		{transport.OpChoose, chooseBody(t, netsim.DirectOption(), netsim.TransitOption(1, 2)),
+			`{"src":7,"dst":3,"candidates":[{"kind":"direct"},{"kind":"transit","r1":1,"r2":2}]}`, http.StatusOK, `{"option":{"kind":"transit","r1":1,"r2":2}}`},
+		{transport.OpChoose, []byte("{nope"), `{nope`, http.StatusBadRequest, ""},
+		{transport.OpReport, reportBody(t, netsim.DirectOption(), quality.Metrics{RTTMs: 50, JitterMs: 1}),
+			`{"src":7,"dst":3,"option":{"kind":"direct"},"metrics":{"rtt_ms":50,"loss_rate":0,"jitter_ms":1}}`, http.StatusOK, `{"ok":true}`},
+		{transport.OpReport, reportBody(t, netsim.DirectOption(), quality.Metrics{RTTMs: -5, JitterMs: 1}),
+			`{"src":7,"dst":3,"option":{"kind":"direct"},"metrics":{"rtt_ms":-5,"loss_rate":0,"jitter_ms":1}}`, http.StatusBadRequest, "invalid metrics"},
 	} {
-		status, reply := exchangeRaw(t, conn, br, m.op, m.body)
-		pstatus, preply := post(m.op.Path(), m.body)
-		if status != m.want || pstatus != m.want || reply+"\n" != preply {
-			t.Errorf("%s %s: stream answered %d %q, POST %d %q; want %d and the same body", m.op.Path(), m.body, status, reply, pstatus, preply, m.want)
+		status, reply := exchangeRaw(t, conn, br, m.op, 7, 3, m.body)
+		pstatus, preply := post(m.op.Path(), m.json)
+		if status != m.want || pstatus != m.want {
+			t.Errorf("%s %s: stream answered %d %q, POST %d %q; want %d from both", m.op.Path(), m.json, status, reply, pstatus, preply, m.want)
+			continue
+		}
+		switch {
+		case status == http.StatusOK && m.op == transport.OpChoose:
+			var d transport.Decision
+			err := d.DecodeBinary([]byte(reply))
+			got, _ := transport.ChooseResponse{Option: transport.ToWireOption(d.Option), Repair: d.Repair}.AppendJSON(nil)
+			if err != nil || string(got)+"\n" != preply || preply != m.answer+"\n" {
+				t.Errorf("choose: stream decided %+v (%v), POST answered %q; want both %s", d, err, preply, m.answer)
+			}
+		case status == http.StatusOK:
+			if reply != "" || preply != m.answer+"\n" {
+				t.Errorf("report: stream answered %q, POST %q; want nothing and %s", reply, preply, m.answer)
+			}
+		case m.answer != "":
+			if reply != m.answer || preply != m.answer+"\n" {
+				t.Errorf("%s: stream answered %q, POST %q; want %q from both", m.op.Path(), reply, preply, m.answer)
+			}
+		default:
+			if !strings.HasPrefix(reply, "bad request: ") || !strings.HasPrefix(preply, "bad request: ") {
+				t.Errorf("%s malformed: stream answered %q, POST %q; want a bad request from both", m.op.Path(), reply, preply)
+			}
 		}
 	}
-	if status, _ := exchangeRaw(t, conn, br, 9, `{}`); status != http.StatusBadRequest {
+	if status, _ := exchangeRaw(t, conn, br, 9, 7, 3, nil); status != http.StatusBadRequest {
 		t.Errorf("unknown op: status %d, want 400", status)
 	}
 
@@ -122,13 +176,23 @@ func TestControlStreamAnswersLikePOST(t *testing.T) {
 		t.Errorf("strategy saw %d chooses, want 2 (one per carrier)", len(strat.chooseCalls))
 	}
 
-	resp, err := http.Get(ts.URL + transport.ControlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUpgradeRequired {
-		t.Errorf("GET without upgrade: status %d, want 426", resp.StatusCode)
+	for _, upgrade := range []string{"", "via-control/1"} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+transport.ControlPath, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if upgrade != "" {
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", upgrade)
+		}
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != "via-control/2" {
+			t.Errorf("GET with Upgrade %q: status %d, Upgrade %q; want 426 naming via-control/2", upgrade, resp.StatusCode, resp.Header.Get("Upgrade"))
+		}
 	}
 }
 
@@ -156,7 +220,7 @@ func TestControlStreamTimeouts(t *testing.T) {
 			t.Errorf("%s: read %v, want the server to close the stream", name, err)
 		}
 	}
-	const choose = `{"src":1,"dst":2,"candidates":[{"kind":"direct"}]}`
+	choose := chooseBody(t, netsim.DirectOption())
 	c := NewClient(ts.URL)
 	if _, err := c.Choose(1, 2, []netsim.Option{netsim.DirectOption()}); err != nil {
 		t.Fatal(err)
@@ -167,7 +231,7 @@ func TestControlStreamTimeouts(t *testing.T) {
 		if i > 0 {
 			time.Sleep(2 * readTimeout)
 		}
-		if status, reply := exchangeRaw(t, idle, idleBr, transport.OpChoose, choose); status != http.StatusOK {
+		if status, reply := exchangeRaw(t, idle, idleBr, transport.OpChoose, 1, 2, choose); status != http.StatusOK {
 			t.Fatalf("message %d after an idle gap: %d %q", i, status, reply)
 		}
 	}
@@ -176,7 +240,7 @@ func TestControlStreamTimeouts(t *testing.T) {
 	var hdr [transport.RequestHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[:], transport.MaxBodyBytes)
 	hdr[4] = byte(transport.OpChoose)
-	if _, err := stalled.Write(append(hdr[:], `{"src":1`...)); err != nil {
+	if _, err := stalled.Write(append(hdr[:], choose[:3]...)); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -221,13 +285,12 @@ func TestControlStreamSheds(t *testing.T) {
 	for i := range conns {
 		conns[i], readers[i] = rawStream(t, ts.URL)
 	}
+	frame := rawFrame(t, transport.OpChoose, 1, 2, chooseBody(t, netsim.DirectOption()))
 	var wg sync.WaitGroup
 	for i := range conns {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			frame := append(make([]byte, transport.RequestHeaderLen), `{"src":1,"dst":2,"candidates":[{"kind":"direct"}]}`...)
-			transport.PutRequestHeader(frame, transport.OpChoose) //vialint:ignore errwrap a 50-byte body is within bounds
 			if _, err := conns[i].Write(frame); err != nil {
 				return
 			}
@@ -308,29 +371,35 @@ func (pipeRWC) Close() error                { return nil }
 
 // FuzzControlStream feeds arbitrary bytes to both frame readers in
 // context: the server's stream loop (whose every message must reach the
-// MessageFunc within MaxBodyBytes) and the client's response path,
-// including the decode of a 200. Neither may panic.
+// MessageFunc within MaxBodyBytes, with the pair its 13-byte header
+// carries) and the client's response path, including the binary decode of
+// a 200. Neither may panic.
 func FuzzControlStream(f *testing.F) {
 	frame := func(hdr []byte, body string) []byte { return append(append([]byte(nil), hdr...), body...) }
 	for _, seed := range [][]byte{
 		nil,
-		frame([]byte{0, 0, 0, 2, 1}, `{}`),
-		frame([]byte{0, 0, 0, 4, 0, 200}, `{"o"`),
-		frame([]byte{0, 0, 0, 43, 0, 200}, `{"option":{"kind":"bounce","r1":3},"x":[]}`),
+		frame([]byte{0, 0, 0, 3, 1, 0, 0, 0, 7, 0, 0, 0, 3}, "\x00\x00\x00"),
+		frame([]byte{0, 0, 0, 4, 0, 200}, "\x01\x00\x00"),
+		frame([]byte{0, 0, 0, 10, 0, 200}, "\x01\x00\x00\x00\x03\xff\xff\xff\xff\x00"),
+		frame([]byte{0, 0, 0, 13, 1, 0xff, 0xff, 0xff, 0xff, 0x80, 0, 0, 0}, "\x00\x01\x02\x00\x00\x00\x01\x00\x00\x00\x02\x01\x04fec-4"),
 		frame([]byte{0, 0, 0, 5, 1, 0x01, 0x33}, `x`),
-		{0x00, 0x10, 0x00, 0x01, 2},
+		{0x00, 0x10, 0x00, 0x01, 2, 0, 0, 0, 1, 0, 0, 0, 2},
 		{0xff, 0xff, 0xff, 0xff, 1, 0},
-		frame([]byte{0, 0, 0, 10, 2}, `{"src":1}`),
+		frame([]byte{0, 0, 0, 42, 2, 0, 0, 0, 1, 0, 0, 0, 2}, "\x00\xff\xff\xff\xff\xff\xff\xff\xff"),
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Server side: a stream whose peer sends data and hangs up.
-		ss := NewStreamServer(func(_ transport.Op, body []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
+		// Server side: a stream whose peer sends data and hangs up. Each
+		// message is answered with its pair and body, so a pair the reader
+		// got wrong would show in the reply (the peer discards it).
+		ss := NewStreamServer(func(_ transport.Op, src, dst int32, body []byte, _ <-chan struct{}, out []byte) (int, []byte) {
 			if len(body) > transport.MaxBodyBytes {
 				t.Fatalf("a %d-byte message reached the server", len(body))
 			}
-			return http.StatusOK, append(dst, body...)
+			out = binary.BigEndian.AppendUint32(out, uint32(src))
+			out = binary.BigEndian.AppendUint32(out, uint32(dst))
+			return http.StatusOK, append(out, body...)
 		}, nil)
 		peer, conn := net.Pipe()
 		go func() {
@@ -347,8 +416,12 @@ func FuzzControlStream(f *testing.F) {
 		st := &ctlStream{rwc: rwc, br: bufio.NewReader(rwc)}
 		st.timer = time.AfterFunc(time.Hour, func() {})
 		defer st.timer.Stop()
+		req := make([]byte, transport.RequestHeaderLen)
+		if err := transport.PutRequestHeader(req, transport.OpChoose, 1, 2); err != nil {
+			t.Fatal(err)
+		}
 		for {
-			status, body, _, err := st.roundTrip([]byte{0, 0, 0, 0, 1}, time.Now().Add(time.Hour))
+			status, body, _, err := st.roundTrip(req, time.Now().Add(time.Hour))
 			if err != nil {
 				break
 			}
@@ -356,8 +429,8 @@ func FuzzControlStream(f *testing.F) {
 				t.Fatalf("client read a %d-byte body", len(body))
 			}
 			if status == http.StatusOK {
-				var resp transport.ChooseResponse
-				resp.DecodeJSON(body) //vialint:ignore errwrap arbitrary bytes: only a panic would be a failure
+				var d transport.Decision
+				d.DecodeBinary(body) //vialint:ignore errwrap arbitrary bytes: only a panic would be a failure
 			}
 		}
 	})

@@ -139,12 +139,12 @@ func (c *Client) dial(base string, deadline time.Time) (*ctlStream, int, error) 
 
 // send makes one exchange with base over a control stream, all of it —
 // upgrade, message, answer, any redial — within timeout, as one POST was.
-// It returns the response status; a 200's body is decoded into resp, any
-// other status's body (a 307's is the owner's base URL) is returned as
-// text. A pooled stream the server closed while it sat idle fails before
-// any response byte: it is thrown away and the exchange redialled once,
-// within the same deadline.
-func (c *Client) send(base string, frame []byte, resp wireResponse, timeout time.Duration) (int, string, error) {
+// It returns the response status; a 200's binary body is decoded into
+// resp, any other status's body (a 307's is the owner's base URL) is
+// returned as text. A pooled stream the server closed while it sat idle
+// fails before any response byte: it is thrown away and the exchange
+// redialled once, within the same deadline.
+func (c *Client) send(base string, frame []byte, resp streamResponse, timeout time.Duration) (int, string, error) {
 	deadline := time.Now().Add(timeout)
 	st := c.takeStream(base)
 	pooled := st != nil
@@ -170,7 +170,7 @@ func (c *Client) send(base string, frame []byte, resp wireResponse, timeout time
 			c.putStream(st)
 			return status, text, nil
 		}
-		if err := resp.DecodeJSON(body); err != nil {
+		if err := resp.DecodeBinary(body); err != nil {
 			st.close()
 			return 0, "", fmt.Errorf("controller: %s decode: %w", base, err)
 		}
@@ -187,7 +187,7 @@ func (c *Client) send(base string, frame []byte, resp wireResponse, timeout time
 // — a stale map, or a shard that is not the owner — is followed once to the
 // base URL it names, and triggers a map refresh so later requests go
 // direct.
-func (c *Client) exchange(op transport.Op, src, dst int32, frame []byte, resp wireResponse) error {
+func (c *Client) exchange(op transport.Op, src, dst int32, frame []byte, resp streamResponse) error {
 	brk := c.breakerState()
 	if !brk.allow() {
 		return ErrCircuitOpen
@@ -243,16 +243,32 @@ func (c *Client) exchange(op transport.Op, src, dst int32, frame []byte, resp wi
 	return lastErr
 }
 
-// call frames req as op and exchanges it.
-func call[Req wireRequest](c *Client, op transport.Op, src, dst int32, req Req, resp wireResponse) error {
+// streamResponse is the decoder of a 200's binary body.
+type streamResponse interface {
+	DecodeBinary(body []byte) error
+}
+
+// reportAck is a report's 200 body, which is empty.
+type reportAck struct{}
+
+func (reportAck) DecodeBinary(body []byte) error {
+	if len(body) != 0 {
+		return errors.New("controller: a report's answer carries a body")
+	}
+	return nil
+}
+
+// call frames one message for the pair (src, dst) — encode appends its
+// body — and exchanges it.
+func (c *Client) call(op transport.Op, src, dst int32, encode func([]byte) ([]byte, error), resp streamResponse) error {
 	buf := transport.GetBuffer()
 	defer buf.Release() // the stream write is synchronous: nothing holds the frame after exchange
 	buf.B = append(buf.B[:0], make([]byte, transport.RequestHeaderLen)...)
 	var err error
-	if buf.B, err = req.AppendJSON(buf.B); err != nil {
+	if buf.B, err = encode(buf.B); err != nil {
 		return err
 	}
-	if err := transport.PutRequestHeader(buf.B, op); err != nil {
+	if err := transport.PutRequestHeader(buf.B, op, src, dst); err != nil {
 		return err
 	}
 	return c.exchange(op, src, dst, buf.B, resp)

@@ -312,8 +312,8 @@ func newServer(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/relays/register", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/relays", s.handleRelays)
 	s.mux.Handle("GET "+transport.ControlPath, s.streams)
-	s.mux.HandleFunc("POST /v1/choose", servePOST(s.limChoose, s.choose))
-	s.mux.HandleFunc("POST /v1/report", servePOST(s.limReport, s.report))
+	s.mux.HandleFunc("POST /v1/choose", s.handleChoose)
+	s.mux.HandleFunc("POST /v1/report", s.handleReport)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/topk", s.handleTopK)
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
@@ -406,22 +406,48 @@ func (s *Server) recordPanic() {
 	s.lastPanic.Store(string(debug.Stack()))
 }
 
-// serveMessage serves one control-stream message inside the guards and
-// through the admission limiter (done is the stream's) that a POST gets
-// from Handler and servePOST; the message functions do the rest, for both
-// carriers.
-func (s *Server) serveMessage(op transport.Op, body []byte, done <-chan struct{}, dst []byte) (status int, reply []byte) {
+// serveMessage serves one control-stream message inside the guards a POST
+// gets from Handler: it decodes the binary body, hands the request to
+// choose or report (done is the stream's), and appends the binary reply
+// to out.
+func (s *Server) serveMessage(op transport.Op, src, dst int32, body []byte, done <-chan struct{}, out []byte) (status int, reply []byte) {
 	s.guard(func() {
 		switch op {
 		case transport.OpChoose:
-			status, reply = s.limChoose.admit(done, s.choose, body, dst)
+			status, reply = s.streamChoose(transport.ChooseMsg{Src: src, Dst: dst}, body, done, out)
 		case transport.OpReport:
-			status, reply = s.limReport.admit(done, s.report, body, dst)
+			status, reply = s.streamReport(transport.ReportMsg{Src: src, Dst: dst}, body, done, out)
 		default:
-			status, reply = http.StatusBadRequest, append(dst, "unknown control op"...)
+			status, reply = http.StatusBadRequest, append(out, "unknown control op"...)
 		}
-	}, func(code int, text string) { status, reply = code, append(dst, text...) })
+	}, func(code int, text string) { status, reply = code, append(out, text...) })
 	return status, reply
+}
+
+// streamChoose decodes a choose body into req, which holds the header's
+// pair, and answers it.
+func (s *Server) streamChoose(req transport.ChooseMsg, body []byte, done <-chan struct{}, out []byte) (int, []byte) {
+	if err := req.DecodeBinary(body); err != nil {
+		return appendError(out, http.StatusBadRequest, "bad request: ", err)
+	}
+	d, status, text := s.choose(done, req)
+	if status != http.StatusOK {
+		return status, append(out, text...)
+	}
+	reply, err := transport.AppendDecision(out, d.Option, d.Repair)
+	if err != nil {
+		return appendError(out, http.StatusInternalServerError, "encode reply: ", err)
+	}
+	return http.StatusOK, reply
+}
+
+// streamReport is streamChoose for a report, whose 200 has no body.
+func (s *Server) streamReport(req transport.ReportMsg, body []byte, done <-chan struct{}, out []byte) (int, []byte) {
+	if err := req.DecodeBinary(body); err != nil {
+		return appendError(out, http.StatusBadRequest, "bad request: ", err)
+	}
+	status, text := s.report(done, req)
+	return status, append(out, text...)
 }
 
 // Shutdown drains the server: new requests are rejected with 503 while
@@ -474,20 +500,11 @@ func (s *Server) requireReady(w http.ResponseWriter) bool {
 	return true
 }
 
-// decode reads a cold endpoint's request through encoding/json. Like every
-// POST handler it reads at most transport.MaxBodyBytes (413 beyond).
+// decode reads a cold endpoint's request through encoding/json.
 func decode[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
 	var v T
-	body := transport.ReadRequest(w, r)
-	if body == nil {
-		return v, false
-	}
-	defer body.Release()
-	if err := json.Unmarshal(body.B, &v); err != nil {
-		badRequest(w, err)
-		return v, false
-	}
-	return v, true
+	ok := readMessage(w, r, stdJSON{&v})
+	return v, ok
 }
 
 func badRequest(w http.ResponseWriter, err error) {
@@ -500,31 +517,45 @@ func reply(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeReply writes a message function's answer as an HTTP response: a
-// 200 is the JSON document plus encoding/json's trailing newline, any other
-// status the error text as http.Error writes it (a 503 with Retry-After).
-func writeReply(w http.ResponseWriter, status int, reply []byte) {
-	if status != http.StatusOK {
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		http.Error(w, string(reply), status)
-		return
+// readMessage reads a POST body, at most transport.MaxBodyBytes, and
+// decodes it into req through the message's JSON codec. On failure it has
+// already answered — 413 for an oversized body, 400 for a failed read or
+// decode — and returns false.
+func readMessage(w http.ResponseWriter, r *http.Request, req wireResponse) bool {
+	body := transport.ReadRequest(w, r)
+	if body == nil {
+		return false
 	}
-	w.Header().Set("Content-Type", "application/json")
-	//vialint:ignore errwrap a failed write means the client hung up; there is no one left to tell
-	_, _ = w.Write(append(reply, '\n'))
+	defer body.Release()
+	if err := req.DecodeJSON(body.B); err != nil {
+		badRequest(w, err)
+		return false
+	}
+	return true
 }
 
-// appendReply appends a 200's JSON document to dst.
-func appendReply[M interface {
+// writeAnswer writes choose's or report's answer as an HTTP response: a
+// 200 is m's JSON document plus encoding/json's trailing newline, any other
+// status the error text as http.Error writes it (a 503 with Retry-After).
+func writeAnswer[M interface {
 	AppendJSON([]byte) ([]byte, error)
-}](dst []byte, m M) (int, []byte) {
-	out, err := m.AppendJSON(dst)
-	if err != nil {
-		return http.StatusInternalServerError, append(dst, "encode reply: "+err.Error()...)
+}](w http.ResponseWriter, status int, text string, m M) {
+	if status == http.StatusOK {
+		buf := transport.GetBuffer()
+		defer buf.Release()
+		var err error
+		if buf.B, err = m.AppendJSON(buf.B); err == nil {
+			w.Header().Set("Content-Type", "application/json")
+			//vialint:ignore errwrap a failed write means the client hung up; there is no one left to tell
+			_, _ = w.Write(append(buf.B, '\n'))
+			return
+		}
+		status, text = http.StatusInternalServerError, "encode reply: "+err.Error()
 	}
-	return http.StatusOK, out
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	http.Error(w, text, status)
 }
 
 // appendError appends an error text to dst under status.
@@ -624,85 +655,95 @@ func (s *Server) handleRelays(w http.ResponseWriter, _ *http.Request) {
 	reply(w, transport.RelayListResponse{Relays: s.usableRelays()})
 }
 
-// servePOST carries a message function over plain POST — for clients older
-// than the control stream, curl, and bench/ — with the same bytes, through
-// the endpoint's admission limiter.
-func servePOST(lim *limiter, op opFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body := transport.ReadRequest(w, r)
-		if body == nil {
-			return
-		}
-		defer body.Release()
-		out := transport.GetBuffer()
-		defer out.Release()
-		var status int
-		status, out.B = lim.admit(r.Context().Done(), op, body.B, out.B)
-		writeReply(w, status, out.B)
+// handleChoose carries choose over plain POST, in JSON — for curl and
+// bench/ — through the same admission, readiness and decision as a
+// control-stream message.
+func (s *Server) handleChoose(w http.ResponseWriter, r *http.Request) {
+	var jr transport.ChooseRequest
+	if !readMessage(w, r, &jr) {
+		return
 	}
+	req := transport.ChooseMsg{Src: jr.Src, Dst: jr.Dst, Repair: jr.RepairCandidates}
+	if len(jr.Candidates) > 0 {
+		req.Candidates = make([]netsim.Option, len(jr.Candidates))
+		for i, c := range jr.Candidates {
+			req.Candidates[i] = c.Option()
+		}
+	}
+	d, status, text := s.choose(r.Context().Done(), req)
+	writeAnswer(w, status, text, transport.ChooseResponse{Option: transport.ToWireOption(d.Option), Repair: d.Repair})
+}
+
+// handleReport carries report over plain POST, as handleChoose does choose.
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	var jr transport.ReportRequest
+	if !readMessage(w, r, &jr) {
+		return
+	}
+	status, text := s.report(r.Context().Done(), transport.ReportMsg{
+		Src: jr.Src, Dst: jr.Dst, Option: jr.Option.Option(), Metrics: jr.Metrics.Metrics(),
+		DurationSec: jr.DurationSec, Repair: jr.Repair,
+	})
+	writeAnswer(w, status, text, transport.ReportResponse{OK: true})
 }
 
 // choose is the one choose implementation, whichever carrier brought the
-// message: readiness, decode, a durable decision, the encoded answer. It
-// appends the reply body to dst and returns its HTTP status.
-func (s *Server) choose(body, dst []byte) (int, []byte) {
+// request: admission under the choose limiter (done is the caller's
+// hang-up), readiness, and a durable decision. Any status but 200 comes
+// with its error text.
+func (s *Server) choose(done <-chan struct{}, req transport.ChooseMsg) (transport.Decision, int, string) {
+	d := transport.Decision{Option: netsim.DirectOption()}
+	if !s.limChoose.admit(done) {
+		return d, http.StatusServiceUnavailable, msgShed
+	}
+	defer s.limChoose.release()
 	if msg := s.notReady(); msg != "" {
-		return http.StatusServiceUnavailable, append(dst, msg...)
+		return d, http.StatusServiceUnavailable, msg
 	}
-	var req transport.ChooseRequest
-	if err := req.DecodeJSON(body); err != nil {
-		return appendError(dst, http.StatusBadRequest, "bad request: ", err)
-	}
-	resp := transport.ChooseResponse{Option: transport.ToWireOption(netsim.DirectOption())}
 	// An empty candidate set has exactly one answer — the default path.
 	// Answer it directly rather than handing strategies a nil slice to
 	// index. Nothing reaches the strategy, so nothing needs the WAL either.
 	if len(req.Candidates) > 0 {
-		cands := make([]netsim.Option, len(req.Candidates))
-		for i, c := range req.Candidates {
-			cands[i] = c.Option()
-		}
 		call := core.Call{
 			Src:    netsim.ASID(req.Src),
 			Dst:    netsim.ASID(req.Dst),
 			THours: s.nowHours(),
 		}
-		opt, scheme, err := s.applyChoose(call, cands, req.RepairCandidates)
-		if err != nil {
+		var err error
+		if d.Option, d.Repair, err = s.applyChoose(call, req.Candidates, req.Repair); err != nil {
 			// The decision could not be made durable; pretending otherwise
 			// would hand out state the log cannot reproduce.
-			return appendError(dst, http.StatusInternalServerError, "durability failure: ", err)
+			return d, http.StatusInternalServerError, "durability failure: " + err.Error()
 		}
-		resp = transport.ChooseResponse{Option: transport.ToWireOption(opt), Repair: scheme}
 	}
 	s.chooses.Add(1)
 	s.mChooses.Inc()
-	return appendReply(dst, resp)
+	return d, http.StatusOK, ""
 }
 
 // report is the one report implementation, as choose is for choose.
-func (s *Server) report(body, dst []byte) (int, []byte) {
+func (s *Server) report(done <-chan struct{}, req transport.ReportMsg) (int, string) {
+	if !s.limReport.admit(done) {
+		return http.StatusServiceUnavailable, msgShed
+	}
+	defer s.limReport.release()
 	if msg := s.notReady(); msg != "" {
-		return http.StatusServiceUnavailable, append(dst, msg...)
+		return http.StatusServiceUnavailable, msg
 	}
-	var req transport.ReportRequest
-	if err := req.DecodeJSON(body); err != nil {
-		return appendError(dst, http.StatusBadRequest, "bad request: ", err)
-	}
-	if m := req.Metrics.Metrics(); !m.Valid() {
-		return http.StatusBadRequest, append(dst, "invalid metrics"...)
+	if !req.Metrics.Valid() {
+		return http.StatusBadRequest, "invalid metrics"
 	}
 	call := core.Call{
 		Src:    netsim.ASID(req.Src),
 		Dst:    netsim.ASID(req.Dst),
 		THours: s.nowHours(),
 	}
-	if err := s.applyReport(call, req.Option.Option(), req.Metrics, req.Repair, req.DurationSec); err != nil {
-		return appendError(dst, http.StatusInternalServerError, "durability failure: ", err)
+	if err := s.applyReport(call, req.Option, transport.ToWireMetrics(req.Metrics), req.Repair, req.DurationSec); err != nil {
+		return http.StatusInternalServerError, "durability failure: " + err.Error()
 	}
 	s.reports.Add(1)
 	s.mReports.Inc()
-	return appendReply(dst, transport.ReportResponse{OK: true})
+	return http.StatusOK, ""
 }
 
 // handleTopK exposes the strategy's pruned candidate set for a pair — the

@@ -472,8 +472,8 @@ func fakeControl(t *testing.T, msg MessageFunc, h http.HandlerFunc) *httptest.Se
 
 // answer is a MessageFunc answering every message with status and text.
 func answer(status int, text string) MessageFunc {
-	return func(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
-		return status, append(dst, text...)
+	return func(_ transport.Op, _, _ int32, _ []byte, _ <-chan struct{}, out []byte) (int, []byte) {
+		return status, append(out, text...)
 	}
 }
 
@@ -482,11 +482,11 @@ func TestClientRetriesTransientFailure(t *testing.T) {
 	// bounded retry budget must ride it out.
 	var hits atomic.Int32
 	inner := New(Config{Strategy: &recordingStrategy{ret: netsim.BounceOption(2)}})
-	ts := fakeControl(t, func(op transport.Op, body []byte, done <-chan struct{}, dst []byte) (int, []byte) {
+	ts := fakeControl(t, func(op transport.Op, src, dst int32, body []byte, done <-chan struct{}, out []byte) (int, []byte) {
 		if hits.Add(1) <= 2 {
-			return http.StatusServiceUnavailable, append(dst, "flap"...)
+			return http.StatusServiceUnavailable, append(out, "flap"...)
 		}
-		return inner.serveMessage(op, body, done, dst)
+		return inner.serveMessage(op, src, dst, body, done, out)
 	}, nil)
 	c := NewClient(ts.URL)
 	c.Retry.BaseDelay = 5 * time.Millisecond
@@ -517,9 +517,9 @@ func TestClientExhaustsRetryBudget(t *testing.T) {
 
 func TestClientDoesNotRetryBadRequest(t *testing.T) {
 	var hits atomic.Int32
-	ts := fakeControl(t, func(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
+	ts := fakeControl(t, func(_ transport.Op, _, _ int32, _ []byte, _ <-chan struct{}, out []byte) (int, []byte) {
 		hits.Add(1)
-		return http.StatusBadRequest, append(dst, "nope"...)
+		return http.StatusBadRequest, append(out, "nope"...)
 	}, nil)
 	c := NewClient(ts.URL)
 	if _, err := c.Choose(1, 2, []netsim.Option{netsim.DirectOption()}); err == nil {
@@ -559,9 +559,9 @@ func TestUpgradeRefusalSurfacesStatus(t *testing.T) {
 
 func TestClientTimeoutAppliesPerAttempt(t *testing.T) {
 	block := make(chan struct{})
-	ts := fakeControl(t, func(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
+	ts := fakeControl(t, func(_ transport.Op, _, _ int32, _ []byte, _ <-chan struct{}, out []byte) (int, []byte) {
 		<-block
-		return http.StatusOK, dst
+		return http.StatusOK, out
 	}, func(http.ResponseWriter, *http.Request) {
 		<-block
 	})
@@ -575,9 +575,13 @@ func TestClientTimeoutAppliesPerAttempt(t *testing.T) {
 	// A controller that answers the upgrade and then the message each
 	// within Timeout, but not both: one attempt is one deadline.
 	const half = 35 * time.Millisecond
-	ss := NewStreamServer(func(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
+	ss := NewStreamServer(func(_ transport.Op, _, _ int32, _ []byte, _ <-chan struct{}, out []byte) (int, []byte) {
 		time.Sleep(half)
-		return http.StatusOK, append(dst, `{"option":{"kind":"direct"}}`...)
+		out, err := transport.AppendDecision(out, netsim.DirectOption(), "")
+		if err != nil {
+			t.Error(err)
+		}
+		return http.StatusOK, out
 	}, nil)
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(half)

@@ -25,9 +25,9 @@ func fastRetry() RetryPolicy {
 // lands it on a replica, and the cursor sticks there for later requests.
 func TestClientFailsOverToReplica(t *testing.T) {
 	var deadHits atomic.Int64
-	dead := fakeControl(t, func(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
+	dead := fakeControl(t, func(_ transport.Op, _, _ int32, _ []byte, _ <-chan struct{}, out []byte) (int, []byte) {
 		deadHits.Add(1)
-		return http.StatusServiceUnavailable, append(dst, "standby"...)
+		return http.StatusServiceUnavailable, append(out, "standby"...)
 	}, nil)
 
 	live := New(Config{Strategy: &recordingStrategy{ret: netsim.BounceOption(1)}})
@@ -70,11 +70,11 @@ func TestClientFailsOverToReplica(t *testing.T) {
 func TestClientBreakerOpensFailsFastAndRecovers(t *testing.T) {
 	var healthy atomic.Bool
 	inner := New(Config{Strategy: &recordingStrategy{ret: netsim.DirectOption()}})
-	ts := fakeControl(t, func(op transport.Op, body []byte, done <-chan struct{}, dst []byte) (int, []byte) {
+	ts := fakeControl(t, func(op transport.Op, src, dst int32, body []byte, done <-chan struct{}, out []byte) (int, []byte) {
 		if !healthy.Load() {
-			return http.StatusServiceUnavailable, append(dst, "down"...)
+			return http.StatusServiceUnavailable, append(out, "down"...)
 		}
-		return inner.serveMessage(op, body, done, dst)
+		return inner.serveMessage(op, src, dst, body, done, out)
 	}, nil)
 
 	c := NewClient(ts.URL)

@@ -20,8 +20,9 @@ type pairHeader struct {
 	Dst int32 `json:"dst"`
 }
 
-// peekPair extracts the (src, dst) pair a choose or report body is routed
-// by, without decoding the rest. It is json.Unmarshal into pairHeader in
+// peekPair extracts the (src, dst) pair a POSTed choose or report body is
+// routed by, without decoding the rest (a control-stream message carries
+// its pair in the frame header). It is json.Unmarshal into pairHeader in
 // verdict and value (the contract of transport/jsoncodec.go): the whole
 // body must be valid JSON, and members other than the pair may be
 // anything.
@@ -51,8 +52,9 @@ func peekPair(body []byte) (src, dst int32, err error) {
 // controller.Server's handler. Pair-scoped requests (choose/report) for
 // pairs this shard does not own are answered 307 with the owner's URL —
 // the mechanism by which clients holding a stale (older-epoch) map
-// self-correct. The check runs per POST, and per message on a control
-// stream (attached to its upgrade request). Everything else passes through
+// self-correct. The check runs per POST, on the pair peeked from its JSON
+// body, and per message on a control stream, on the pair in the frame
+// header (attached to its upgrade request). Everything else passes through
 // to the controller.
 //
 // The gate also serves and accepts the shard map itself on /v1/ring/map,
@@ -170,21 +172,18 @@ func (g *Gate) serveMap(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// route is the gate's one ownership check, for a choose or report body
-// whichever carrier brought it: the owner's base URL when another shard owns
-// the pair (counted as a redirect), "" when this shard does (an owned choose
-// counted as a decision), and the epoch of the map it answered by.
-func (g *Gate) route(choose bool, body []byte) (owner string, epoch uint64, err error) {
-	src, dst, err := peekPair(body)
-	if err != nil {
-		return "", 0, err
-	}
+// route is the gate's one ownership check, for a choose or report on the
+// pair (src, dst) whichever carrier brought it: the owner's base URL when
+// another shard owns the pair (counted as a redirect), "" when this shard
+// does (an owned choose counted as a decision), and the epoch of the map it
+// answered by.
+func (g *Gate) route(choose bool, src, dst int32) (owner string, epoch uint64) {
 	m := g.cur.Load()
 	if o := m.OwnerShard(src, dst); o.ID != g.shardID {
 		if g.redirects != nil {
 			g.redirects.Inc()
 		}
-		return o.URL, m.MapEpoch, nil
+		return o.URL, m.MapEpoch
 	}
 	if choose {
 		g.decisions.Add(1)
@@ -192,7 +191,7 @@ func (g *Gate) route(choose bool, body []byte) (owner string, epoch uint64, err 
 			g.mDecisions.Inc()
 		}
 	}
-	return "", m.MapEpoch, nil
+	return "", m.MapEpoch
 }
 
 // gatePair routes a POST: owned pairs pass through with the body restored,
@@ -205,12 +204,12 @@ func (g *Gate) gatePair(w http.ResponseWriter, r *http.Request) {
 	}
 	// The inner handler reads the restored body before it returns.
 	defer body.Release()
-	owner, epoch, err := g.route(r.URL.Path == "/v1/choose", body.B)
+	src, dst, err := peekPair(body.B)
 	if err != nil {
 		http.Error(w, "decode request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if owner != "" {
+	if owner, epoch := g.route(r.URL.Path == "/v1/choose", src, dst); owner != "" {
 		w.Header().Set("Location", owner+r.URL.Path)
 		w.Header().Set("X-Via-Ring-Epoch", strconv.FormatUint(epoch, 10))
 		w.WriteHeader(http.StatusTemporaryRedirect)
@@ -221,14 +220,11 @@ func (g *Gate) gatePair(w http.ResponseWriter, r *http.Request) {
 	g.inner.ServeHTTP(w, r)
 }
 
-// checkMessage is route for a control-stream message: a foreign pair is
-// answered with a 307 frame whose body is the owner's base URL.
-func (g *Gate) checkMessage(op transport.Op, body []byte) (int, string) {
-	owner, _, err := g.route(op == transport.OpChoose, body)
-	switch {
-	case err != nil:
-		return http.StatusBadRequest, "decode request: " + err.Error()
-	case owner != "":
+// checkMessage is route for a control-stream message, on the pair in its
+// header: a foreign pair is answered with a 307 frame whose body is the
+// owner's base URL, before anything reads the body.
+func (g *Gate) checkMessage(op transport.Op, src, dst int32) (int, string) {
+	if owner, _ := g.route(op == transport.OpChoose, src, dst); owner != "" {
 		return http.StatusTemporaryRedirect, owner
 	}
 	return 0, ""

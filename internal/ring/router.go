@@ -70,8 +70,8 @@ func NewRouter(m *Map, reg *obs.Registry) *Router {
 
 // servesNoPair is the router's stream message function. The gate's check
 // answers every message before it, so it runs for none.
-func servesNoPair(_ transport.Op, _ []byte, _ <-chan struct{}, dst []byte) (int, []byte) {
-	return http.StatusInternalServerError, append(dst, "ring: the router serves no pair"...)
+func servesNoPair(_ transport.Op, _, _ int32, _ []byte, _ <-chan struct{}, out []byte) (int, []byte) {
+	return http.StatusInternalServerError, append(out, "ring: the router serves no pair"...)
 }
 
 // Install adopts a newer-epoch map (Gate.Install's monotone rule: it is

@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"bufio"
 	"bytes"
 	"net"
 	"net/http"
@@ -66,39 +65,11 @@ func TestRouterRedirectsEveryPair(t *testing.T) {
 		}
 	}
 
-	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	req, err := http.NewRequest(http.MethodGet, ts.URL+transport.ControlPath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", transport.ControlProtocol)
-	if err := req.Write(conn); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	resp, err := http.ReadResponse(br, req)
-	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
-		t.Fatalf("control upgrade on the router: %v, %v", resp, err)
-	}
+	stream := dialControl(t, ts.URL)
 	for _, owner := range shards {
 		src, dst := pairOwnedBy(t, m, owner.ID)
 		for _, op := range []transport.Op{transport.OpChoose, transport.OpReport} {
-			frame := append(make([]byte, transport.RequestHeaderLen), chooseBody(src, dst)...)
-			if err := transport.PutRequestHeader(frame, op); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := conn.Write(frame); err != nil {
-				t.Fatal(err)
-			}
-			status, body, err := transport.ReadResponseFrame(br, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			status, body := stream.exchange(t, op, src, dst, []byte("\x00\x00\x00"))
 			if status != http.StatusTemporaryRedirect || string(body) != owner.URL {
 				t.Errorf("stream %s for shard %d's pair: %d %q, want 307 %q", op.Path(), owner.ID, status, body, owner.URL)
 			}

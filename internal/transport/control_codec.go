@@ -6,9 +6,10 @@ import (
 	"repro/internal/netsim"
 )
 
-// Hand-written codecs for the hot control messages — ChooseRequest,
-// ChooseResponse, ReportRequest, ReportResponse and the WireOption and
-// WireMetrics they embed. See jsoncodec.go for the contract: AppendJSON is
+// Hand-written codecs for the JSON control messages of POST /v1/choose
+// and /v1/report — ChooseRequest, ChooseResponse, ReportRequest,
+// ReportResponse — and the WireOption and WireMetrics they (and the WAL
+// records) embed. See jsoncodec.go for the contract: AppendJSON is
 // json.Marshal byte for byte, DecodeJSON is json.Unmarshal into a zero
 // value. Every other message stays on encoding/json.
 //

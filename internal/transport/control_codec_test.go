@@ -249,24 +249,47 @@ func benchEncode[T interface {
 	})
 }
 
-// The Benchmark*Codec pairs reproduce the codec's speed-up over
-// encoding/json on the benchmark's own bodies: go test -bench Codec.
+// benchV2 times fn, the same request's via-control/2 body through the
+// binary codec ("v2").
+func benchV2(b *testing.B, fn func() error) {
+	b.Run("v2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSinkErr = fn()
+		}
+	})
+}
+
+// The Benchmark*Codec triples reproduce the codec's speed-up over
+// encoding/json, and the binary body's over both, on the benchmark's own
+// requests: go test -bench Codec.
 func BenchmarkChooseRequestDecodeCodec(b *testing.B) {
 	benchDecode(b, benchChooseBody,
 		func(r io.Reader) error { var v ChooseRequest; return json.NewDecoder(r).Decode(&v) },
 		func(d []byte) error { var v ChooseRequest; return v.DecodeJSON(d) })
+	body := mustBody(b)(AppendChoose(nil, benchCands, nil))
+	benchV2(b, func() error { var v ChooseMsg; return v.DecodeBinary(body) })
 }
 
 func BenchmarkChooseRequestEncodeCodec(b *testing.B) {
 	benchEncode[ChooseRequest](b, benchChooseBody)
+	buf := make([]byte, 0, 512)
+	benchV2(b, func() (err error) { benchSinkBytes, err = AppendChoose(buf, benchCands, nil); return err })
 }
 
 func BenchmarkReportRequestDecodeCodec(b *testing.B) {
 	benchDecode(b, benchReportBody,
 		func(r io.Reader) error { var v ReportRequest; return json.NewDecoder(r).Decode(&v) },
 		func(d []byte) error { var v ReportRequest; return v.DecodeJSON(d) })
+	body := mustBody(b)(AppendReport(nil, benchCands[1], benchMetrics, 0, ""))
+	benchV2(b, func() error { var v ReportMsg; return v.DecodeBinary(body) })
 }
 
 func BenchmarkReportRequestEncodeCodec(b *testing.B) {
 	benchEncode[ReportRequest](b, benchReportBody)
+	buf := make([]byte, 0, 512)
+	benchV2(b, func() (err error) {
+		benchSinkBytes, err = AppendReport(buf, benchCands[1], benchMetrics, 0, "")
+		return err
+	})
 }

@@ -12,11 +12,13 @@ import (
 	"unicode/utf8"
 )
 
-// The call-setup record path — the four hot control messages in
-// control_codec.go and the controller's two hot WAL records — is encoded
-// and decoded by hand, in the append idiom Frame.Marshal uses, instead of
-// through encoding/json's reflection. JSON stays the format: the contract
-// is that nothing a peer or a log can observe changes.
+// The call-setup record path in JSON — the four control messages of the
+// POST endpoints in control_codec.go and the controller's two hot WAL
+// records — is encoded and decoded by hand, in the append idiom
+// Frame.Marshal uses, instead of through encoding/json's reflection. JSON
+// stays the format: the contract is that nothing a JSON peer or a log can
+// observe changes. (The control stream carries binary bodies instead,
+// control_binary.go.)
 //
 //   - Encoders append exactly the bytes json.Marshal produces for the
 //     same value (field order, omitempty, nil slice → null, the float and

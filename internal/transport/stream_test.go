@@ -9,14 +9,15 @@ import (
 )
 
 // TestControlFrameRoundTrip: frames written with the Put*Header functions
-// read back as the same op or status and body, one after another on one
-// reader, reusing one buffer.
+// read back as the same op, pair or status and body, one after another on
+// one reader, reusing one buffer.
 func TestControlFrameRoundTrip(t *testing.T) {
 	var wire []byte
-	bodies := []string{`{"src":1,"dst":2,"candidates":[]}`, ``, `{"ok":true}`}
+	bodies := []string{"\x00\x00\x00", ``, "\x00\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\x00"}
+	pairs := [][2]int32{{1, 2}, {-1, 1 << 30}, {17, -4}}
 	for i, body := range bodies {
 		frame := append(make([]byte, RequestHeaderLen), body...)
-		if err := PutRequestHeader(frame, Op(i+1)); err != nil {
+		if err := PutRequestHeader(frame, Op(i+1), pairs[i][0], pairs[i][1]); err != nil {
 			t.Fatal(err)
 		}
 		wire = append(wire, frame...)
@@ -24,13 +25,13 @@ func TestControlFrameRoundTrip(t *testing.T) {
 	r := bytes.NewReader(wire)
 	var buf []byte
 	for i, want := range bodies {
-		op, body, err := ReadRequestFrame(r, buf)
-		if err != nil || op != Op(i+1) || string(body) != want {
-			t.Fatalf("frame %d: op %d body %q err %v; want op %d body %q", i, op, body, err, i+1, want)
+		op, src, dst, body, err := ReadRequestFrame(r, buf)
+		if err != nil || op != Op(i+1) || [2]int32{src, dst} != pairs[i] || string(body) != want {
+			t.Fatalf("frame %d: op %d pair (%d, %d) body %q err %v; want op %d pair %v body %q", i, op, src, dst, body, err, i+1, pairs[i], want)
 		}
 		buf = body
 	}
-	if _, _, err := ReadRequestFrame(r, buf); err != io.EOF {
+	if _, _, _, _, err := ReadRequestFrame(r, buf); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 
@@ -66,11 +67,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // writers refuse a body beyond it.
 func TestControlFrameBounds(t *testing.T) {
 	for _, n := range []uint32{MaxBodyBytes + 1, 1 << 31, 1<<32 - 1} {
-		hdr := make([]byte, ResponseHeaderLen, ResponseHeaderLen+8)
+		hdr := make([]byte, RequestHeaderLen, RequestHeaderLen+8)
 		binary.BigEndian.PutUint32(hdr, n)
 		wire := append(hdr, "trailing"...)
 		for name, read := range map[string]func(io.Reader, []byte) error{
-			"request":  func(r io.Reader, dst []byte) error { _, _, err := ReadRequestFrame(r, dst); return err },
+			"request":  func(r io.Reader, dst []byte) error { _, _, _, _, err := ReadRequestFrame(r, dst); return err },
 			"response": func(r io.Reader, dst []byte) error { _, _, err := ReadResponseFrame(r, dst); return err },
 		} {
 			dst := make([]byte, 0, 16)
@@ -95,18 +96,18 @@ func TestControlFrameBounds(t *testing.T) {
 	// only as far as the bytes that arrived warranted.
 	short := append(make([]byte, RequestHeaderLen), "only these bytes arrived"...)
 	binary.BigEndian.PutUint32(short, MaxBodyBytes)
-	if _, body, err := ReadRequestFrame(bytes.NewReader(short), nil); !errors.Is(err, io.ErrUnexpectedEOF) || cap(body) > 4*minFrameStep {
+	if _, _, _, body, err := ReadRequestFrame(bytes.NewReader(short), nil); !errors.Is(err, io.ErrUnexpectedEOF) || cap(body) > 4*minFrameStep {
 		t.Fatalf("a 1 MiB announcement cut short: %v, buffer capacity %d; want io.ErrUnexpectedEOF and at most %d", err, cap(body), 4*minFrameStep)
 	}
 
 	max := append(make([]byte, RequestHeaderLen), make([]byte, MaxBodyBytes)...)
-	if err := PutRequestHeader(max, OpReport); err != nil {
+	if err := PutRequestHeader(max, OpReport, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, body, err := ReadRequestFrame(bytes.NewReader(max), nil); err != nil || len(body) != MaxBodyBytes {
+	if _, _, _, body, err := ReadRequestFrame(bytes.NewReader(max), nil); err != nil || len(body) != MaxBodyBytes {
 		t.Fatalf("a MaxBodyBytes body: %d bytes, %v", len(body), err)
 	}
-	if err := PutRequestHeader(append(max, 0), OpReport); !errors.Is(err, ErrFrameTooLarge) {
+	if err := PutRequestHeader(append(max, 0), OpReport, 1, 2); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("writing a body past MaxBodyBytes: %v", err)
 	}
 	if err := PutResponseHeader(make([]byte, ResponseHeaderLen+MaxBodyBytes+1), 200); !errors.Is(err, ErrFrameTooLarge) {
