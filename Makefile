@@ -87,8 +87,8 @@ short:
 # and the wire: the media frame, the WAL frame and the open-time segment
 # scan (held to the whole-buffer frame decoder), the loss-repair payloads
 # (FEC parity packets and NACK requests), and — differentially against
-# encoding/json — the hand-written JSON codecs of the hot control messages,
-# the hot WAL records and the ring's pair peek; the control stream's binary
+# encoding/json — the hand-written JSON codecs of the WAL records' wire
+# types, the hot WAL records and the ring's pair peek; the control stream's binary
 # bodies (held to decode(encode(x)) == x) and its frame readers, server and
 # client side; and the relay's per-datagram
 # step, over arbitrary datagrams from IPv4, 4-in-6, IPv6 and zero sources.

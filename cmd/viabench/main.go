@@ -19,7 +19,6 @@
 //	-csv             also emit CSV after each table
 //	-quick           shrink fig18/chaos to smoke-test scale
 //	-jobs N          concurrent experiments (0 = GOMAXPROCS)
-//	-workers N       simulator strategy-fan-out workers (0 = GOMAXPROCS, 1 = sequential)
 //	-cpuprofile F    write a CPU profile to F
 //	-memprofile F    write an allocation profile to F on exit
 //	-benchout F      bench: output path (default BENCH_<seed>.json)
@@ -81,7 +80,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "shrink fig18/chaos to smoke scale")
 	list := flag.Bool("list", false, "list experiments")
 	jobs := flag.Int("jobs", 0, "concurrent experiments (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "simulator strategy workers (0 = GOMAXPROCS, 1 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := flag.String("memprofile", "", "write allocation profile to file on exit")
 	benchOut := flag.String("benchout", "", "bench: output JSON path (default BENCH_<seed>.json)")
@@ -202,7 +200,6 @@ func run() int {
 		}
 		fmt.Printf("[building environment: seed=%d calls=%d]\n", *seed, *calls)
 		env := experiments.NewEnv(*seed, *calls)
-		env.Runner.Cfg.Workers = *workers
 		if err := runConcurrent(env, envNames, *jobs, *csv); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1

@@ -128,13 +128,12 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// runSequential replays every registered experiment one at a time with a
-// single simulator worker, recording per-experiment time and allocations.
+// runSequential replays every registered experiment one at a time,
+// recording per-experiment time and allocations.
 func runSequential(cfg Config, logf func(string, ...any)) (*ModeStat, error) {
 	logf("[bench %s: building environment seed=%d calls=%d]", ModeSequential, cfg.Seed, cfg.Calls)
 	buildStart := time.Now()
 	env := experiments.NewEnv(cfg.Seed, cfg.Calls)
-	env.Runner.Cfg.Workers = 1
 	ms := &ModeStat{Mode: ModeSequential, EnvBuildNs: time.Since(buildStart).Nanoseconds()}
 
 	var mem0, mem1 runtime.MemStats
@@ -157,10 +156,10 @@ func runSequential(cfg Config, logf func(string, ...any)) (*ModeStat, error) {
 	return ms, nil
 }
 
-// runParallel replays the suite with the production concurrency: the
-// simulator fans strategies across GOMAXPROCS workers and independent
-// experiments overlap, deduplicated by the environment's singleflight
-// cache. Only the suite wall time is recorded.
+// runParallel replays the suite with the production concurrency:
+// independent experiments overlap, their strategy replays deduplicated by
+// the environment's singleflight cache. Only the suite wall time is
+// recorded.
 func runParallel(cfg Config, logf func(string, ...any)) (*ModeStat, error) {
 	logf("[bench %s: building environment seed=%d calls=%d]", ModeParallel, cfg.Seed, cfg.Calls)
 	buildStart := time.Now()

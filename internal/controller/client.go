@@ -133,33 +133,9 @@ func retryable(status int) bool {
 	return false
 }
 
-// wireRequest and wireResponse are the two halves of a JSON message's
-// codec as the client uses them on the HTTP endpoints. The POST choose and
-// report messages implement them by hand in internal/transport (the client
-// sends those on the control stream, in binary); stdJSON adapts every other
-// message through encoding/json.
-type wireRequest interface {
-	AppendJSON(dst []byte) ([]byte, error)
-}
-
-type wireResponse interface {
-	DecodeJSON(data []byte) error
-}
-
-// stdJSON is the encoding/json codec of a cold message: v is the request
-// value, or a pointer to the response value.
-type stdJSON struct{ v any }
-
-func (j stdJSON) AppendJSON(dst []byte) ([]byte, error) {
-	data, err := json.Marshal(j.v)
-	return append(dst, data...), err
-}
-
-func (j stdJSON) DecodeJSON(data []byte) error { return json.Unmarshal(data, j.v) }
-
-// readResponse decodes one 200 response from a whole-body read into a
-// pooled buffer, then closes the body.
-func readResponse(r *http.Response, resp wireResponse) error {
+// readResponse decodes one 200 response into resp (a pointer) from a
+// whole-body read into a pooled buffer, then closes the body.
+func readResponse(r *http.Response, resp any) error {
 	buf := transport.GetBuffer()
 	defer buf.Release()
 	var err error
@@ -168,7 +144,7 @@ func readResponse(r *http.Response, resp wireResponse) error {
 	if err != nil {
 		return err
 	}
-	return resp.DecodeJSON(buf.B)
+	return json.Unmarshal(buf.B, resp)
 }
 
 // backoff sleeps before a retry: BaseDelay doubling per attempt up to
@@ -192,7 +168,7 @@ func (c *Client) backoff(p RetryPolicy, attempt int) {
 // error or a retryable status, including the 503 a standby answers —
 // advances the failover cursor before the next attempt, so one request's
 // retry budget already spans multiple replicas.
-func (c *Client) do(path string, makeReq func(ctx context.Context, base string) (*http.Request, error), resp wireResponse) error {
+func (c *Client) do(path string, makeReq func(ctx context.Context, base string) (*http.Request, error), resp any) error {
 	brk := c.breakerState()
 	if !brk.allow() {
 		return ErrCircuitOpen
@@ -242,22 +218,10 @@ func (c *Client) do(path string, makeReq func(ctx context.Context, base string) 
 	return lastErr
 }
 
-// encodeBody encodes a request body once, for every attempt. The result is
-// an exact-size copy out of the pooled scratch buffer, not the buffer
-// itself: net/http may still be writing a request body after Do has
-// returned, so those bytes must never be reused.
-func encodeBody(req wireRequest) ([]byte, error) {
-	buf := transport.GetBuffer()
-	defer buf.Release()
-	var err error
-	if buf.B, err = req.AppendJSON(buf.B); err != nil {
-		return nil, err
-	}
-	return bytes.Clone(buf.B), nil
-}
-
-func (c *Client) post(path string, req wireRequest, resp wireResponse) error {
-	body, err := encodeBody(req)
+// post encodes req once, for every attempt, and decodes the answer into
+// resp (a pointer).
+func (c *Client) post(path string, req, resp any) error {
+	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
@@ -274,7 +238,7 @@ func (c *Client) post(path string, req wireRequest, resp wireResponse) error {
 func (c *Client) get(path string, resp any) error {
 	return c.do(path, func(ctx context.Context, base string) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-	}, stdJSON{resp})
+	}, resp)
 }
 
 // RegisterRelay announces a relay's media address.
@@ -289,7 +253,7 @@ func (c *Client) RegisterRelay(id netsim.RelayID, addr string) error {
 func (c *Client) HeartbeatRelay(id netsim.RelayID, addr string, draining bool) error {
 	var resp transport.RegisterRelayResponse
 	return c.post("/v1/relays/register",
-		stdJSON{transport.RegisterRelayRequest{RelayID: id, Addr: addr, Draining: draining}}, stdJSON{&resp})
+		transport.RegisterRelayRequest{RelayID: id, Addr: addr, Draining: draining}, &resp)
 }
 
 // Relays fetches the registered relay directory.

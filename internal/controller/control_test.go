@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -138,7 +139,7 @@ func TestControlStreamAnswersLikePOST(t *testing.T) {
 		case status == http.StatusOK && m.op == transport.OpChoose:
 			var d transport.Decision
 			err := d.DecodeBinary([]byte(reply))
-			got, _ := transport.ChooseResponse{Option: transport.ToWireOption(d.Option), Repair: d.Repair}.AppendJSON(nil)
+			got, _ := json.Marshal(transport.ChooseResponse{Option: transport.ToWireOption(d.Option), Repair: d.Repair})
 			if err != nil || string(got)+"\n" != preply || preply != m.answer+"\n" {
 				t.Errorf("choose: stream decided %+v (%v), POST answered %q; want both %s", d, err, preply, m.answer)
 			}

@@ -500,11 +500,21 @@ func (s *Server) requireReady(w http.ResponseWriter) bool {
 	return true
 }
 
-// decode reads a cold endpoint's request through encoding/json.
+// decode reads a POST body, at most transport.MaxBodyBytes, and decodes it
+// through encoding/json. On failure it has already answered — 413 for an
+// oversized body, 400 for a failed read or decode — and returns false.
 func decode[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
 	var v T
-	ok := readMessage(w, r, stdJSON{&v})
-	return v, ok
+	body := transport.ReadRequest(w, r)
+	if body == nil {
+		return v, false
+	}
+	defer body.Release()
+	if err := json.Unmarshal(body.B, &v); err != nil {
+		badRequest(w, err)
+		return v, false
+	}
+	return v, true
 }
 
 func badRequest(w http.ResponseWriter, err error) {
@@ -517,40 +527,13 @@ func reply(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// readMessage reads a POST body, at most transport.MaxBodyBytes, and
-// decodes it into req through the message's JSON codec. On failure it has
-// already answered — 413 for an oversized body, 400 for a failed read or
-// decode — and returns false.
-func readMessage(w http.ResponseWriter, r *http.Request, req wireResponse) bool {
-	body := transport.ReadRequest(w, r)
-	if body == nil {
-		return false
-	}
-	defer body.Release()
-	if err := req.DecodeJSON(body.B); err != nil {
-		badRequest(w, err)
-		return false
-	}
-	return true
-}
-
 // writeAnswer writes choose's or report's answer as an HTTP response: a
-// 200 is m's JSON document plus encoding/json's trailing newline, any other
-// status the error text as http.Error writes it (a 503 with Retry-After).
-func writeAnswer[M interface {
-	AppendJSON([]byte) ([]byte, error)
-}](w http.ResponseWriter, status int, text string, m M) {
+// 200 is v through reply, any other status the error text as http.Error
+// writes it (a 503 with Retry-After).
+func writeAnswer(w http.ResponseWriter, status int, text string, v any) {
 	if status == http.StatusOK {
-		buf := transport.GetBuffer()
-		defer buf.Release()
-		var err error
-		if buf.B, err = m.AppendJSON(buf.B); err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			//vialint:ignore errwrap a failed write means the client hung up; there is no one left to tell
-			_, _ = w.Write(append(buf.B, '\n'))
-			return
-		}
-		status, text = http.StatusInternalServerError, "encode reply: "+err.Error()
+		reply(w, v)
+		return
 	}
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
@@ -659,8 +642,8 @@ func (s *Server) handleRelays(w http.ResponseWriter, _ *http.Request) {
 // bench/ — through the same admission, readiness and decision as a
 // control-stream message.
 func (s *Server) handleChoose(w http.ResponseWriter, r *http.Request) {
-	var jr transport.ChooseRequest
-	if !readMessage(w, r, &jr) {
+	jr, ok := decode[transport.ChooseRequest](w, r)
+	if !ok {
 		return
 	}
 	req := transport.ChooseMsg{Src: jr.Src, Dst: jr.Dst, Repair: jr.RepairCandidates}
@@ -676,8 +659,8 @@ func (s *Server) handleChoose(w http.ResponseWriter, r *http.Request) {
 
 // handleReport carries report over plain POST, as handleChoose does choose.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	var jr transport.ReportRequest
-	if !readMessage(w, r, &jr) {
+	jr, ok := decode[transport.ReportRequest](w, r)
+	if !ok {
 		return
 	}
 	status, text := s.report(r.Context().Done(), transport.ReportMsg{

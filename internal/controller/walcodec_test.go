@@ -48,10 +48,11 @@ const (
 	repairReportRecord = `{"t_hours":25.194000000000003,"src":4,"dst":10,"option":{"kind":"direct"},"metrics":{"rtt_ms":40,"loss_rate":0,"jitter_ms":1},"repair":"fec-4","duration_sec":120}`
 )
 
-// FuzzWALRecordCodec is FuzzControlCodec (internal/transport) for the two
-// hot WAL records: on arbitrary bytes DecodeJSON is json.Unmarshal, on
-// every decoded value and on raw strings and floats AppendJSON is
-// json.Marshal.
+// FuzzWALRecordCodec holds the two hot WAL records to the identity
+// contract (internal/transport/jsoncodec.go): on arbitrary bytes
+// DecodeJSON is json.Unmarshal, on every decoded value and on raw strings
+// and floats AppendJSON is json.Marshal. The later seeds aim at the shared
+// primitives — string escapes, floats, integers, keys, trailing data.
 func FuzzWALRecordCodec(f *testing.F) {
 	for _, s := range []string{
 		legacyChooseRecord, repairChooseRecord, legacyReportRecord, repairReportRecord,
@@ -66,6 +67,27 @@ func FuzzWALRecordCodec(f *testing.F) {
 	}
 	for _, x := range []float64{1e-7, 1e21, math.Copysign(0, -1), math.NaN(), math.Inf(1), 25.194000000000003} {
 		f.Add([]byte(repairReportRecord), "fec-4", x)
+	}
+	for _, s := range []string{
+		// Strings: escapes, HTML-sensitive bytes, separators, invalid UTF-8.
+		`{"t_hours":1,"src":1,"dst":2,"option":{"kind":"a<b&c>d"},"repair":"q\"\\\/\b\f\n\r\t"}`,
+		"{\"t_hours\":1,\"option\":{\"kind\":\"\u2028\u2029\u00e9\"},\"repair\":\"\xff\xc0\xaf\"}",
+		`{"option":{"kind":"\ud800"},"repair":"\ud83d\ude00"}`, `{"repair":["\u006eack","fec-4"]}`,
+		"{\"repair\":\"tab\there\"}", `{"repair":"\x"}`, `{"repair":"unterminated`, `{"repair":["a",null]}`,
+		// Numbers.
+		`{"metrics":{"rtt_ms":1e-7,"loss_rate":1e21,"jitter_ms":-0}}`,
+		`{"metrics":{"rtt_ms":1E+2,"loss_rate":0.000001,"jitter_ms":123456789012345678901234567890}}`,
+		`{"metrics":{"rtt_ms":01}}`, `{"metrics":{"rtt_ms":1.}}`, `{"metrics":{"rtt_ms":.5}}`, `{"metrics":{"rtt_ms":"1"}}`,
+		`{"t_hours":999999999999999868928,"duration_sec":5e-324}`,
+		`{"src":2147483647,"dst":-2147483648}`, `{"dst":-2147483649}`, `{"src":-0}`, `{"src":00}`, `{"src":true}`,
+		// Duplicate, case-folded and unknown keys.
+		`{"cands":[{"kind":"bounce","r1":3}],"cands":[{"r2":9}]}`, `{"src":1,"src":2}`,
+		`{"Cands":[{"Kind":"bounce","R1":3}]}`, "{\"\u017frc\":1}", "{\"option\":{\"\u212aind\":\"direct\"}}",
+		`{"src":1,"extra":{"deep":[1,2,{"x":null}]},"dst":2}`, `{"cands":[{"kind":"direct"},]}`, `{"cands":{}}`,
+		// Trailing data.
+		repairChooseRecord + " x", `{"t_hours":1}}`, `{"t_hours":1}` + "\n\n",
+	} {
+		f.Add([]byte(s), s, 0.0)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, str string, x float64) {
 		walChooseShape.Differential(t, data)
@@ -305,7 +327,7 @@ func TestOlderClientServedIdentically(t *testing.T) {
 	for _, o := range testCands() {
 		choose.Candidates = append(choose.Candidates, transport.ToWireOption(o))
 	}
-	cur, err := choose.AppendJSON(nil)
+	cur, err := json.Marshal(choose)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +345,7 @@ func TestOlderClientServedIdentically(t *testing.T) {
 
 	report := transport.ReportRequest{Src: 7, Dst: 3, Option: transport.ToWireOption(netsim.BounceOption(2)),
 		Metrics: transport.WireMetrics{RTTMs: 83.41926775, LossRate: 0.0125, JitterMs: 4.5}, Repair: "nack", DurationSec: 62.5}
-	cur, err = report.AppendJSON(nil)
+	cur, err = json.Marshal(report)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +409,7 @@ func TestCarriersLogIdenticalRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := transport.ChooseRequest{Src: src, Dst: dst, Candidates: wire, RepairCandidates: offer}.AppendJSON(nil)
+		body, err := json.Marshal(transport.ChooseRequest{Src: src, Dst: dst, Candidates: wire, RepairCandidates: offer})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,8 +421,8 @@ func TestCarriersLogIdenticalRecords(t *testing.T) {
 		if err := c.ReportRepair(src, dst, opt, scheme, dur, m); err != nil {
 			t.Fatal(err)
 		}
-		body, err = transport.ReportRequest{Src: src, Dst: dst, Option: transport.ToWireOption(opt),
-			Metrics: transport.ToWireMetrics(m), Repair: scheme, DurationSec: dur}.AppendJSON(nil)
+		body, err = json.Marshal(transport.ReportRequest{Src: src, Dst: dst, Option: transport.ToWireOption(opt),
+			Metrics: transport.ToWireMetrics(m), Repair: scheme, DurationSec: dur})
 		if err != nil {
 			t.Fatal(err)
 		}

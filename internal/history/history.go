@@ -101,38 +101,6 @@ func (s *Store) Get(src, dst netsim.ASID, opt netsim.Option, window int) (Agg, b
 	return *a, true
 }
 
-// options returns the relaying options observed for (src, dst) in a window,
-// oriented for the src→dst direction, together with sample counts.
-func (s *Store) options(src, dst netsim.ASID, window int) []OptionCount {
-	pair := MakePairKey(src, dst)
-	flip := src > dst
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	wd := s.windows[window]
-	if wd == nil {
-		return nil
-	}
-	var out []OptionCount
-	for k, a := range wd.byOpt {
-		if k.pair != pair {
-			continue
-		}
-		opt := k.opt
-		if flip && opt.Kind == netsim.Transit {
-			opt.R1, opt.R2 = opt.R2, opt.R1
-		}
-		out = append(out, OptionCount{Option: opt, N: a.N()})
-	}
-	sort.Slice(out, func(i, j int) bool { return optionLess(out[i].Option, out[j].Option) })
-	return out
-}
-
-// OptionCount pairs a relaying option with its observed sample count.
-type OptionCount struct {
-	Option netsim.Option
-	N      int64
-}
-
 func optionLess(a, b netsim.Option) bool {
 	if a.Kind != b.Kind {
 		return a.Kind < b.Kind

@@ -55,32 +55,6 @@ func TestStoreDirectionPooling(t *testing.T) {
 	}
 }
 
-func TestStoreOptionsOrientation(t *testing.T) {
-	s := NewStore()
-	s.Add(5, 9, netsim.TransitOption(1, 2), 0, q(1, 0, 0))
-	s.Add(5, 9, netsim.DirectOption(), 0, q(1, 0, 0))
-	s.Add(5, 9, netsim.DirectOption(), 0, q(1, 0, 0))
-
-	fwd := s.options(5, 9, 0)
-	if len(fwd) != 2 {
-		t.Fatalf("got %d options", len(fwd))
-	}
-	if fwd[0].Option != netsim.DirectOption() || fwd[0].N != 2 {
-		t.Errorf("fwd[0] = %+v", fwd[0])
-	}
-	if fwd[1].Option != netsim.TransitOption(1, 2) {
-		t.Errorf("fwd[1] = %+v", fwd[1])
-	}
-
-	rev := s.options(9, 5, 0)
-	if rev[1].Option != netsim.TransitOption(2, 1) {
-		t.Errorf("reverse orientation not flipped: %+v", rev[1])
-	}
-	if s.options(5, 9, 7) != nil {
-		t.Error("empty window should return nil")
-	}
-}
-
 func TestStoreWindowsAndDrop(t *testing.T) {
 	s := NewStore()
 	s.Add(1, 2, netsim.DirectOption(), 3, q(1, 0, 0))

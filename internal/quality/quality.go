@@ -81,20 +81,6 @@ func (q Metrics) Get(m Metric) float64 {
 	}
 }
 
-// set assigns the value of metric m.
-func (q *Metrics) set(m Metric, v float64) {
-	switch m {
-	case RTT:
-		q.RTTMs = v
-	case Loss:
-		q.LossRate = v
-	case Jitter:
-		q.JitterMs = v
-	default:
-		panic("quality: unknown metric")
-	}
-}
-
 // PoorOn reports whether the call is poor on metric m (value at or beyond
 // the threshold).
 func (q Metrics) PoorOn(m Metric) bool {

@@ -21,11 +21,24 @@ func TestMetricString(t *testing.T) {
 	}
 }
 
+// with returns q with metric m set to v.
+func with(q Metrics, m Metric, v float64) Metrics {
+	switch m {
+	case RTT:
+		q.RTTMs = v
+	case Loss:
+		q.LossRate = v
+	case Jitter:
+		q.JitterMs = v
+	}
+	return q
+}
+
 func TestGetSetRoundTrip(t *testing.T) {
 	var q Metrics
 	for i, m := range AllMetrics() {
 		v := float64(i+1) * 1.5
-		q.set(m, v)
+		q = with(q, m, v)
 		if q.Get(m) != v {
 			t.Errorf("%v: get/set mismatch", m)
 		}
@@ -221,9 +234,7 @@ func TestRatingModelMonotone(t *testing.T) {
 		base := Metrics{RTTMs: 80, LossRate: 0.002, JitterMs: 2}
 		prev := -1.0
 		for f := 0.0; f <= 3; f += 0.25 {
-			q := base
-			q.set(m, f*Threshold(m))
-			p := rm.PoorProb(q)
+			p := rm.PoorProb(with(base, m, f*Threshold(m)))
 			if p < prev {
 				t.Fatalf("PoorProb not monotone in %v", m)
 			}

@@ -123,7 +123,7 @@ func TestOlderClientThroughGate(t *testing.T) {
 		return string(out)
 	}
 	cur := serve(func(r transport.ChooseRequest) []byte {
-		body, err := r.AppendJSON(nil)
+		body, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,21 +26,13 @@ func FuzzFECDecode(f *testing.F) {
 		if err := back.Unmarshal(fp.Marshal(nil)); err != nil {
 			t.Fatalf("re-unmarshal of accepted parity failed: %v", err)
 		}
-		// Offline recovery path with k−1 synthetic members.
-		got := make([]*Packet, 0, int(fp.K)-1)
-		for i := 0; i < int(fp.K)-1; i++ {
-			got = append(got, &Packet{Seq: fp.BaseSeq + uint16(i), Payload: []byte{byte(i)}})
-		}
-		if rec, err := fp.recoverMember(got, nil); err == nil {
-			if int(uint16(len(rec.Payload))) != len(rec.Payload) {
-				t.Fatalf("recovered payload length %d out of range", len(rec.Payload))
-			}
-		}
-		// Incremental path, parity-first then members.
+		// Parity first, then k−1 synthetic members.
 		dec := NewFECDecoder(int(fp.K))
 		dec.AddParity(&fp)
-		for _, m := range got {
-			dec.AddMedia(m)
+		for i := 0; i < int(fp.K)-1; i++ {
+			if rec, ok := dec.AddMedia(&Packet{Seq: fp.BaseSeq + uint16(i), Payload: []byte{byte(i)}}); ok && len(rec.Payload) > len(fp.Payload) {
+				t.Fatalf("recovered payload of %d bytes from %d parity bytes", len(rec.Payload), len(fp.Payload))
+			}
 		}
 	})
 }

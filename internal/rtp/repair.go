@@ -127,29 +127,8 @@ func ParseScheme(name string) (Scheme, error) {
 	return SchemeNone, fmt.Errorf("rtp: unknown repair scheme %q", name)
 }
 
-// redundancyOverhead returns the scheme's nominal bandwidth overhead as a
-// fraction of the media rate — what the §4.6-style budget charges a call
-// for choosing it: RED doubles the stream, FEC-k adds one parity per k
-// packets, NACK costs only occasional retransmits (a nominal 5%).
-func redundancyOverhead(s Scheme) float64 {
-	switch {
-	case s == SchemeNACK:
-		return 0.05
-	case s == SchemeRED:
-		return 1.0
-	case s.IsFEC():
-		return 1.0 / float64(s.FECGroup())
-	default:
-		return 0
-	}
-}
-
 // ErrRepair reports a malformed repair payload (FEC or NACK wire form).
 var ErrRepair = errors.New("rtp: malformed repair payload")
-
-// ErrFECUnrecoverable reports a FEC group that cannot be reconstructed —
-// more than one member missing, or inconsistent member metadata.
-var ErrFECUnrecoverable = errors.New("rtp: fec group unrecoverable")
 
 // FECPacket is one XOR parity packet covering the K media packets
 // [BaseSeq, BaseSeq+K). Payload is the XOR of the members' payloads
@@ -192,55 +171,6 @@ func (p *FECPacket) Unmarshal(buf []byte) error {
 	p.TSXor = binary.BigEndian.Uint32(buf[5:9])
 	p.Payload = buf[fecHdrLen:]
 	return nil
-}
-
-// recoverMember reconstructs the single missing member of the group from the
-// parity and the K−1 received members. Fewer survivors mean double loss
-// (ErrFECUnrecoverable); members outside the group or duplicated are
-// rejected. The returned packet's payload appends to dst (pass nil, or a
-// reused buffer to avoid allocation).
-func (p *FECPacket) recoverMember(got []*Packet, dst []byte) (Packet, error) {
-	k := int(p.K)
-	if len(got) != k-1 {
-		return Packet{}, ErrFECUnrecoverable
-	}
-	var mask uint16
-	lenXor := p.LenXor
-	tsXor := p.TSXor
-	for _, m := range got {
-		off := int(m.Seq - p.BaseSeq) // mod-2^16 offset
-		if off < 0 || off >= k || mask&(1<<off) != 0 {
-			return Packet{}, ErrFECUnrecoverable
-		}
-		mask |= 1 << off
-		lenXor ^= uint16(len(m.Payload))
-		tsXor ^= m.Timestamp
-	}
-	missing := 0
-	for mask&(1<<missing) != 0 {
-		missing++
-	}
-	if int(lenXor) > len(p.Payload) {
-		return Packet{}, ErrFECUnrecoverable
-	}
-	buf := append(dst[:0], p.Payload[:lenXor]...)
-	for _, m := range got {
-		n := int(lenXor)
-		if len(m.Payload) < n {
-			n = len(m.Payload)
-		}
-		for i := 0; i < n; i++ {
-			buf[i] ^= m.Payload[i]
-		}
-	}
-	out := Packet{
-		PayloadType: got[0].PayloadType,
-		Seq:         p.BaseSeq + uint16(missing),
-		Timestamp:   tsXor,
-		SSRC:        got[0].SSRC,
-		Payload:     buf,
-	}
-	return out, nil
 }
 
 // FECEncoder accumulates sender-side XOR parity over groups of K media

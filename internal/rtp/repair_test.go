@@ -47,21 +47,6 @@ func TestSchemeCodec(t *testing.T) {
 	}
 }
 
-func TestRedundancyOverhead(t *testing.T) {
-	if redundancyOverhead(SchemeNone) != 0 {
-		t.Error("none must be free")
-	}
-	if redundancyOverhead(SchemeRED) != 1 {
-		t.Error("red doubles the stream")
-	}
-	if got := redundancyOverhead(SchemeFEC(4)); got != 0.25 {
-		t.Errorf("fec-4 overhead = %v, want 0.25", got)
-	}
-	if redundancyOverhead(SchemeNACK) >= redundancyOverhead(SchemeFEC(15)) {
-		t.Error("nack must be the cheapest non-none scheme")
-	}
-}
-
 // group builds k sequential packets with distinct payloads.
 func group(t *testing.T, base uint16, k int, lens []int) []*Packet {
 	t.Helper()
@@ -116,15 +101,25 @@ func TestFECRecoverAnySingleLoss(t *testing.T) {
 				if err := fp.Unmarshal(wire); err != nil {
 					t.Fatal(err)
 				}
-				got := make([]*Packet, 0, c.k-1)
-				for i, p := range pkts {
-					if i != miss {
-						got = append(got, p)
+				// Parity last for even misses, first for odd ones.
+				dec := NewFECDecoder(c.k)
+				if miss%2 == 1 {
+					if _, ok := dec.AddParity(&fp); ok {
+						t.Fatalf("miss=%d: recovered from parity alone", miss)
 					}
 				}
-				rec, err := fp.recoverMember(got, nil)
-				if err != nil {
-					t.Fatalf("miss=%d: %v", miss, err)
+				var rec Packet
+				var ok bool
+				for i, p := range pkts {
+					if i != miss {
+						rec, ok = dec.AddMedia(p)
+					}
+				}
+				if miss%2 == 0 {
+					rec, ok = dec.AddParity(&fp)
+				}
+				if !ok {
+					t.Fatalf("miss=%d: not recovered", miss)
 				}
 				want := pkts[miss]
 				if rec.Seq != want.Seq || rec.Timestamp != want.Timestamp ||
@@ -136,6 +131,19 @@ func TestFECRecoverAnySingleLoss(t *testing.T) {
 	}
 }
 
+// recovers feeds members then parity to a fresh decoder and reports
+// whether anything was recovered.
+func recovers(k int, parity *FECPacket, members ...*Packet) bool {
+	dec := NewFECDecoder(k)
+	recovered := false
+	for _, m := range members {
+		_, ok := dec.AddMedia(m)
+		recovered = recovered || ok
+	}
+	_, ok := dec.AddParity(parity)
+	return recovered || ok
+}
+
 func TestFECDoubleLossUnrecoverable(t *testing.T) {
 	pkts := group(t, 40, 4, nil)
 	enc := NewFECEncoder(4)
@@ -143,16 +151,17 @@ func TestFECDoubleLossUnrecoverable(t *testing.T) {
 	for _, p := range pkts {
 		parity = enc.Add(p)
 	}
-	if _, err := parity.recoverMember(pkts[:2], nil); err != ErrFECUnrecoverable {
-		t.Errorf("double loss: %v, want ErrFECUnrecoverable", err)
+	if recovers(4, parity, pkts[:2]...) {
+		t.Error("double loss recovered")
 	}
-	// Duplicated member and out-of-group member must be rejected too.
-	if _, err := parity.recoverMember([]*Packet{pkts[0], pkts[0], pkts[1]}, nil); err == nil {
+	// A duplicated member and an out-of-group member must not count
+	// towards the group either.
+	if recovers(4, parity, pkts[0], pkts[0], pkts[1]) {
 		t.Error("duplicate member accepted")
 	}
 	foreign := *pkts[0]
 	foreign.Seq = 999
-	if _, err := parity.recoverMember([]*Packet{pkts[0], pkts[1], &foreign}, nil); err == nil {
+	if recovers(4, parity, pkts[0], pkts[1], &foreign) {
 		t.Error("out-of-group member accepted")
 	}
 }
@@ -173,9 +182,8 @@ func TestFECPacketUnmarshalErrors(t *testing.T) {
 	// A recovered length exceeding the parity payload is detected at
 	// recovery time.
 	corrupt := FECPacket{K: 2, LenXor: 100, Payload: []byte{1, 2}}
-	member := &Packet{Seq: 0, Payload: []byte{9}}
-	if _, err := corrupt.recoverMember([]*Packet{member}, nil); err != ErrFECUnrecoverable {
-		t.Errorf("oversized recovered length: %v", err)
+	if recovers(2, &corrupt, &Packet{Seq: 0, Payload: []byte{9}}) {
+		t.Error("oversized recovered length recovered")
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -13,11 +14,13 @@ import (
 )
 
 // TestRunParallelMatchesSequential asserts the engine's central concurrency
-// invariant: Runner.Run with a worker pool produces bit-identical Results
-// to a forced-sequential replay, for multiple strategies at multiple
-// seeds. Common random numbers make this possible — every realized outcome
-// is a pure function of (call id, option) — and the race detector (this
-// test runs under `make race`) covers the memory-safety half.
+// invariant: RunOne called from several goroutines on one Runner — as
+// viabench -jobs drives it through experiments.Env — produces Results
+// bit-identical to a sequential replay, for multiple strategies at
+// multiple seeds. Common random numbers make this possible — every
+// realized outcome is a pure function of (call id, option) — and the race
+// detector (this test runs under `make race`) covers the memory-safety
+// half.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	calls := 20000
 	if testing.Short() {
@@ -38,17 +41,27 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 					core.NewVia(core.DefaultViaConfig(m), w),
 				}
 			}
-			seqCfg := DefaultConfig(seed + 2)
-			seqCfg.Workers = 1
-			seq := NewRunner(w, seqCfg).run(mkStrategies(), recs)
-
-			parCfg := DefaultConfig(seed + 2)
-			parCfg.Workers = 4
-			par := NewRunner(w, parCfg).run(mkStrategies(), recs)
-
-			if len(seq) != len(par) {
-				t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
+			seqRunner := NewRunner(w, DefaultConfig(seed+2))
+			var seq []*Result
+			for _, s := range mkStrategies() {
+				seq = append(seq, seqRunner.RunOne(s, recs))
 			}
+
+			// No Prepare: the goroutines' first RunOne calls race to
+			// prepare the shared runner.
+			parRunner := NewRunner(w, DefaultConfig(seed+2))
+			strategies := mkStrategies()
+			par := make([]*Result, len(strategies))
+			var wg sync.WaitGroup
+			for i, s := range strategies {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					par[i] = parRunner.RunOne(s, recs)
+				}()
+			}
+			wg.Wait()
+
 			for i := range seq {
 				if !reflect.DeepEqual(seq[i], par[i]) {
 					t.Errorf("strategy %q: parallel result differs from sequential", seq[i].Name)

@@ -13,7 +13,6 @@
 package sim
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -51,12 +50,6 @@ type Config struct {
 	// window boundary (§7's active-measurement extension). Probe results
 	// feed the strategy's history but are not evaluated calls.
 	ActiveProbesPerWindow int
-	// Workers bounds how many strategies Run replays concurrently.
-	// 0 means GOMAXPROCS; 1 forces the sequential path. Because every
-	// realized outcome is a pure function of (call id, option) — the
-	// common-random-numbers design — results are bit-identical at any
-	// worker count.
-	Workers int
 	// Metrics, when set, receives per-run telemetry: per-strategy call
 	// throughput counters (folded in once at the end of each RunOne, never
 	// on the per-call path) and the world's cache hit/miss gauges. The
@@ -180,9 +173,9 @@ func NewRunner(w *netsim.World, cfg Config) *Runner {
 	return r
 }
 
-// Prepare precomputes the eligibility filter for a trace. It must be called
-// (directly or via Run) before RunOne, and must not run concurrently with
-// RunOne: it replaces the read-only state RunOne's hot path consumes.
+// Prepare precomputes the eligibility filter for a trace (RunOne does it
+// on first use otherwise). It must not run concurrently with RunOne: it
+// replaces the read-only state RunOne's hot path consumes.
 func (r *Runner) Prepare(recs []trace.CallRecord) {
 	r.prepMu.Lock()
 	defer r.prepMu.Unlock()
@@ -414,50 +407,4 @@ func filterOptions(dst, cands []netsim.Option, excluded map[netsim.RelayID]bool)
 		dst = append(dst, o)
 	}
 	return dst
-}
-
-// workers resolves the configured run parallelism.
-func (r *Runner) workers() int {
-	if r.Cfg.Workers > 0 {
-		return r.Cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// run replays the trace against each strategy and returns results in the
-// same order. Independent strategies are dispatched across a bounded
-// worker pool (Config.Workers, default GOMAXPROCS); because realized
-// outcomes are pure functions of (call id, option) — common random
-// numbers — and each strategy observes only its own counterfactual, the
-// results are bit-identical to a sequential replay.
-func (r *Runner) run(strategies []core.Strategy, recs []trace.CallRecord) []*Result {
-	r.ensurePrepared(recs)
-	out := make([]*Result, len(strategies))
-	workers := r.workers()
-	if workers > len(strategies) {
-		workers = len(strategies)
-	}
-	if workers <= 1 {
-		for i, s := range strategies {
-			out[i] = r.RunOne(s, recs)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = r.RunOne(strategies[i], recs)
-			}
-		}()
-	}
-	for i := range strategies {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return out
 }

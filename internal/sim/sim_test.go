@@ -146,11 +146,8 @@ func TestClassBreakdownsConsistent(t *testing.T) {
 func TestOracleImprovesEverything(t *testing.T) {
 	w, recs := testWorldTrace(t, 60000)
 	r := NewRunner(w, DefaultConfig(3))
-	results := r.run([]core.Strategy{
-		core.DefaultStrategy{},
-		core.NewOracle(w, quality.RTT),
-	}, recs)
-	def, orc := results[0], results[1]
+	def := r.RunOne(core.DefaultStrategy{}, recs)
+	orc := r.RunOne(core.NewOracle(w, quality.RTT), recs)
 	if orc.PNR.Rate(quality.RTT) >= def.PNR.Rate(quality.RTT)*0.5 {
 		t.Errorf("oracle RTT PNR %v vs default %v; want large reduction",
 			orc.PNR.Rate(quality.RTT), def.PNR.Rate(quality.RTT))
@@ -171,13 +168,16 @@ func TestViaOrderingMatchesPaper(t *testing.T) {
 	w, recs := testWorldTrace(t, 120000)
 	m := quality.RTT
 	r := NewRunner(w, DefaultConfig(3))
-	results := r.run([]core.Strategy{
+	var results []*Result
+	for _, s := range []core.Strategy{
 		core.DefaultStrategy{},
 		core.NewOracle(w, m),
 		core.NewPredictOnly(m, w),
 		core.NewExploreOnly(m, 0.1, 5),
 		core.NewVia(core.DefaultViaConfig(m), w),
-	}, recs)
+	} {
+		results = append(results, r.RunOne(s, recs))
+	}
 	base := results[0].PNR.AtLeastOneBadRate()
 	red := func(i int) float64 {
 		return quality.RelativeImprovement(base, results[i].PNR.AtLeastOneBadRate())

@@ -45,23 +45,6 @@ func (c *CDF) FractionAtOrAbove(x float64) float64 {
 	return float64(len(c.sorted)-i) / float64(len(c.sorted))
 }
 
-// points returns up to n evenly spaced (value, cumulative fraction) points,
-// suitable for plotting the CDF curve.
-func (c *CDF) points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	pts := make([][2]float64, n)
-	for k := 0; k < n; k++ {
-		idx := k * (len(c.sorted) - 1) / max(n-1, 1)
-		pts[k] = [2]float64{c.sorted[idx], float64(idx+1) / float64(len(c.sorted))}
-	}
-	return pts
-}
-
 // Table is a small helper for rendering aligned text tables — the experiment
 // harness prints every reproduced figure/table through it so output lines up
 // with the paper's rows and series.

@@ -45,32 +45,6 @@ func TestCDFEmpty(t *testing.T) {
 	if !math.IsNaN(c.Quantile(0.5)) {
 		t.Error("empty CDF quantile should be NaN")
 	}
-	if c.points(5) != nil {
-		t.Error("empty CDF points should be nil")
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	c := NewCDF(xs)
-	pts := c.points(11)
-	if len(pts) != 11 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	if pts[0][0] != 0 || pts[len(pts)-1][0] != 99 {
-		t.Errorf("endpoints = %v, %v", pts[0], pts[len(pts)-1])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][1] < pts[i-1][1] {
-			t.Error("CDF points not monotone")
-		}
-	}
-	if pts[len(pts)-1][1] != 1 {
-		t.Errorf("final cumulative fraction = %v", pts[len(pts)-1][1])
-	}
 }
 
 func TestTableRendering(t *testing.T) {

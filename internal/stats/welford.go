@@ -19,16 +19,6 @@ func (w *Welford) Add(x float64) {
 	w.M2 += delta * (x - w.Mean)
 }
 
-// addN incorporates the same observation n times (used when collapsing
-// pre-aggregated samples).
-func (w *Welford) addN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	other := Welford{N: n, Mean: x}
-	w.Merge(other)
-}
-
 // Merge combines another accumulator into this one (Chan et al. parallel
 // variance formula). Merging an empty accumulator is a no-op.
 func (w *Welford) Merge(o Welford) {
@@ -65,15 +55,6 @@ func (w *Welford) SEM() float64 {
 		return 0
 	}
 	return w.StdDev() / math.Sqrt(float64(w.N))
-}
-
-// ci95 returns the lower and upper bounds of the 95% confidence interval on
-// the mean: Mean ± 1.96·SEM. With fewer than two samples both bounds equal
-// the mean; callers that need to treat sparse data conservatively should
-// check N themselves.
-func (w *Welford) ci95() (lower, upper float64) {
-	sem := w.SEM()
-	return w.Mean - 1.96*sem, w.Mean + 1.96*sem
 }
 
 // Pearson computes the Pearson correlation coefficient between two

@@ -77,15 +77,6 @@ type Pair struct {
 	Src, Dst netsim.ASID
 }
 
-// canonical returns the pair with endpoints ordered low-to-high, the
-// granularity at which performance is symmetric.
-func (p Pair) canonical() Pair {
-	if p.Src > p.Dst {
-		return Pair{p.Dst, p.Src}
-	}
-	return p
-}
-
 func (p Pair) String() string { return fmt.Sprintf("%d-%d", p.Src, p.Dst) }
 
 // Generator produces call records against a world.

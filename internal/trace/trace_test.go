@@ -154,16 +154,8 @@ func TestWindowHelper(t *testing.T) {
 	}
 }
 
-func TestPairCanonical(t *testing.T) {
-	p := Pair{5, 2}
-	if p.canonical() != (Pair{2, 5}) {
-		t.Error("canonical should order endpoints")
-	}
-	q := Pair{2, 5}
-	if q.canonical() != q {
-		t.Error("already-canonical pair changed")
-	}
-	if p.String() != "5-2" {
+func TestPairString(t *testing.T) {
+	if p := (Pair{5, 2}); p.String() != "5-2" {
 		t.Errorf("String = %q", p.String())
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"repro/internal/netsim"
 )
 
-// Hand-written codecs for the JSON control messages of POST /v1/choose
-// and /v1/report — ChooseRequest, ChooseResponse, ReportRequest,
-// ReportResponse — and the WireOption and WireMetrics they (and the WAL
-// records) embed. See jsoncodec.go for the contract: AppendJSON is
-// json.Marshal byte for byte, DecodeJSON is json.Unmarshal into a zero
-// value. Every other message stays on encoding/json.
+// Hand-written codecs for WireOption and WireMetrics, the two wire types
+// the controller's hot WAL records (walChoose, walReport) embed. See
+// jsoncodec.go for the contract: AppendJSON is json.Marshal byte for byte,
+// ScanJSON reads the canonical grammar and leaves the rest to the record's
+// encoding/json fallback. The POST bodies that carry these types stay on
+// encoding/json.
 //
 // Adding a field to one of these structs means adding it to both methods
 // here; TestCodecCoversEveryField fails until that is done.
@@ -132,174 +132,4 @@ func (m *WireMetrics) ScanJSON(s *JSONScanner) {
 			s.Fail()
 		}
 	}
-}
-
-// AppendJSON appends the request as json.Marshal encodes it.
-//
-//via:noalloc
-func (r ChooseRequest) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, `{"src":`...)
-	dst = strconv.AppendInt(dst, int64(r.Src), 10)
-	dst = append(dst, `,"dst":`...)
-	dst = strconv.AppendInt(dst, int64(r.Dst), 10)
-	dst = append(dst, `,"candidates":`...)
-	dst = AppendWireOptions(dst, r.Candidates)
-	if len(r.RepairCandidates) > 0 {
-		dst = append(dst, `,"repair_candidates":`...)
-		dst = AppendJSONStrings(dst, r.RepairCandidates)
-	}
-	return append(dst, '}'), nil
-}
-
-func (r *ChooseRequest) scanJSON(s *JSONScanner) {
-	for q := s.Object(); q.Next(); {
-		switch {
-		case q.Field("src", 0):
-			r.Src = s.Int32()
-		case q.Field("dst", 1):
-			r.Dst = s.Int32()
-		case q.Field("candidates", 2):
-			r.Candidates = ScanWireOptions(s)
-		case q.Field("repair_candidates", 3):
-			r.RepairCandidates = s.Strings()
-		default:
-			s.Fail()
-		}
-	}
-}
-
-// DecodeJSON sets *r from data as json.Unmarshal sets a zero value.
-func (r *ChooseRequest) DecodeJSON(data []byte) error {
-	s := ScanJSON(data)
-	r.scanJSON(&s)
-	if s.End() {
-		return nil
-	}
-	return UnmarshalStd(data, r)
-}
-
-// AppendJSON appends the response as json.Marshal encodes it.
-//
-//via:noalloc
-func (r ChooseResponse) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, `{"option":`...)
-	dst = r.Option.AppendJSON(dst)
-	if r.Repair != "" {
-		dst = append(dst, `,"repair":`...)
-		dst = AppendJSONString(dst, r.Repair)
-	}
-	return append(dst, '}'), nil
-}
-
-func (r *ChooseResponse) scanJSON(s *JSONScanner) {
-	for q := s.Object(); q.Next(); {
-		switch {
-		case q.Field("option", 0):
-			r.Option.ScanJSON(s)
-		case q.Field("repair", 1):
-			r.Repair = s.String()
-		default:
-			s.Fail()
-		}
-	}
-}
-
-// DecodeJSON sets *r from data as json.Unmarshal sets a zero value.
-func (r *ChooseResponse) DecodeJSON(data []byte) error {
-	s := ScanJSON(data)
-	r.scanJSON(&s)
-	if s.End() {
-		return nil
-	}
-	return UnmarshalStd(data, r)
-}
-
-// AppendJSON appends the request as json.Marshal encodes it.
-//
-//via:noalloc
-func (r ReportRequest) AppendJSON(dst []byte) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"src":`...)
-	dst = strconv.AppendInt(dst, int64(r.Src), 10)
-	dst = append(dst, `,"dst":`...)
-	dst = strconv.AppendInt(dst, int64(r.Dst), 10)
-	dst = append(dst, `,"option":`...)
-	dst = r.Option.AppendJSON(dst)
-	dst = append(dst, `,"metrics":`...)
-	if dst, err = r.Metrics.AppendJSON(dst); err != nil {
-		return dst, err
-	}
-	if r.Repair != "" {
-		dst = append(dst, `,"repair":`...)
-		dst = AppendJSONString(dst, r.Repair)
-	}
-	if r.DurationSec != 0 {
-		dst = append(dst, `,"duration_sec":`...)
-		if dst, err = AppendJSONFloat(dst, r.DurationSec); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, '}'), nil
-}
-
-func (r *ReportRequest) scanJSON(s *JSONScanner) {
-	for q := s.Object(); q.Next(); {
-		switch {
-		case q.Field("src", 0):
-			r.Src = s.Int32()
-		case q.Field("dst", 1):
-			r.Dst = s.Int32()
-		case q.Field("option", 2):
-			r.Option.ScanJSON(s)
-		case q.Field("metrics", 3):
-			r.Metrics.ScanJSON(s)
-		case q.Field("repair", 4):
-			r.Repair = s.String()
-		case q.Field("duration_sec", 5):
-			r.DurationSec = s.Float64()
-		default:
-			s.Fail()
-		}
-	}
-}
-
-// DecodeJSON sets *r from data as json.Unmarshal sets a zero value.
-func (r *ReportRequest) DecodeJSON(data []byte) error {
-	s := ScanJSON(data)
-	r.scanJSON(&s)
-	if s.End() {
-		return nil
-	}
-	return UnmarshalStd(data, r)
-}
-
-// AppendJSON appends the response as json.Marshal encodes it.
-//
-//via:noalloc
-func (r ReportResponse) AppendJSON(dst []byte) ([]byte, error) {
-	if r.OK {
-		return append(dst, `{"ok":true}`...), nil
-	}
-	return append(dst, `{"ok":false}`...), nil
-}
-
-func (r *ReportResponse) scanJSON(s *JSONScanner) {
-	for q := s.Object(); q.Next(); {
-		switch {
-		case q.Field("ok", 0):
-			r.OK = s.Bool()
-		default:
-			s.Fail()
-		}
-	}
-}
-
-// DecodeJSON sets *r from data as json.Unmarshal sets a zero value.
-func (r *ReportResponse) DecodeJSON(data []byte) error {
-	s := ScanJSON(data)
-	r.scanJSON(&s)
-	if s.End() {
-		return nil
-	}
-	return UnmarshalStd(data, r)
 }

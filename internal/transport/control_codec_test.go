@@ -22,146 +22,174 @@ func canonical[T any](scan func(*T, *JSONScanner)) func([]byte) bool {
 	}
 }
 
+// decoder is how a WAL record decodes an embedded wire type: the scanner,
+// and encoding/json on anything outside the canonical grammar.
+func decoder[T any](scan func(*T, *JSONScanner)) func(*T, []byte) error {
+	return func(v *T, data []byte) error {
+		s := ScanJSON(data)
+		scan(v, &s)
+		if s.End() {
+			return nil
+		}
+		return UnmarshalStd(data, v)
+	}
+}
+
+func scanWireOptions(v *[]WireOption, s *JSONScanner) { *v = ScanWireOptions(s) }
+func scanString(v *string, s *JSONScanner)            { *v = s.String() }
+func scanStrings(v *[]string, s *JSONScanner)         { *v = s.Strings() }
+
 var (
-	chooseRequestShape = codectest.Shape[ChooseRequest]{
-		Decode: (*ChooseRequest).DecodeJSON, Append: ChooseRequest.AppendJSON,
-		Canonical: canonical((*ChooseRequest).scanJSON),
+	wireOptionShape = codectest.Shape[WireOption]{
+		Decode:    decoder((*WireOption).ScanJSON),
+		Append:    func(o WireOption, dst []byte) ([]byte, error) { return o.AppendJSON(dst), nil },
+		Canonical: canonical((*WireOption).ScanJSON),
 	}
-	chooseResponseShape = codectest.Shape[ChooseResponse]{
-		Decode: (*ChooseResponse).DecodeJSON, Append: ChooseResponse.AppendJSON,
-		Canonical: canonical((*ChooseResponse).scanJSON),
+	wireMetricsShape = codectest.Shape[WireMetrics]{
+		Decode: decoder((*WireMetrics).ScanJSON), Append: WireMetrics.AppendJSON,
+		Canonical: canonical((*WireMetrics).ScanJSON),
 	}
-	reportRequestShape = codectest.Shape[ReportRequest]{
-		Decode: (*ReportRequest).DecodeJSON, Append: ReportRequest.AppendJSON,
-		Canonical: canonical((*ReportRequest).scanJSON),
+	wireOptionsShape = codectest.Shape[[]WireOption]{
+		Decode:    decoder(scanWireOptions),
+		Append:    func(opts []WireOption, dst []byte) ([]byte, error) { return AppendWireOptions(dst, opts), nil },
+		Canonical: canonical(scanWireOptions),
 	}
-	reportResponseShape = codectest.Shape[ReportResponse]{
-		Decode: (*ReportResponse).DecodeJSON, Append: ReportResponse.AppendJSON,
-		Canonical: canonical((*ReportResponse).scanJSON),
+	// The string primitives the records' repair fields are built from.
+	stringShape = codectest.Shape[string]{
+		Decode:    decoder(scanString),
+		Append:    func(v string, dst []byte) ([]byte, error) { return AppendJSONString(dst, v), nil },
+		Canonical: canonical(scanString),
+	}
+	stringsShape = codectest.Shape[[]string]{
+		Decode:    decoder(scanStrings),
+		Append:    func(v []string, dst []byte) ([]byte, error) { return AppendJSONStrings(dst, v), nil },
+		Canonical: canonical(scanStrings),
 	}
 )
 
-// Real bodies: what the call-path benchmark's client and controller send.
+// Real bodies: the call-path benchmark's choose and report as POST bodies,
+// and the wire values they carry.
 const (
 	benchChooseBody = `{"src":17,"dst":4,"candidates":[{"kind":"direct"},{"kind":"bounce","r1":3},{"kind":"bounce","r1":11},{"kind":"transit","r1":3,"r2":11},{"kind":"transit","r1":11,"r2":3},{"kind":"bounce","r1":7}]}`
-	benchChooseResp = `{"option":{"kind":"transit","r1":3,"r2":11}}` + "\n"
 	benchReportBody = `{"src":17,"dst":4,"option":{"kind":"bounce","r1":3},"metrics":{"rtt_ms":83.41926775,"loss_rate":0.0123,"jitter_ms":4.5}}`
-	benchReportResp = `{"ok":true}` + "\n"
+	benchOptions    = `[{"kind":"direct"},{"kind":"bounce","r1":3},{"kind":"bounce","r1":11},{"kind":"transit","r1":3,"r2":11},{"kind":"transit","r1":11,"r2":3},{"kind":"bounce","r1":7}]`
+	benchOption     = `{"kind":"transit","r1":3,"r2":11}`
+	benchMetricsDoc = `{"rtt_ms":83.41926775,"loss_rate":0.0123,"jitter_ms":4.5}`
 )
 
 // codecSeeds are the inputs the identity contract is most likely to break
 // on, each tried against every shape.
 var codecSeeds = []string{
-	benchChooseBody, benchChooseResp, benchReportBody, benchReportResp,
-	// An older client: encoding/json output, keys reordered, whitespace.
-	"{ \"candidates\" : [ { \"r1\" : 3 , \"kind\" : \"bounce\" } ,\n\t{\"kind\":\"direct\"} ] ,\r\n \"dst\" : 4 , \"src\" : 17 }",
-	`{"metrics":{"jitter_ms":4.5,"loss_rate":0.0123,"rtt_ms":83.4},"option":{"r1":3,"kind":"bounce"},"dst":4,"src":17}`,
-	`{"src":1,"dst":2,"candidates":[{"kind":"direct"}],"repair_candidates":["none","nack","fec-4"]}`,
-	`{"src":1,"dst":2,"option":{"kind":"direct"},"metrics":{"rtt_ms":1,"loss_rate":0,"jitter_ms":0},"repair":"nack","duration_sec":62.5}`,
-	`{"option":{"kind":"direct"},"repair":"red"}`,
+	benchOptions, benchOption, benchMetricsDoc, `{"kind":"bounce","r1":3}`,
+	// An older encoder: keys reordered, whitespace.
+	"[ { \"r1\" : 3 , \"kind\" : \"bounce\" } ,\n\t{\"kind\":\"direct\"} ]",
+	`{"jitter_ms":4.5,"loss_rate":0.0123,"rtt_ms":83.4}`, `{"r1":3,"kind":"bounce"}`, " {\r\n \"kind\" : \"direct\" } ",
 	// Strings: escapes, HTML-sensitive bytes, separators, invalid UTF-8.
-	`{"option":{"kind":"direct"},"repair":"fec-4"}`,
-	`{"option":{"kind":"a<b&c>d"},"repair":"q\"\\\/\b\f\n\r\t"}`,
-	"{\"option\":{\"kind\":\"\u2028\u2029\u00e9\"},\"repair\":\"\xff\xc0\xaf\"}",
-	`{"option":{"kind":"\ud800"},"repair":"\ud83d\ude00"}`,
-	"{\"repair\":\"tab\there\"}", `{"repair":"\x"}`, `{"repair":"unterminated`,
+	`{"kind":"a<b&c>d"}`, `{"kind":"q\"\\\/\b\f\n\r\t"}`,
+	"{\"kind\":\"\u2028\u2029\u00e9\"}", "{\"kind\":\"\xff\xc0\xaf\"}",
+	`{"kind":"\ud800"}`, `{"kind":"\ud83d\ude00"}`,
+	"{\"kind\":\"tab\there\"}", `{"kind":"\x"}`, `{"kind":"unterminated`,
+	`[{"kind":"a<b&c>d"},{"kind":"\u0062ounce","r1":1}]`,
+	`"fec-4"`, `["none","nack","red","fec-4"]`, `["a<b&c>",""]`, "[\"\u2028\", \"\xff\"]", `["\u006eack"]`, `["a",null]`, `["a",]`, `["a" "b"]`,
 	// Numbers.
-	`{"metrics":{"rtt_ms":1e-7,"loss_rate":1e21,"jitter_ms":-0}}`,
-	`{"metrics":{"rtt_ms":1E+2,"loss_rate":0.000001,"jitter_ms":123456789012345678901234567890}}`,
-	`{"metrics":{"rtt_ms":1e400}}`, `{"metrics":{"rtt_ms":01}}`, `{"metrics":{"rtt_ms":1.}}`,
-	`{"metrics":{"rtt_ms":.5}}`, `{"metrics":{"rtt_ms":-}}`, `{"metrics":{"rtt_ms":1e}}`, `{"metrics":{"rtt_ms":"1"}}`,
-	`{"src":2147483647,"dst":-2147483648}`, `{"src":2147483648}`, `{"dst":-2147483649}`,
-	`{"src":1.0}`, `{"src":1e2}`, `{"src":-0}`, `{"src":00}`, `{"src":99999999999999999999}`, `{"src":true}`,
-	`{"duration_sec":-0}`, `{"duration_sec":0.0}`,
-	// null, empty and merged containers.
-	`{"src":1,"dst":2,"candidates":null}`, `{"src":1,"dst":2,"candidates":[]}`, `{"candidates":[ ]}`,
-	`{"repair_candidates":[]}`, `{"repair_candidates":null}`, `{"repair_candidates":["a",null]}`,
-	`null`, `{}`, ` {} `, `[]`, `7`, `"s"`, ``, ` `, `{`, `{"src"`, `{"src":`, `{"src":1`, `{"src":1,`, `{"src":1,}`, `{,}`,
-	`{"option":{"kind":"bounce","r1":3},"option":{"r2":9}}`,
-	`{"candidates":[{"kind":"bounce","r1":3}],"candidates":[{"r2":9}]}`,
-	`{"src":1,"src":2}`, `{"ok":true,"ok":false}`,
-	// Case-folded, unknown and nested-unknown keys.
-	`{"SRC":1,"Dst":2}`, `{"src":1,"SRC":2}`, `{"Ok":true}`, `{"option":{"Kind":"bounce","R1":3}}`,
-	`{"src":1,"extra":{"deep":[1,2,{"x":null}]},"dst":2}`, `{"option":{"kind":"direct","hop":1}}`,
-	"{\"\u017frc\":1}", `{"":1}`,
+	`{"rtt_ms":1e-7,"loss_rate":1e21,"jitter_ms":-0}`,
+	`{"rtt_ms":1E+2,"loss_rate":0.000001,"jitter_ms":123456789012345678901234567890}`,
+	`{"rtt_ms":1e400}`, `{"rtt_ms":01}`, `{"rtt_ms":1.}`, `{"rtt_ms":.5}`, `{"rtt_ms":-}`, `{"rtt_ms":1e}`, `{"rtt_ms":"1"}`,
+	`{"rtt_ms":0.0,"loss_rate":-0.0,"jitter_ms":1e-6}`, `{"rtt_ms":999999999999999868928}`,
+	`{"rtt_ms":5e-324,"loss_rate":1.7976931348623157e308}`,
+	`{"kind":"bounce","r1":2147483647,"r2":-2147483648}`, `{"r1":2147483648}`, `{"r2":-2147483649}`,
+	`{"r1":1.0}`, `{"r1":1e2}`, `{"r1":-0}`, `{"r1":00}`, `{"r1":99999999999999999999}`, `{"r1":true}`, `{"r2":0}`,
+	// null, empty and broken containers.
+	`null`, `{}`, ` {} `, `[]`, `[ ]`, `7`, `"s"`, ``, ` `, `{`, `{"kind"`, `{"kind":`, `{"kind":"direct"`,
+	`{"kind":"direct",`, `{"kind":"direct",}`, `{,}`, `[null]`, `[{"kind":"direct"},null]`, `{"kind":null}`, `{"rtt_ms":null}`,
+	// Duplicate, case-folded, unknown and nested-unknown keys.
+	`{"kind":"bounce","r1":3,"kind":"transit"}`, `{"r1":3,"r1":9}`, `{"rtt_ms":1,"rtt_ms":2}`,
+	`{"KIND":"direct","R1":3}`, `{"kind":"direct","Kind":"bounce"}`, `{"RTT_MS":1,"Loss_Rate":2}`,
+	`{"kind":"direct","extra":{"deep":[1,2,{"x":null}]},"r1":2}`, `{"kind":"direct","hop":1}`,
+	"{\"\u212aind\":\"direct\"}", "{\"rtt_m\u017f\":1}", `{"":1}`,
 	// Trailing data.
-	benchReportResp + `{}`, `{"ok":true} x`, `{"ok":true}}`, `{"ok":tru}`, `{"ok":truex}`, `{"ok":false}` + "\n\n",
-	`{"ok":1}`, `{"ok":"true"}`, `{"candidates":[{"kind":"direct"},]}`, `{"candidates":[,]}`, `{"candidates":{}}`,
+	benchOption + `{}`, `{"kind":"direct"} x`, `{"kind":"direct"}}`, `{"rtt_ms":1}` + "\n\n",
+	`[{"kind":"direct"},]`, `[,]`, `{"kind":"direct"}]`, `[{"kind":"direct"}`, `{"kind":tru}`,
+	`{"rtt_ms":1,"loss_rate":2,"jitter_ms":3,"x":true}`, `[{"kind":"transit","r1":3,"r2":11},{"kind":"transit","r1":11,"r2":3}]`,
 }
 
-// FuzzControlCodec is the identity contract's proof for the four hot
-// control messages: on arbitrary bytes each decoder is
-// encoding/json (value and verdict), on every decoded value each encoder
-// is json.Marshal (bytes), and on values no decode can produce — raw
-// strings, any float — the encoders still are.
+// FuzzControlCodec is the identity contract's proof for the wire types the
+// WAL records embed and the string primitives: on arbitrary bytes each
+// decoder is encoding/json (value and verdict), on every decoded value each
+// encoder is json.Marshal (bytes), and on values no decode can produce —
+// raw strings, any float — the encoders still are. Skip, the ring gate's
+// way past a member it has no field for, accepts only JSON.
 func FuzzControlCodec(f *testing.F) {
 	for _, s := range codecSeeds {
 		f.Add([]byte(s), s, 0.0)
 	}
 	for _, x := range []float64{1e-7, 1e21, 1e-6, 999999999999999868928, math.Copysign(0, -1), math.NaN(), math.Inf(-1), math.MaxFloat64, 5e-324} {
-		f.Add([]byte(benchReportBody), "fec-4", x)
+		f.Add([]byte(benchMetricsDoc), "fec-4", x)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, str string, x float64) {
-		chooseRequestShape.Differential(t, data)
-		chooseResponseShape.Differential(t, data)
-		reportRequestShape.Differential(t, data)
-		reportResponseShape.Differential(t, data)
+		wireOptionShape.Differential(t, data)
+		wireMetricsShape.Differential(t, data)
+		wireOptionsShape.Differential(t, data)
+		stringShape.Differential(t, data)
+		stringsShape.Differential(t, data)
+		skipped := ScanJSON(data)
+		if skipped.Skip(); skipped.End() && !json.Valid(data) {
+			t.Fatalf("Skip accepts %q, which json.Valid rejects", data)
+		}
 
-		opt := WireOption{Kind: str, R1: 1}
-		chooseRequestShape.SameBytes(t, ChooseRequest{Candidates: []WireOption{opt}, RepairCandidates: []string{str, ""}})
-		chooseResponseShape.SameBytes(t, ChooseResponse{Option: opt, Repair: str})
-		reportRequestShape.SameBytes(t, ReportRequest{Option: opt, Repair: str,
-			Metrics: WireMetrics{RTTMs: x, LossRate: -x, JitterMs: 1 / x}, DurationSec: x})
+		wireOptionsShape.SameBytes(t, []WireOption{{Kind: str, R1: 1}, {Kind: "direct"}})
+		stringsShape.SameBytes(t, []string{str, ""})
+		wireMetricsShape.SameBytes(t, WireMetrics{RTTMs: x, LossRate: -x, JitterMs: 1 / x})
 	})
 }
 
 // TestCodecCoversEveryField is the drift guard (walcompat pins struct
 // tags, not what a hand-written codec does with them).
 func TestCodecCoversEveryField(t *testing.T) {
-	chooseRequestShape.EveryField(t)
-	chooseResponseShape.EveryField(t)
-	reportRequestShape.EveryField(t)
-	reportResponseShape.EveryField(t)
+	wireOptionShape.EveryField(t)
+	wireMetricsShape.EveryField(t)
+	wireOptionsShape.EveryField(t)
 }
 
 // TestCodecAllocs holds the codec to the allocation bars it was written
 // for: encoding into a buffer with room allocates nothing, and decoding
 // allocates only what the value must own.
 func TestCodecAllocs(t *testing.T) {
-	var chooseReq ChooseRequest
-	var chooseResp ChooseResponse
-	var reportReq ReportRequest
-	var reportResp ReportResponse
+	var opt WireOption
+	var m WireMetrics
+	var opts []WireOption
+	var s JSONScanner
 	for _, d := range []struct {
 		name string
 		max  float64
-		body string
-		fn   func(data []byte) error
+		doc  string
+		scan func()
 	}{
-		{"ChooseRequest", 1, benchChooseBody, func(b []byte) error { chooseReq = ChooseRequest{}; return chooseReq.DecodeJSON(b) }},
-		{"ChooseResponse", 0, benchChooseResp, func(b []byte) error { chooseResp = ChooseResponse{}; return chooseResp.DecodeJSON(b) }},
-		{"ReportRequest", 0, benchReportBody, func(b []byte) error { reportReq = ReportRequest{}; return reportReq.DecodeJSON(b) }},
-		{"ReportResponse", 0, benchReportResp, func(b []byte) error { reportResp = ReportResponse{}; return reportResp.DecodeJSON(b) }},
+		{"WireOption", 0, benchOption, func() { opt = WireOption{}; opt.ScanJSON(&s) }},
+		{"WireMetrics", 0, benchMetricsDoc, func() { m = WireMetrics{}; m.ScanJSON(&s) }},
+		{"[]WireOption", 1, benchOptions, func() { opts = ScanWireOptions(&s) }},
 	} {
-		body := []byte(d.body)
+		doc := []byte(d.doc)
 		if got := testing.AllocsPerRun(200, func() {
-			if err := d.fn(body); err != nil {
-				t.Fatal(err)
+			s = ScanJSON(doc)
+			if d.scan(); !s.End() {
+				t.Fatalf("%s: %s is outside the canonical grammar", d.name, doc)
 			}
 		}); got > d.max {
 			t.Errorf("%s decode: %v allocs, want at most %v", d.name, got, d.max)
 		}
 	}
-	if len(chooseReq.Candidates) != 6 || reportReq.Metrics.RTTMs != 83.41926775 || !reportResp.OK || chooseResp.Option.R2 != 11 {
-		t.Fatalf("decoded %+v %+v %+v %+v", chooseReq, chooseResp, reportReq, reportResp)
+	if len(opts) != 6 || m.RTTMs != 83.41926775 || opt.R2 != 11 {
+		t.Fatalf("decoded %+v %+v %+v", opt, m, opts)
 	}
 	buf := make([]byte, 0, 512)
-	for name, enc := range map[string]func([]byte) ([]byte, error){
-		"ChooseRequest": chooseReq.AppendJSON, "ChooseResponse": chooseResp.AppendJSON,
-		"ReportRequest": reportReq.AppendJSON, "ReportResponse": reportResp.AppendJSON,
+	for name, enc := range map[string]func() error{
+		"WireOption":   func() error { opt.AppendJSON(buf); return nil },
+		"WireMetrics":  func() (err error) { _, err = m.AppendJSON(buf); return err },
+		"[]WireOption": func() error { AppendWireOptions(buf, opts); return nil },
 	} {
 		if got := testing.AllocsPerRun(200, func() {
-			if _, err := enc(buf); err != nil {
+			if err := enc(); err != nil {
 				t.Fatal(err)
 			}
 		}); got != 0 {
@@ -205,11 +233,9 @@ var (
 	benchSinkErr   error
 )
 
-// benchDecode times one body through encoding/json as the handlers used it
-// ("std") and through the codec ("new"). The decoders are passed in, each
-// declaring its own value: through a type parameter the value would escape
-// and the codec would be charged an allocation it does not make.
-func benchDecode(b *testing.B, body string, std func(io.Reader) error, codec func([]byte) error) {
+// benchDecode times one body through encoding/json as the POST handlers
+// read it ("std").
+func benchDecode(b *testing.B, body string, std func(io.Reader) error) {
 	data := []byte(body)
 	b.Run("std", func(b *testing.B) {
 		b.ReportAllocs()
@@ -217,19 +243,10 @@ func benchDecode(b *testing.B, body string, std func(io.Reader) error, codec fun
 			benchSinkErr = std(bytes.NewReader(data))
 		}
 	})
-	b.Run("new", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSinkErr = codec(data)
-		}
-	})
 }
 
-// benchEncode times the value body decodes to through json.Marshal ("std")
-// and through the codec into a buffer with room ("new").
-func benchEncode[T interface {
-	AppendJSON([]byte) ([]byte, error)
-}](b *testing.B, body string) {
+// benchEncode times the value body decodes to through json.Marshal ("std").
+func benchEncode[T any](b *testing.B, body string) {
 	var v T
 	if err := json.Unmarshal([]byte(body), &v); err != nil {
 		b.Fatal(err)
@@ -238,13 +255,6 @@ func benchEncode[T interface {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			benchSinkBytes, benchSinkErr = json.Marshal(v)
-		}
-	})
-	b.Run("new", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, 512)
-		for i := 0; i < b.N; i++ {
-			benchSinkBytes, benchSinkErr = v.AppendJSON(buf)
 		}
 	})
 }
@@ -260,13 +270,11 @@ func benchV2(b *testing.B, fn func() error) {
 	})
 }
 
-// The Benchmark*Codec triples reproduce the codec's speed-up over
-// encoding/json, and the binary body's over both, on the benchmark's own
-// requests: go test -bench Codec.
+// The Benchmark*Codec pairs reproduce the binary body's speed-up over
+// encoding/json on the benchmark's own requests: go test -bench Codec.
 func BenchmarkChooseRequestDecodeCodec(b *testing.B) {
 	benchDecode(b, benchChooseBody,
-		func(r io.Reader) error { var v ChooseRequest; return json.NewDecoder(r).Decode(&v) },
-		func(d []byte) error { var v ChooseRequest; return v.DecodeJSON(d) })
+		func(r io.Reader) error { var v ChooseRequest; return json.NewDecoder(r).Decode(&v) })
 	body := mustBody(b)(AppendChoose(nil, benchCands, nil))
 	benchV2(b, func() error { var v ChooseMsg; return v.DecodeBinary(body) })
 }
@@ -279,8 +287,7 @@ func BenchmarkChooseRequestEncodeCodec(b *testing.B) {
 
 func BenchmarkReportRequestDecodeCodec(b *testing.B) {
 	benchDecode(b, benchReportBody,
-		func(r io.Reader) error { var v ReportRequest; return json.NewDecoder(r).Decode(&v) },
-		func(d []byte) error { var v ReportRequest; return v.DecodeJSON(d) })
+		func(r io.Reader) error { var v ReportRequest; return json.NewDecoder(r).Decode(&v) })
 	body := mustBody(b)(AppendReport(nil, benchCands[1], benchMetrics, 0, ""))
 	benchV2(b, func() error { var v ReportMsg; return v.DecodeBinary(body) })
 }

@@ -12,12 +12,14 @@ import (
 	"unicode/utf8"
 )
 
-// The call-setup record path in JSON — the four control messages of the
-// POST endpoints in control_codec.go and the controller's two hot WAL
-// records — is encoded and decoded by hand, in the append idiom
-// Frame.Marshal uses, instead of through encoding/json's reflection. JSON
-// stays the format: the contract is that nothing a JSON peer or a log can
-// observe changes. (The control stream carries binary bodies instead,
+// The controller's two hot WAL records (walChoose and walReport, with the
+// WireOption and WireMetrics they embed, control_codec.go) are encoded and
+// decoded by hand, in the append idiom Frame.Marshal uses, instead of
+// through encoding/json's reflection: they are written under the WAL lock
+// and read on every standby ingest. JSON stays the format: the contract is
+// that nothing a log reader can observe changes. (The POST bodies use
+// encoding/json, though the ring gate's peekPair still finds their pair
+// with this scanner; the control stream carries binary bodies,
 // control_binary.go.)
 //
 //   - Encoders append exactly the bytes json.Marshal produces for the
@@ -31,9 +33,9 @@ import (
 //     for every input the value and the accept/reject verdict are
 //     encoding/json's, and so is every error message.
 //
-// The differential fuzzers (FuzzControlCodec here, FuzzWALRecordCodec in
-// internal/controller, FuzzPeekPair in internal/ring) hold both halves of
-// the contract.
+// The differential fuzzers (FuzzControlCodec here for the wire types and
+// the string primitives, FuzzWALRecordCodec in internal/controller for the records, FuzzPeekPair
+// in internal/ring) hold both halves of the contract.
 
 // MaxBodyBytes bounds a control-plane HTTP body, request or response. The
 // controller's POST handlers, the ring gate and router, and the client all
@@ -392,8 +394,8 @@ func (s *JSONScanner) Strings() []string {
 	return out
 }
 
-// Bool consumes true or false.
-func (s *JSONScanner) Bool() bool {
+// boolean consumes true or false.
+func (s *JSONScanner) boolean() bool {
 	s.peek()
 	rest := s.buf[s.pos:]
 	switch {
@@ -524,7 +526,7 @@ func (s *JSONScanner) skip(depth int) {
 	case c == '"':
 		s.rawString()
 	case c == 't' || c == 'f':
-		s.Bool()
+		s.boolean()
 	case c == '-' || c-'0' <= 9:
 		s.Float64()
 	default:
