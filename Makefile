@@ -44,18 +44,19 @@ fmt-check:
 mod-check:
 	$(GO) mod tidy -diff
 
-# Project-specific invariants (cmd/vialint): determinism + dettaint (no
-# wall clock / global rand / map-order output, intra- and inter-
-# procedurally), lockcheck (`// guarded by <mu>` annotations), errwrap
-# (%w + justified error discards), ctxtimeout (HTTP clients/dialers carry
+# Project-specific invariants (cmd/vialint): dettaint (no wall clock /
+# global rand / map-order output in deterministic code, directly or
+# through any chain of calls), lockcheck (`// guarded by <mu>`
+# annotations), errwrap (%w + justified error discards), ctxtimeout
+# (HTTP clients/dialers carry
 # deadlines), deadstore, noalloc (`//via:noalloc` hot paths verified by
 # escape analysis), walcompat (`//via:walrecord` schema evolution vs
 # committed goldens), metricshygiene (metric naming/labels/registration),
 # deadexport (no exported identifier under internal/ that only tests
 # reach; whole-program, so it reports only when the patterns cover the
-# whole module — lint-fast and lint-vet see part of it and leave it
-# silent). See DESIGN.md §9 and §14. The go-list result is cached under .cache/
-# keyed on a source stamp, so a no-change rerun skips the load phase.
+# whole module — lint-fast sees part of it and leaves it silent). See
+# DESIGN.md §9 and §14. The go-list result is cached under .cache/ keyed
+# on a source stamp, so a no-change rerun skips the load phase.
 lint:
 	$(GO) run ./cmd/vialint -listcache .cache/vialint-list.json $(VIALINT_FLAGS) ./...
 
@@ -67,11 +68,6 @@ lint-fast:
 	pkgs=$$(for f in $$changed; do [ -f "$$f" ] && dirname "$$f"; done | sort -u | sed 's|^|./|'); \
 	if [ -z "$$pkgs" ]; then echo "lint-fast: no changed Go files"; \
 	else echo "lint-fast: $$pkgs"; $(GO) run ./cmd/vialint -listcache .cache/vialint-list.json $(VIALINT_FLAGS) $$pkgs; fi
-
-# Same analyzers through the go vet driver (exercises the vettool path).
-lint-vet:
-	$(GO) build -o bin/vialint ./cmd/vialint
-	$(GO) vet -vettool=bin/vialint ./...
 
 test:
 	$(GO) test ./...

@@ -19,7 +19,7 @@
 // a and facts exported while analyzing a are visible while analyzing b.
 // List dependencies before their importers. Each fixture also carries a
 // framework.BuildUnit (sources plus stdlib export data), so NeedsBuild
-// analyzers work in fixtures too. Fixtures run through driver.RunWithFacts,
+// analyzers work in fixtures too. Fixtures run through driver.Run,
 // so //vialint:ignore directives are honored exactly as in production runs
 // and suppression behavior is testable.
 //
@@ -96,7 +96,7 @@ func RunLoad(t *testing.T, dir string, a *framework.Analyzer, l Load) {
 	for _, p := range pkgs {
 		p.WholeModule = !l.Narrowed
 	}
-	diags, err := driver.RunWithFacts(pkgs, []*framework.Analyzer{a}, framework.NewFacts(), nil)
+	diags, err := driver.Run(pkgs, []*framework.Analyzer{a}, nil)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

@@ -12,7 +12,7 @@
 //
 // Run records each package's declarations and references as a fact;
 // Finish, which the driver calls only on a whole-module load, joins them.
-// Narrowed runs and the `go vet -vettool` shim report nothing.
+// Narrowed runs report nothing.
 package deadexport
 
 import (

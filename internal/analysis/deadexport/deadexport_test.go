@@ -71,7 +71,7 @@ func TestDriverLoadDecidesWholeness(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := deadexport.New(deadexport.Config{Targets: []string{"m/internal"}})
-		diags, err := driver.RunWithFacts(pkgs, []*framework.Analyzer{a}, framework.NewFacts(), nil)
+		diags, err := driver.Run(pkgs, []*framework.Analyzer{a}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,18 @@
-// Package dettaint implements interprocedural determinism taint analysis.
+// Package dettaint forbids wall-clock and ambient-randomness escapes, and
+// map-iteration-order-dependent output, in the functions that must stay
+// deterministic.
 //
-// The intraprocedural determinism analyzer bans direct wall-clock and
-// ambient-RNG use inside the deterministic packages, but a violation one
-// call away — a sim package calling a helper in a live package that reads
-// time.Now — slips through it. dettaint closes that hole: it builds a
-// static call graph over the whole module and flags every determinism
-// *root* (functions in the replay-critical packages: sim, rtp, the WAL
-// replay surface, obs) that transitively reaches one of three sinks:
+// The Via reproduction's results (Algorithm 2 pruning, modified UCB1, §4.6
+// budget curves) are only trustworthy if a run is bit-for-bit reproducible
+// under a seed. Inside the model, time must flow from the virtual clock
+// (trace hours threaded through core.Call.THours) and randomness from
+// internal/stats.RNG labeled streams split off one master seed. A single
+// time.Now() or global math/rand call silently breaks replayability, and
+// so does one a call away — a sim package calling a helper in a live
+// package that reads time.Now. dettaint builds a static call graph over
+// the whole module and flags every determinism *root* (functions in the
+// replay-critical packages: sim, rtp, the WAL replay surface, obs) that
+// reaches one of three sinks, directly or transitively:
 //
 //   - wallclock: time.Now / time.Since / time.Until
 //   - globalrand: math/rand{,/v2} package-level draws from the shared
@@ -24,16 +30,22 @@
 // (no false aliasing) at the cost of trusting implementations of
 // deterministic interfaces.
 //
-// Findings are reported at the root function's declaration, with the full
-// chain in the message, so one line-scoped //vialint:ignore with a
-// justification covers a function that is live by design (the chaos and
-// fig18 experiment drivers).
+// A direct wall-clock or ambient-rand use in a root is reported at the
+// offending expression, so a line-scoped //vialint:ignore silences exactly
+// one use. A transitive finding (and a map-order one) is reported at the
+// root function's declaration, with the full chain in the message, so one
+// justified //vialint:ignore covers a function that is live by design (the
+// chaos and fig18 experiment drivers). In a package whose every function
+// is a root, the package-level var initializers are roots too, function
+// literals inside them included.
 package dettaint
 
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,16 +59,31 @@ const (
 	kindMaporder   = "maporder"
 )
 
-// forbiddenTime mirrors the determinism analyzer: only sampling "now" is
-// banned, duration arithmetic is fine.
+// forbiddenTime are the time functions that read the wall clock: only
+// sampling "now" is banned, duration arithmetic and time.Time values are
+// fine. time.Since(t) is time.Now().Sub(t), time.Until(t) t.Sub(time.Now()).
 var forbiddenTime = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-// allowedRand mirrors the determinism analyzer: explicitly-seeded
-// constructors are fine, everything else package-level draws from the
-// shared ambient source.
+// allowedRand are the math/rand{,/v2} package-level constructors that build
+// explicitly-seeded generators; everything else at package level draws from
+// the shared ambient source.
 var allowedRand = map[string]bool{
 	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true,
 }
+
+// does says what a direct use of a sink kind does; fix says how to stay
+// deterministic instead.
+var (
+	does = map[string]string{
+		kindWallclock:  "reads the wall clock",
+		kindGlobalrand: "draws from the shared ambient source",
+	}
+	fix = map[string]string{
+		kindWallclock:  "thread the virtual clock (core.Call.THours / netsim window time) instead",
+		kindGlobalrand: "use a labeled stream from internal/stats.RNG (Split/SplitN) so streams stay independent and replayable",
+		kindMaporder:   "sort what the loop collects before it is output",
+	}
+)
 
 // sink is one reachable nondeterminism source: its kind, a human
 // description of the ultimate sink, and the call chain (function keys,
@@ -81,15 +108,10 @@ const maxChain = 8
 // Config selects which functions are determinism roots.
 type Config struct {
 	// Roots maps package path → root function names within it. A nil or
-	// empty name list marks every function in the package as a root.
-	// Method roots are named "(*Recv).Name" / "(Recv).Name".
+	// empty name list marks every function in the package, and its
+	// package-level var initializers, as roots. Method roots are named
+	// "(*Recv).Name" / "(Recv).Name".
 	Roots map[string][]string
-	// DeterminismCovered lists packages already policed by the
-	// intraprocedural determinism analyzer; depth-zero wallclock and
-	// globalrand findings there are suppressed to avoid double-reporting
-	// the same call site (maporder has no intraprocedural counterpart and
-	// is always reported).
-	DeterminismCovered []string
 }
 
 // New builds the analyzer. It must run over every module package (facts
@@ -98,37 +120,61 @@ type Config struct {
 func New(cfg Config) *framework.Analyzer {
 	return &framework.Analyzer{
 		Name:      "dettaint",
-		Doc:       "flag determinism-critical functions that transitively reach time.Now, ambient math/rand, or map-iteration-order-dependent output",
+		Doc:       "flag determinism-critical functions that reach time.Now/Since/Until, ambient math/rand, or map-iteration-order-dependent output, directly or transitively; use the virtual clock and stats.RNG labeled streams",
 		UsesFacts: true,
 		Run:       func(pass *framework.Pass) error { return run(pass, cfg) },
 	}
 }
 
-// fnInfo accumulates one function's direct sinks and static callees.
+// fnInfo accumulates one function's (or one package-level var
+// initializer's) direct sinks and static callees.
 type fnInfo struct {
-	decl    *ast.FuncDecl
-	key     string
+	key     string          // FuncKey; "" for an initializer, which no one calls
+	name    string          // as reported: "(*T).M", "F", "var x"
+	pos     token.Pos       // the declared name
 	sinks   map[string]sink // kind → first sink found
+	uses    []use           // every direct wallclock/globalrand reference
 	callees []string        // FuncKeys, in source order, deduplicated
 }
 
+// use is one direct wall-clock or ambient-rand reference.
+type use struct {
+	pos  token.Pos
+	kind string
+	name string // "time.Now", "rand.Intn"
+}
+
 func run(pass *framework.Pass, cfg Config) error {
+	rootNames, isRootPkg := cfg.Roots[pass.Pkg.Path()]
 	var fns []*fnInfo
 	byKey := make(map[string]*fnInfo)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				obj, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func)
+				if !ok || decl.Body == nil {
+					continue
+				}
+				key := framework.FuncKey(obj)
+				fi := &fnInfo{key: key, name: localName(key), pos: decl.Name.Pos(), sinks: make(map[string]sink)}
+				collect(pass, decl.Body, fi)
+				fns = append(fns, fi)
+				byKey[fi.key] = fi
+			case *ast.GenDecl:
+				if decl.Tok != token.VAR || !isRootPkg || len(rootNames) > 0 {
+					continue
+				}
+				for _, spec := range decl.Specs {
+					vs := spec.(*ast.ValueSpec)
+					if len(vs.Values) == 0 {
+						continue
+					}
+					fi := &fnInfo{name: "var " + vs.Names[0].Name, pos: vs.Names[0].Pos(), sinks: make(map[string]sink)}
+					collect(pass, vs, fi)
+					fns = append(fns, fi)
+				}
 			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			fi := &fnInfo{decl: fd, key: framework.FuncKey(obj), sinks: make(map[string]sink)}
-			collect(pass, fd, fi)
-			fns = append(fns, fi)
-			byKey[fi.key] = fi
 		}
 	}
 
@@ -155,12 +201,14 @@ func run(pass *framework.Pass, cfg Config) error {
 	}
 
 	for _, fi := range fns {
-		if len(fi.sinks) > 0 {
+		if len(fi.sinks) > 0 && fi.key != "" {
 			pass.ExportFact(fi.key, funcFact{Sinks: sortedSinks(fi.sinks)})
 		}
 	}
 
-	report(pass, cfg, fns)
+	if isRootPkg {
+		report(pass, rootNames, fns)
+	}
 	return nil
 }
 
@@ -186,12 +234,12 @@ func sortedSinks(m map[string]sink) []sink {
 	return out
 }
 
-// collect walks one function body (nested literals included — their sinks
-// and calls are attributed to the enclosing declaration) for direct sinks
-// and static call edges.
-func collect(pass *framework.Pass, fd *ast.FuncDecl, fi *fnInfo) {
+// collect walks one function body or var spec (nested literals included —
+// their sinks and calls are attributed to the enclosing declaration) for
+// direct sinks and static call edges.
+func collect(pass *framework.Pass, scope ast.Node, fi *fnInfo) {
 	seen := make(map[string]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(scope, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
 			// Sinks trigger on any reference, not just calls: storing
@@ -201,11 +249,11 @@ func collect(pass *framework.Pass, fd *ast.FuncDecl, fi *fnInfo) {
 				switch pkgPath {
 				case "time":
 					if forbiddenTime[name] {
-						fi.addSink(kindWallclock, fmt.Sprintf("time.%s (wall clock)", name))
+						fi.addUse(use{n.Pos(), kindWallclock, "time." + name}, "wall clock")
 					}
 				case "math/rand", "math/rand/v2":
 					if !allowedRand[name] {
-						fi.addSink(kindGlobalrand, fmt.Sprintf("rand.%s (ambient math/rand)", name))
+						fi.addUse(use{n.Pos(), kindGlobalrand, "rand." + name}, "ambient math/rand")
 					}
 				}
 			}
@@ -215,10 +263,17 @@ func collect(pass *framework.Pass, fd *ast.FuncDecl, fi *fnInfo) {
 				fi.callees = append(fi.callees, key)
 			}
 		case *ast.RangeStmt:
-			checkMapRange(pass, fd, n, fi)
+			checkMapRange(pass, scope, n, fi)
 		}
 		return true
 	})
+}
+
+// addUse records a direct wallclock or globalrand reference; source says
+// where the sink draws from, for the summary's description.
+func (fi *fnInfo) addUse(u use, source string) {
+	fi.uses = append(fi.uses, u)
+	fi.addSink(u.kind, fmt.Sprintf("%s (%s)", u.name, source))
 }
 
 func (fi *fnInfo) addSink(kind, desc string) {
@@ -265,8 +320,8 @@ func ident(e ast.Expr) *ast.Ident {
 // checkMapRange flags a range over a map whose body makes iteration order
 // observable: printing inside the loop, or appending to a slice declared
 // outside the loop that is never passed to a sort.* / slices.* call later
-// in the function.
-func checkMapRange(pass *framework.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, fi *fnInfo) {
+// in the enclosing declaration.
+func checkMapRange(pass *framework.Pass, scope ast.Node, rs *ast.RangeStmt, fi *fnInfo) {
 	tv, ok := pass.TypesInfo.Types[rs.X]
 	if !ok {
 		return
@@ -317,7 +372,7 @@ func checkMapRange(pass *framework.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, fi
 		return
 	}
 	for _, obj := range appendTargets {
-		if !sortedAfter(pass, fd, rs, obj) {
+		if !sortedAfter(pass, scope, rs, obj) {
 			fi.addSink(kindMaporder, fmt.Sprintf("map-iteration-order-dependent output (appends to %s inside a map range with no later sort)", obj.Name()))
 			return
 		}
@@ -326,9 +381,9 @@ func checkMapRange(pass *framework.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, fi
 
 // sortedAfter reports whether obj is passed to a sort.* or slices.* call
 // after the range statement ends.
-func sortedAfter(pass *framework.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, obj types.Object) bool {
+func sortedAfter(pass *framework.Pass, scope ast.Node, rs *ast.RangeStmt, obj types.Object) bool {
 	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(scope, func(n ast.Node) bool {
 		if found {
 			return false
 		}
@@ -354,26 +409,23 @@ func sortedAfter(pass *framework.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, obj 
 	return found
 }
 
-// report emits diagnostics for tainted root functions, at the function
-// declaration, with the reaching chain in the message.
-func report(pass *framework.Pass, cfg Config, fns []*fnInfo) {
-	rootNames, isRootPkg := cfg.Roots[pass.Pkg.Path()]
-	if !isRootPkg {
-		return
-	}
-	covered := framework.AppliesTo(cfg.DeterminismCovered, pass.Pkg.Path())
+// report emits diagnostics for the root functions of a root package: each
+// direct wallclock or globalrand use at its expression, every other
+// finding at the declaration with the reaching chain in the message.
+func report(pass *framework.Pass, rootNames []string, fns []*fnInfo) {
 	for _, fi := range fns {
-		local := localName(fi.key)
-		if len(rootNames) > 0 && !contains(rootNames, local) {
+		if len(rootNames) > 0 && !slices.Contains(rootNames, fi.name) {
 			continue
 		}
+		for _, u := range fi.uses {
+			pass.Reportf(u.pos, "%s %s in %s, which is required to be deterministic; %s",
+				u.name, does[u.kind], fi.name, fix[u.kind])
+		}
 		for _, s := range sortedSinks(fi.sinks) {
-			if len(s.Chain) == 0 && covered && (s.Kind == kindWallclock || s.Kind == kindGlobalrand) {
-				// The determinism analyzer already reports this exact
-				// call site; a second function-level report adds noise.
-				continue
+			if len(s.Chain) == 0 && s.Kind != kindMaporder {
+				continue // reported at each use above
 			}
-			msg := fmt.Sprintf("%s is required to be deterministic but reaches %s", local, s.Desc)
+			msg := fmt.Sprintf("%s is required to be deterministic but reaches %s", fi.name, s.Desc)
 			if len(s.Chain) > 0 {
 				parts := make([]string, 0, len(s.Chain))
 				for _, key := range s.Chain {
@@ -381,7 +433,7 @@ func report(pass *framework.Pass, cfg Config, fns []*fnInfo) {
 				}
 				msg += " via " + strings.Join(parts, " → ")
 			}
-			pass.Reportf(fi.decl.Name.Pos(), "%s", msg)
+			pass.Reportf(fi.pos, "%s; %s", msg, fix[s.Kind])
 		}
 	}
 }
@@ -396,13 +448,4 @@ func localName(key string) string {
 		return key[i+1:]
 	}
 	return key
-}
-
-func contains(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }

@@ -9,10 +9,19 @@ import (
 
 func TestIntraPackage(t *testing.T) {
 	a := dettaint.New(dettaint.Config{
-		Roots:              map[string][]string{"det": nil},
-		DeterminismCovered: []string{"det"},
+		Roots: map[string][]string{"det": nil},
 	})
 	analysistest.Run(t, "testdata", a, "det")
+}
+
+// TestDeterminism runs the depth-zero rule on its own: wall-clock reads and
+// ambient draws in function bodies and var initializers, and the
+// line-scoped suppression.
+func TestDeterminism(t *testing.T) {
+	a := dettaint.New(dettaint.Config{
+		Roots: map[string][]string{"determinism": nil},
+	})
+	analysistest.Run(t, "testdata", a, "determinism")
 }
 
 func TestCrossPackage(t *testing.T) {

@@ -1,7 +1,7 @@
-// Package det exercises intra-package taint in a package the determinism
-// analyzer already covers: depth-zero wallclock/globalrand findings are its
-// territory and must not be double-reported, transitive ones and map-order
-// findings must.
+// Package det exercises intra-package taint in a package whose every
+// function is a root: depth-zero wallclock/globalrand findings land on the
+// offending expression, transitive and map-order ones on the declaration.
+// The determinism fixture holds the depth-zero cases in full.
 package det
 
 import (
@@ -11,21 +11,22 @@ import (
 	"time"
 )
 
-// Direct and helper sample the clock at depth zero: the intraprocedural
-// determinism analyzer owns those call sites, so dettaint stays quiet.
-func Direct() int64 { return time.Now().UnixNano() }
+// Direct and helper sample the clock at depth zero: reported at the call.
+func Direct() int64 { return time.Now().UnixNano() } // want `time.Now reads the wall clock in Direct`
 
-func helper() time.Time { return time.Now() }
+func helper() time.Time { return time.Now() } // want `time.Now reads the wall clock in helper`
 
 func Caller() time.Time { return helper() } // want `Caller is required to be deterministic but reaches time.Now \(wall clock\) via det.helper`
 
+// A package-level initializer that reaches the clock is reported at the var.
+var started = helper() // want `var started is required to be deterministic but reaches time.Now \(wall clock\) via det.helper`
+
 func ChainTwo() int64 { return Caller().UnixNano() } // want `reaches time.Now \(wall clock\) via det.Caller → det.helper`
 
-// Ambient draws at depth zero (determinism analyzer territory); UsesAmbient
-// is one hop away and is dettaint's to report.
-func Ambient() int { return rand.Intn(6) }
+// Ambient draws at depth zero; UsesAmbient is one hop away.
+func Ambient() int { return rand.Intn(6) } // want `rand.Intn draws from the shared ambient source in Ambient`
 
-func UsesAmbient() int { return Ambient() } // want `reaches rand.Intn \(ambient math/rand\) via det.Ambient`
+func UsesAmbient() int { return Ambient() } // want `reaches rand.Intn \(ambient math/rand\) via det.Ambient; use a labeled stream from internal/stats.RNG`
 
 // Seeded uses an explicit source: every call is a concrete method on
 // *rand.Rand, not an ambient package-level draw.

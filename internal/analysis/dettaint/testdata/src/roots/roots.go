@@ -1,6 +1,6 @@
 // Package roots exercises per-function root selection: only Watched is
-// configured as a root, so tick and Unwatched stay unreported even though
-// both are tainted.
+// configured as a root, so tick, Unwatched and the package-level var
+// initializer stay unreported even though all three are tainted.
 package roots
 
 import "time"
@@ -10,3 +10,5 @@ func Watched() time.Time { return tick() } // want `Watched is required to be de
 func Unwatched() time.Time { return tick() }
 
 func tick() time.Time { return time.Now() }
+
+var boot = time.Now()

@@ -66,8 +66,8 @@ type Package struct {
 	// on a whole-module load: only analyzers with a Finish step run over
 	// it, and diagnostics from it are dropped.
 	Referrer bool
-	// WholeModule marks every package of a whole-module load; RunWithFacts
-	// runs Finish steps only when it is set.
+	// WholeModule marks every package of a whole-module load; Run runs
+	// Finish steps only when it is set.
 	WholeModule bool
 }
 
@@ -384,34 +384,17 @@ func buildReferrers(fset *token.FileSet, listed []listedPkg) ([]*Package, error)
 	return out, nil
 }
 
-// LoadSingle type-checks one package from explicit source files and an
-// import-path → export-data-file map. The `go vet -vettool` shim uses it:
-// cmd/go has already resolved every dependency's export file in vet.cfg,
-// so no `go list` round-trip is needed.
-func LoadSingle(importPath string, goFiles []string, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	pkg, err := check(fset, listedPkg{GoFiles: goFiles}, importPath, ExportImporter(fset, exports))
-	if err != nil {
-		return nil, err
-	}
-	if len(goFiles) > 0 {
-		pkg.Unit.Dir = filepath.Dir(goFiles[0])
-	}
-	pkg.Unit.Exports = exports
-	return pkg, nil
-}
-
-// RunWithFacts applies every analyzer to every package it targets and
-// returns the surviving diagnostics, sorted by position, with
-// //vialint:ignore directives applied. Analyzer errors abort the run.
-// facts is the run's fact store (pre-seeded by the vet shim from
-// dependency .vetx files); timings, when non-nil, accumulates each
-// analyzer's wall time in seconds under its name.
+// Run applies every analyzer to every package it targets and returns the
+// surviving diagnostics, sorted by position, with //vialint:ignore
+// directives applied. Analyzer errors abort the run. All packages share
+// one fact store; timings, when non-nil, accumulates each analyzer's wall
+// time in seconds under its name.
 //
 // On a whole-module load (Package.WholeModule), each analyzer's Finish step
 // runs once after the last package; its findings are subject to the
 // ignore directives of every reported package.
-func RunWithFacts(pkgs []*Package, analyzers []*framework.Analyzer, facts *framework.Facts, timings map[string]float64) ([]framework.Diagnostic, error) {
+func Run(pkgs []*Package, analyzers []*framework.Analyzer, timings map[string]float64) ([]framework.Diagnostic, error) {
+	facts := framework.NewFacts()
 	var (
 		diags []framework.Diagnostic
 		all   []*Ignores // of reported packages, for Finish findings

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/dettaint"
 	"repro/internal/analysis/framework"
 )
@@ -194,7 +193,7 @@ func Root() int64 { return p1.Stamp() }
 	}
 	a := dettaint.New(dettaint.Config{Roots: map[string][]string{"p1": nil, "p2": nil}})
 	timings := map[string]float64{}
-	diags, err := RunWithFacts(pkgs, []*framework.Analyzer{a}, framework.NewFacts(), timings)
+	diags, err := Run(pkgs, []*framework.Analyzer{a}, timings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +232,8 @@ func TestRunDetectsInjectedViolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		pkg := &Package{Path: "p", Fset: fset, Files: []*ast.File{f}, Pkg: tpkg, Info: info}
-		diags, err := RunWithFacts([]*Package{pkg}, []*framework.Analyzer{determinism.New([]string{"p"})}, framework.NewFacts(), nil)
+		a := dettaint.New(dettaint.Config{Roots: map[string][]string{"p": nil}})
+		diags, err := Run([]*Package{pkg}, []*framework.Analyzer{a}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func Bad() time.Time { return time.Now() }
 import "time"
 
 func Audited() time.Time {
-	//vialint:ignore determinism test: justified wall-clock read
+	//vialint:ignore dettaint test: justified wall-clock read
 	return time.Now()
 }
 `

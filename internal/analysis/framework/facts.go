@@ -17,11 +17,8 @@ import (
 // analyzers into whole-module checks (dettaint's call-graph taint,
 // metricshygiene's registered-exactly-once rule).
 //
-// Facts are stored in marshaled (JSON) form, keyed by (analyzer, key):
-// the in-process standalone driver and the `go vet -vettool` shim — which
-// must persist facts into cmd/go's .vetx files between per-package tool
-// invocations — then share one representation, and a fact can never leak
-// unserializable state between packages.
+// Facts are stored in marshaled (JSON) form, keyed by (analyzer, key), so
+// a fact can never leak unserializable or mutable state between packages.
 type Facts struct {
 	mu sync.Mutex
 	m  map[string]map[string]json.RawMessage // analyzer → key → fact; guarded by mu
@@ -62,39 +59,6 @@ func (f *Facts) keys(analyzer string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// EncodeJSON serializes the whole store — the payload the vet-mode shim
-// writes to its .vetx output file.
-func (f *Facts) EncodeJSON() ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return json.Marshal(f.m)
-}
-
-// MergeJSON folds a serialized store (a dependency's .vetx file) in.
-// Existing entries win: a package's own facts must not be clobbered by a
-// stale dependency file.
-func (f *Facts) MergeJSON(data []byte) error {
-	var other map[string]map[string]json.RawMessage
-	if err := json.Unmarshal(data, &other); err != nil {
-		return fmt.Errorf("framework: decoding facts: %w", err)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for analyzer, am := range other {
-		dst := f.m[analyzer]
-		if dst == nil {
-			dst = make(map[string]json.RawMessage)
-			f.m[analyzer] = dst
-		}
-		for k, v := range am {
-			if _, exists := dst[k]; !exists {
-				dst[k] = v
-			}
-		}
-	}
-	return nil
 }
 
 // ExportFact records a fact for key under this pass's analyzer. v must be

@@ -31,8 +31,7 @@ type Analyzer struct {
 	Targets []string
 	// UsesFacts marks analyzers that export or import cross-package facts.
 	// The driver runs fact-using analyzers over dependency packages too
-	// (with reporting suppressed), so summaries flow to dependents; the
-	// vet-mode shim persists their facts in .vetx files.
+	// (with reporting suppressed), so summaries flow to dependents.
 	UsesFacts bool
 	// NeedsBuild marks analyzers that require Pass.Unit (compiler-assisted
 	// checks like noalloc). The driver and test harness populate Unit; an

@@ -1,7 +1,6 @@
 // Package vialint assembles the production analyzer suite. cmd/vialint
-// (standalone multichecker and `go vet -vettool` shim) and any future CI
-// embedding import this one registry so the set of enforced invariants has
-// a single definition.
+// and any future CI embedding import this one registry so the set of
+// enforced invariants has a single definition.
 package vialint
 
 import (
@@ -13,7 +12,6 @@ import (
 	"repro/internal/analysis/ctxtimeout"
 	"repro/internal/analysis/deadexport"
 	"repro/internal/analysis/deadstore"
-	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/dettaint"
 	"repro/internal/analysis/errwrap"
 	"repro/internal/analysis/framework"
@@ -32,7 +30,6 @@ func All() []*framework.Analyzer {
 			Exempt:  []string{"repro/internal/transport/codectest", "repro/internal/analysis/analysistest"},
 		}),
 		deadstore.Analyzer,
-		determinism.Analyzer,
 		dettaint.New(dettaintConfig()),
 		errwrap.Analyzer,
 		lockcheck.Analyzer,
@@ -49,24 +46,49 @@ func WALSchemaUpdater() *framework.Analyzer {
 	return walcompat.New(walcompat.Config{SchemaDir: SchemaDir(), Update: true})
 }
 
-// dettaintConfig wires the interprocedural taint roots: every function in
-// the packages the determinism analyzer polices, plus the WAL replay
-// surface — decode and replay must be deterministic so a standby
-// reconstructs the exact leader state, while the write/fsync side
+// deterministic lists the packages that must stay deterministic: the
+// synthetic Internet model, the discrete-event simulator, the experiment
+// harness, the selection algorithms, every statistical helper they draw
+// from, the loss-repair engine (rtp) — whose NACK timers, playout
+// deadlines, and repair simulator all run on caller-supplied nanos, never
+// a sampled clock — and the metrics layer (obs), which instruments
+// deterministic packages and therefore must never sample a clock itself;
+// timestamps are passed in by callers. Wall-clock use stays legal in the
+// live-network packages (controller, relay, client, wan, faults, testbed)
+// where real time is the point.
+var deterministic = []string{
+	"repro/internal/netsim",
+	"repro/internal/sim",
+	"repro/internal/experiments",
+	"repro/internal/core",
+	"repro/internal/trace",
+	"repro/internal/stats",
+	"repro/internal/coords",
+	"repro/internal/tomo",
+	"repro/internal/quality",
+	"repro/internal/geo",
+	"repro/internal/history",
+	"repro/internal/packets",
+	"repro/internal/rtp",
+	"repro/internal/obs",
+	"repro/via",
+}
+
+// dettaintConfig wires the determinism roots: every function (and
+// package-level var initializer) in the deterministic packages, plus the
+// WAL replay surface — decode and replay must be deterministic so a
+// standby reconstructs the exact leader state, while the write/fsync side
 // legitimately samples the clock for its latency histogram.
 func dettaintConfig() dettaint.Config {
-	roots := make(map[string][]string, len(determinism.DefaultTargets)+1)
-	for _, p := range determinism.DefaultTargets {
+	roots := make(map[string][]string, len(deterministic)+1)
+	for _, p := range deterministic {
 		roots[p] = nil // every function
 	}
 	roots["repro/internal/wal"] = []string{
 		"ReadFrameBuf", "(*Log).Replay", "(*Log).Tail", "(*Tailer).Next",
 		"ListSnapshots", "ReadSnapshot", "LatestSnapshot",
 	}
-	return dettaint.Config{
-		Roots:              roots,
-		DeterminismCovered: determinism.DefaultTargets,
-	}
+	return dettaint.Config{Roots: roots}
 }
 
 var (

@@ -724,15 +724,12 @@ func (a *Agent) evictStalestLocked(keep uint64) {
 	delete(a.incoming, stalest)
 }
 
-// handleMedia is the callee side: measure, and periodically report back.
-func (a *Agent) handleMedia(f *transport.Frame) {
-	var pkt rtp.Packet
-	if err := pkt.Unmarshal(f.Payload); err != nil || len(pkt.Payload) < 8 {
-		return
-	}
-	now := time.Now().UnixNano()
-
+// incomingFor returns the callee-side state of f's session, creating it
+// on the session's first frame, whatever its kind (parity may outrun the
+// first media frame).
+func (a *Agent) incomingFor(f *transport.Frame) *inCall {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	ic := a.incoming[f.Session]
 	if ic == nil {
 		ic = &inCall{}
@@ -748,8 +745,18 @@ func (a *Agent) handleMedia(f *transport.Frame) {
 			a.evictStalestLocked(f.Session)
 		}
 	}
-	a.mu.Unlock()
+	return ic
+}
 
+// handleMedia is the callee side: measure, and periodically report back.
+func (a *Agent) handleMedia(f *transport.Frame) {
+	var pkt rtp.Packet
+	if err := pkt.Unmarshal(f.Payload); err != nil || len(pkt.Payload) < 8 {
+		return
+	}
+	now := time.Now().UnixNano()
+
+	ic := a.incomingFor(f)
 	ic.mu.Lock()
 	if ic.scheme == rtp.SchemeNone && f.Repair != 0 {
 		ic.setupRepairLocked(rtp.SchemeFromByte(f.Repair))

@@ -89,19 +89,14 @@ func (a *Agent) handleNack(f *transport.Frame) {
 
 // handleFEC is the callee side of XOR-FEC: feed the parity packet to the
 // group decoder and credit any packet it completes. Parity may outrun the
-// session's first media frame, so repair state is initialized here too.
+// session's first media frame, so call and repair state are initialized
+// here too.
 func (a *Agent) handleFEC(f *transport.Frame) {
 	var fp rtp.FECPacket
 	if err := fp.Unmarshal(f.Payload); err != nil {
 		return
 	}
-	a.mu.Lock()
-	ic := a.incoming[f.Session]
-	if ic == nil {
-		ic = &inCall{}
-		a.incoming[f.Session] = ic
-	}
-	a.mu.Unlock()
+	ic := a.incomingFor(f)
 	ic.mu.Lock()
 	if ic.scheme == rtp.SchemeNone && f.Repair != 0 {
 		ic.setupRepairLocked(rtp.SchemeFromByte(f.Repair))

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/rtp"
+	"repro/internal/transport"
 	"repro/internal/wan"
 )
 
@@ -89,5 +90,42 @@ func TestRtxDeadlineMissesCounted(t *testing.T) {
 	repairCall(t, caller, callee, rtp.SchemeNACK, 1200*time.Millisecond)
 	if callee.RtxDeadlineMisses() == 0 {
 		t.Error("50% loss produced no expired NACK entries")
+	}
+}
+
+// TestParityFirstSessionGetsCalleeState: a session whose first frame is
+// FEC parity gets the same callee-side state a media frame creates. It
+// counts against maxIncoming, and a token-bearing call mints its callee
+// token, so the receiver reports and NACKs it sends later carry one.
+func TestParityFirstSessionGetsCalleeState(t *testing.T) {
+	a := newAgent(t, 1)
+	scheme := rtp.SchemeFEC(4)
+	parity := (&rtp.FECPacket{K: 4, Payload: make([]byte, 160)}).Marshal(nil)
+	fec := func(session uint64, token transport.Token) {
+		f := transport.Frame{Session: session, Kind: transport.KindFEC, Repair: scheme.Byte(), Token: token, Payload: parity}
+		a.handleFEC(&f)
+	}
+	for s := uint64(1); s <= maxIncoming+10; s++ {
+		fec(s, transport.Token{})
+	}
+	if got := len(a.incomingSessions()); got != maxIncoming {
+		t.Errorf("parity-only sessions left %d entries, want the cap %d", got, maxIncoming)
+	}
+
+	const tokened = maxIncoming + 100
+	fec(tokened, transport.Token{1})
+	a.mu.Lock()
+	ic := a.incoming[tokened]
+	a.mu.Unlock()
+	if ic == nil {
+		t.Fatal("parity-first session holds no callee state")
+	}
+	ic.mu.Lock()
+	defer ic.mu.Unlock()
+	if ic.token.IsZero() {
+		t.Error("token-bearing session whose parity arrived first has no callee token")
+	}
+	if ic.fecDec == nil {
+		t.Error("parity-first session did not set up its FEC decoder")
 	}
 }

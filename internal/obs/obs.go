@@ -10,7 +10,7 @@
 //     caller — live-network packages (controller, relay, client) pass real
 //     durations, simulation packages pass virtual hours — so the package
 //     is a legal dependency of the deterministic simulation stack and is
-//     itself listed in the determinism analyzer's targets.
+//     itself one of dettaint's root packages.
 //   - Safety under the parallel Runner (lockcheck): registry shards are
 //     `// guarded by mu` annotated RWMutex maps, and every metric value is
 //     a lock-free atomic, so GOMAXPROCS-many strategy replays can hammer

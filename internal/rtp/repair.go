@@ -28,8 +28,8 @@ import (
 //
 // Everything here is deterministic and clock-free: callers thread
 // timestamps in as nanosecond integers (virtual time in simulation, wall
-// time in the live client), so the determinism analyzer holds for this
-// package.
+// time in the live client), so dettaint's determinism rule holds for
+// this package.
 
 // Scheme identifies a loss-repair scheme. The zero value is SchemeNone.
 // FEC schemes carry their group size k in the value (see SchemeFEC).
@@ -173,14 +173,28 @@ func (p *FECPacket) Unmarshal(buf []byte) error {
 	return nil
 }
 
+// fecGroupBase returns the first sequence number of seq's FEC group.
+// Groups are the runs of k sequence numbers aligned to multiples of k, so
+// the encoder and the decoder agree on a packet's group from its sequence
+// number alone: whatever sequence a stream starts at, and across the
+// 16-bit wrap. When k does not divide 65536 the last group before the
+// wrap is short (65536 mod k members); whole is false for it, and no
+// parity covers it.
+func fecGroupBase(seq uint16, k int) (base uint16, whole bool) {
+	base = seq / uint16(k) * uint16(k)
+	return base, int(base)+k <= 1<<16
+}
+
 // FECEncoder accumulates sender-side XOR parity over groups of K media
-// packets. Add folds packets in send order and returns the completed
-// parity packet every K-th call; the returned packet (and its payload)
-// are reused by the next group, so marshal it before the next Add.
-// Steady-state operation allocates nothing.
+// packets (see fecGroupBase). Add returns the completed parity packet
+// when it folds a group's last member; the returned packet (and its
+// payload) are reused by the next group, so marshal it before the next
+// Add. A group the encoder did not see from its first member in sequence
+// order (the stream started mid-group, or skipped a number) gets no
+// parity. Steady-state operation allocates nothing.
 type FECEncoder struct {
 	k   int
-	n   int
+	n   int // members of the current group folded so far
 	pkt FECPacket
 }
 
@@ -194,12 +208,18 @@ func NewFECEncoder(k int) *FECEncoder {
 //
 //via:noalloc
 func (e *FECEncoder) Add(p *Packet) *FECPacket {
-	if e.n == 0 {
-		e.pkt.BaseSeq = p.Seq
+	base, whole := fecGroupBase(p.Seq, e.k)
+	if p.Seq == base {
+		e.n = 0
+		e.pkt.BaseSeq = base
 		e.pkt.K = uint8(e.k)
 		e.pkt.LenXor = 0
 		e.pkt.TSXor = 0
 		e.pkt.Payload = e.pkt.Payload[:0]
+	}
+	if !whole || int(p.Seq-base) != e.n {
+		e.n = 0
+		return nil
 	}
 	for len(e.pkt.Payload) < len(p.Payload) {
 		e.pkt.Payload = append(e.pkt.Payload, 0)
@@ -283,7 +303,10 @@ func (d *FECDecoder) groupFor(base uint16) *fecGroup {
 
 // AddMedia folds one received media packet into its group.
 func (d *FECDecoder) AddMedia(p *Packet) (Packet, bool) {
-	base := p.Seq / uint16(d.k) * uint16(d.k)
+	base, whole := fecGroupBase(p.Seq, d.k)
+	if !whole {
+		return Packet{}, false // no parity covers a short group
+	}
 	g := d.groupFor(base)
 	off := p.Seq - base
 	if g.done || g.mask&(1<<off) != 0 {
@@ -313,6 +336,9 @@ func (d *FECDecoder) AddMedia(p *Packet) (Packet, bool) {
 func (d *FECDecoder) AddParity(p *FECPacket) (Packet, bool) {
 	if int(p.K) != d.k {
 		return Packet{}, false // scheme mismatch; drop
+	}
+	if base, whole := fecGroupBase(p.BaseSeq, d.k); base != p.BaseSeq || !whole {
+		return Packet{}, false // no such group; drop
 	}
 	g := d.groupFor(p.BaseSeq)
 	if g.done || g.haveParity {

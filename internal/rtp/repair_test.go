@@ -131,6 +131,76 @@ func TestFECRecoverAnySingleLoss(t *testing.T) {
 	}
 }
 
+// TestFECGroupsAgreeAcrossWrap streams one call past the 16-bit sequence
+// wrap with every 7th packet lost, parity delivered after each group's
+// last member. The encoder and the decoder must group every packet alike,
+// so each loss is recovered unless no parity covers its group: the
+// partial group a stream starts in, the short group before the wrap when
+// k does not divide 65536, or the group the stream ends in.
+func TestFECGroupsAgreeAcrossWrap(t *testing.T) {
+	const n = 1<<16 + 300
+	for _, k := range []int{3, 4, 5} {
+		for _, start := range []uint16{0, 2} {
+			enc, dec := NewFECEncoder(k), NewFECDecoder(k)
+			recovered := make(map[uint16]bool)
+			var lost []uint16
+			var wire []byte
+			var fp FECPacket
+			payload := make([]byte, 20)
+			for i := 0; i < n; i++ {
+				seq := start + uint16(i)
+				payload[0], payload[1] = byte(seq>>8), byte(seq)
+				p := &Packet{PayloadType: 111, Seq: seq, Timestamp: uint32(seq) * 160, SSRC: 7, Payload: payload}
+				parity := enc.Add(p)
+				if i%7 == 3 {
+					lost = append(lost, seq)
+				} else if rec, ok := dec.AddMedia(p); ok {
+					recovered[rec.Seq] = true
+				}
+				if parity != nil {
+					wire = parity.Marshal(wire[:0])
+					if err := fp.Unmarshal(wire); err != nil {
+						t.Fatal(err)
+					}
+					if rec, ok := dec.AddParity(&fp); ok {
+						if got := uint16(rec.Payload[0])<<8 | uint16(rec.Payload[1]); got != rec.Seq {
+							t.Fatalf("k=%d start=%d: recovered seq %d carries the payload of %d", k, start, rec.Seq, got)
+						}
+						recovered[rec.Seq] = true
+					}
+				}
+			}
+			firstWhole := (int(start) + k - 1) / k * k  // first group the stream covers from its start
+			shortFrom := 1<<16 - 1<<16%k                // the short group before the wrap
+			lastSeq := (int(start) + n - 1) % (1 << 16) // the stream ends after the wrap
+			var missed, wantAfterWrap, gotAfterWrap int
+			for i, seq := range lost {
+				ext := int(start) + i*7 + 3 // unwrapped sequence number
+				uncovered := ext < firstWhole || int(seq) >= shortFrom ||
+					ext >= 1<<16 && int(seq)/k*k+k-1 > lastSeq
+				if uncovered {
+					continue
+				}
+				if !recovered[seq] {
+					missed++
+				}
+				if ext >= 1<<16 {
+					wantAfterWrap++
+					if recovered[seq] {
+						gotAfterWrap++
+					}
+				}
+			}
+			if missed > 0 {
+				t.Errorf("k=%d start=%d: %d covered losses not recovered", k, start, missed)
+			}
+			if wantAfterWrap == 0 || gotAfterWrap != wantAfterWrap {
+				t.Errorf("k=%d start=%d: recovered %d of %d losses after the wrap", k, start, gotAfterWrap, wantAfterWrap)
+			}
+		}
+	}
+}
+
 // recovers feeds members then parity to a fresh decoder and reports
 // whether anything was recovered.
 func recovers(k int, parity *FECPacket, members ...*Packet) bool {
