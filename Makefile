@@ -5,11 +5,6 @@
 
 GO ?= go
 
-# Benchmark-regression knobs (see README "Benchmarking & profiling").
-BENCH_SEED ?= 1
-BENCH_CALLS ?= 120000
-VIABENCH_CALLS ?= 20000
-
 # Fuzz session length (CI uses a ~20s smoke; longer locally finds more).
 FUZZTIME ?= 30s
 
@@ -22,7 +17,7 @@ COVER_FLOOR ?= 75.0
 # -timings prints load + per-analyzer wall time to stderr).
 VIALINT_FLAGS ?=
 
-.PHONY: verify build vet fmt-check mod-check lint lint-fast test race short fuzz chaos chaos-ha chaos-repair soak loss-sweep bench-json bench-choose bench-smoke choose-smoke bench-vet cover
+.PHONY: verify build vet fmt-check mod-check lint lint-fast test race short fuzz chaos chaos-ha chaos-repair soak loss-sweep bench-vet cover
 
 verify: build vet fmt-check lint test race
 
@@ -142,33 +137,6 @@ soak:
 # plus the per-regime repair bandit's learned choices.
 loss-sweep:
 	$(GO) run ./cmd/viabench losssweep
-
-# Benchmark-regression harness: replays the experiment suite sequentially
-# (per-experiment ns/op + allocs/op) and in parallel (suite wall clock /
-# speedup), then writes BENCH_$(BENCH_SEED).json. Commit the refreshed
-# baseline when a perf change lands.
-bench-json:
-	$(GO) run ./cmd/viabench -seed $(BENCH_SEED) -calls $(BENCH_CALLS) bench
-
-# Choose-throughput harness: zipf-skewed pair population hammering
-# Via's uncached Choose at N goroutines, writing BENCH_2.json. Commit
-# the refreshed baseline when the hot path changes.
-bench-choose:
-	$(GO) run ./cmd/viabench choose
-
-# CI gate: small-scale sequential pass compared against the committed
-# BENCH_ci.json baseline; fails on >25% regression in allocs/op or in an
-# experiment's normalized share of suite wall time.
-bench-smoke:
-	$(GO) run ./cmd/viabench -seed 1 -calls $(VIABENCH_CALLS) -modes seq \
-		-benchout bench-ci-current.json -baseline BENCH_ci.json -tolerance 0.25 bench
-
-# CI gate for the decision hot path: a reduced choose run compared
-# against the committed BENCH_2.json on its machine-independent
-# invariant (uncached allocs/op).
-choose-smoke:
-	$(GO) run ./cmd/viabench -choose-ops 400000 \
-		-benchout choose-ci-current.json -baseline BENCH_2.json -tolerance 0.25 choose
 
 # The call-path benchmark (bench/, BENCHMARK.json) is a module of its own,
 # so `make verify` neither builds nor tests it: run this after any change

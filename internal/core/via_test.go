@@ -573,16 +573,3 @@ func TestViaInstrumentationIsInert(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkViaChoose(b *testing.B) {
-	v := NewVia(DefaultViaConfig(quality.RTT), nil)
-	cands := []netsim.Option{
-		netsim.DirectOption(), netsim.BounceOption(1), netsim.BounceOption(2),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := Call{Src: netsim.ASID(i % 64), Dst: netsim.ASID(64 + i%64), THours: float64(i % 1000)}
-		opt := v.Choose(c, cands)
-		v.Observe(c, opt, quality.Metrics{RTTMs: 100})
-	}
-}
